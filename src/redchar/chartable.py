@@ -2,31 +2,71 @@
 
 The table algorithm splits common eigenspaces of class matrices modulo a
 prime ell = 1 (mod e) with ell > 2|G| (e the group exponent), then lifts
-eigenvalue data to exact cyclotomic numbers through discrete Fourier sums
-of root-of-unity multiplicities.  Everything downstream of the lift is
-exact integer/cyclotomic arithmetic; the modulus enters only through the
-lifting bound, which the choice of ell makes unambiguous.
+eigenvalue data to exact cyclotomic numbers.  For a class of order m the
+values chi(g^t), t < m, give the multiplicity c_j of zeta_m^j among the
+eigenvalues of rho(g) by the discrete Fourier sum
+c_j = (1/m) sum_t chi(g^t) zeta_m^(-jt); the lift evaluates it for every row
+at once as one m x m Vandermonde matmul mod ell per class.  Multiplicities
+lie in [0, deg chi] and ell > 2|G| > 2 deg chi, so each residue names one
+integer, and the lifted values are exact.
+
+Every table value is stored over the power basis of Z[zeta_e] ("packed").
+Orthogonality is certified exactly from those integer arrays: at a prime
+p = 1 (mod e) the cyclotomic polynomial splits into distinct linear factors
+mod p, so evaluating at all phi(e) embeddings zeta_e -> w^u mod p is
+injective on Z[zeta_e]/p.  Agreement of the row and column Gram matrices
+with their targets at every embedding therefore puts each difference in
+p Z[zeta_e]; an explicit bound B on the power-basis coefficients of the
+Grams, with enough primes that their product exceeds 2(B + |G|), forces the
+difference to be zero.  Nothing is sampled and nothing is floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, _ring, root_of_unity_sum
+from .cyclotomic import CyclotomicNumber, _ring, euler_phi, root_of_unity_sum
 from .groups import GroupAutomorphism, GroupRealization, _bmm
 
 _INT64_GUARD = 1 << 62
+_EMBEDDING_CHUNK = 8  # conjugate pairs of embeddings evaluated per matmul
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray, inner: int) -> np.ndarray:
+def _absmax(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integer matmul that never overflows: falls back to python ints."""
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * max(inner, 1)
+    bound = _absmax(a) * _absmax(b) * max(a.shape[-1], 1)
     if bound < _INT64_GUARD and a.dtype != object and b.dtype != object:
         return a @ b
     return a.astype(object) @ b.astype(object)
+
+
+def _exact_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise integer product that never overflows."""
+    if _absmax(a) * _absmax(b) < _INT64_GUARD and a.dtype != object and b.dtype != object:
+        return a * b
+    return a.astype(object) * b.astype(object)
+
+
+def _root_powers(root: int, count: int, p: int) -> np.ndarray:
+    """root^0, ..., root^(count-1) mod p: one column of a Vandermonde matrix."""
+    out = np.empty(count, dtype=np.int64)
+    acc = 1
+    for c in range(count):
+        out[c] = acc
+        acc = acc * root % p
+    return out
+
+
+def _evaluate_mod(mat: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
+    """Packed values (..., phi) at the root of unity with these powers, mod p."""
+    return (_exact_matmul(mat, powers) % p).astype(np.int64)
 
 
 class _PackedContext:
@@ -150,16 +190,16 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
     ctx = _packed_context(f.group)
     mf, df = f.packed()
     mg, dg = g.packed()
-    mg_conj = _exact_matmul(mg, ctx.conj_np, ctx.phi)
-    weighted = mg_conj * ctx.sizes[:, None]
-    surface = _exact_matmul(mf.T, weighted, ctx.n_classes)  # (phi, phi)
-    # collapse the product surface along antidiagonals: conv[t] = sum_{a+b=t}
-    flipped = np.fliplr(surface)
-    conv = np.array(
-        [np.trace(flipped, offset=ctx.phi - 1 - t) for t in range(2 * ctx.phi - 1)],
-        dtype=surface.dtype,
-    )
-    vec = _exact_matmul(conv[None, :], ctx.pow_np[: 2 * ctx.phi - 1], 2 * ctx.phi - 1)[0]
+    phi = ctx.phi
+    weighted = _exact_mul(_exact_matmul(mg, ctx.conj_np), ctx.sizes[:, None])
+    surface = _exact_matmul(mf.T, weighted)  # (phi, phi)
+    # collapse the product surface along antidiagonals, conv[t] = sum_{a+b=t}:
+    # with skew[a, a + b] = surface[a, b], conv is the column sum of skew
+    skew = np.zeros((phi, 2 * phi - 1), dtype=surface.dtype)
+    rows = np.arange(phi)[:, None]
+    skew[rows, rows + np.arange(phi)] = surface
+    conv = _exact_matmul(np.ones((1, phi), dtype=np.int64), skew)
+    vec = _exact_matmul(conv, ctx.pow_np[: 2 * phi - 1])[0]
     den = df * dg * f.group.order
     return CyclotomicNumber(ctx.e, [int(x) for x in vec], den)
 
@@ -275,6 +315,23 @@ def find_table_prime(exponent: int, order: int, bound: int = 10**9) -> int:
         k += 1
 
 
+def _certificate_primes(exponent: int, bound: int) -> list[int]:
+    """The primes p = 1 (mod exponent) above 2^24, in order, until their
+    product exceeds `bound`.  Residues near 2^24 keep the Gram products of
+    a few thousand classes inside int64; the guarded matmul covers more."""
+    primes = [find_table_prime(exponent, 1 << 23)]
+    while prod(primes) <= bound:
+        primes.append(find_table_prime(exponent, (primes[-1] + 1) // 2))
+    return primes
+
+
+def _expect_gram(gram: np.ndarray, target: np.ndarray, kind: str) -> None:
+    bad = np.argwhere(gram != target)
+    if len(bad):
+        i, j = (int(x) for x in bad[0])
+        raise AssertionError(f"{kind} orthogonality fails at ({i}, {j})")
+
+
 def _primitive_root_of_unity(ell: int, e: int) -> int:
     """A fixed element of order e in F_ell^x (smallest generator's power)."""
     factors = _prime_factors(ell - 1)
@@ -308,18 +365,16 @@ class ModularContext:
         self.ell = ell
         self.zeta_mod = zeta_mod  # fixed primitive e-th root of unity mod ell
         self.e = group.conjugacy().exponent
-
-    def reduce_value(self, v: CyclotomicNumber) -> int:
-        x = v.lift(self.e)
-        acc = 0
-        zi = 1
-        for c in x.num:
-            acc = (acc + c * zi) % self.ell
-            zi = zi * self.zeta_mod % self.ell
-        return acc * pow(x.den, -1, self.ell) % self.ell
+        self._powers = _root_powers(zeta_mod, euler_phi(self.e), ell)
 
     def reduce_class_function(self, f: ClassFunction) -> np.ndarray:
-        return np.array([self.reduce_value(v) for v in f.values], dtype=np.int64)
+        """f's values mod ell, with zeta_e mapped to zeta_mod."""
+        mat, den = f.packed()
+        values = _evaluate_mod(mat, self._powers, self.ell)
+        if den == 1:
+            return values
+        inverse = np.array(pow(den, -1, self.ell), dtype=np.int64)
+        return (_exact_mul(values, inverse) % self.ell).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -357,43 +412,77 @@ class CharacterTable:
         if sum(d * d for d in self.degrees) != self.group.order:
             raise AssertionError("sum of squared degrees differs from |G|")
 
-    def verify_orthogonality(self) -> None:
-        """Exact row and column orthogonality for the whole table."""
-        r = len(self.irreducibles)
-        for i in range(r):
-            for j in range(i, r):
-                val = inner_product(self.irreducibles[i], self.irreducibles[j])
-                if val != (1 if i == j else 0):
-                    raise AssertionError(f"row orthogonality fails at ({i}, {j})")
-        # column orthogonality follows from row orthogonality for a complete
-        # table, but check it directly as well
-        data = self.group.conjugacy()
-        for k in range(data.n_classes):
-            for m in range(k, data.n_classes):
-                acc = CyclotomicNumber.zero()
-                for chi in self.irreducibles:
-                    acc = acc + chi.values[k] * chi.values[m].conjugate()
-                expected = (
-                    Fraction(self.group.order, int(data.sizes[k])) if k == m else Fraction(0)
-                )
-                if acc != CyclotomicNumber.from_rational(expected):
-                    raise AssertionError(f"column orthogonality fails at ({k}, {m})")
+    def verify_orthogonality(self) -> list[int]:
+        """Exact row and column orthogonality for the whole table.
+
+        Both Gram identities, sum_k s_k X_ik conj(X_jk) = |G| delta_ij and
+        sum_i X_ik conj(X_im) = (|G| / s_k) delta_km, are checked at every
+        embedding zeta_e -> w^u mod primes p = 1 (mod e) whose product
+        exceeds twice the bound on the Grams' coefficients; the module
+        docstring says why that is a proof.  Returns the primes used.
+        """
+        ctx = _packed_context(self.group)
+        e, phi, order = self.exponent, ctx.phi, self.group.order
+        # a coefficient of x * conj(y) is at most |x|_1 |conj y|_1 max|power_rows|
+        conj_l1 = np.abs(ctx.conj_np).sum(axis=1)
+        weights = np.stack([np.ones_like(conj_l1), conj_l1], axis=1)
+        packed, l1 = [], []
+        for chi in self.irreducibles:
+            mat, den = chi.packed()
+            if den != 1:
+                raise AssertionError("a table value is not a cyclotomic integer")
+            packed.append(mat)
+            l1.append(_exact_matmul(np.abs(mat), weights))
+        norm, conj_norm = np.moveaxis(np.stack(l1), -1, 0)
+        row_bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), conj_norm.T))
+        col_bound = _absmax(_exact_matmul(norm.T, conj_norm))
+        bound = max(row_bound, col_bound) * _absmax(ctx.pow_np[: 2 * phi - 1])
+        primes = _certificate_primes(e, 2 * (bound + order))
+        # the embedding at -u is the conjugate of the one at u and its Grams
+        # are the transposes, so half of the units suffice
+        units = [u for u in range(e) if gcd(u, e) == 1 and u <= -u % e]
+        for p in primes:
+            w = _primitive_root_of_unity(p, e)
+            sizes = ctx.sizes % p
+            row_target = (order % p) * np.eye(len(packed), dtype=np.int64)
+            col_target = np.diag([order // int(s) % p for s in ctx.sizes]).astype(np.int64)
+            for start in range(0, len(units), _EMBEDDING_CHUNK):
+                chunk = units[start : start + _EMBEDDING_CHUNK]
+                exps = chunk + [-u % e for u in chunk]
+                vander = np.stack([_root_powers(pow(w, v, p), phi, p) for v in exps], axis=1)
+                # one chunk of embeddings at a time: the packed rows are never stacked
+                values = np.stack([_evaluate_mod(mat, vander, p).T for mat in packed], axis=1)
+                for x, x_bar in zip(values[: len(chunk)], values[len(chunk) :]):
+                    rows = _exact_matmul(_exact_mul(x, sizes) % p, x_bar.T) % p
+                    _expect_gram(rows, row_target, "row")
+                    _expect_gram(_exact_matmul(x.T, x_bar) % p, col_target, "column")
+        return primes
 
     def verify_modular_orthogonality(self) -> None:
         """Orthogonality of the mod-ell shadow (fast sanity for big tables)."""
         ell = self.modular.ell
-        mat = np.array(
+        gram = _exact_matmul(self._rows_mod(), self._dual_rows_mod().T) % ell
+        expected = (self.group.order % ell) * np.eye(len(self.irreducibles), dtype=np.int64)
+        if not np.array_equal(gram, expected):
+            raise AssertionError("modular orthogonality failed")
+
+    def _rows_mod(self) -> np.ndarray:
+        return np.array(
             [self.modular.reduce_class_function(chi) for chi in self.irreducibles],
             dtype=np.int64,
         )
-        data = self.group.conjugacy()
-        inv = data.inverse_class
-        conj = mat[:, inv]
-        weighted = conj * (data.sizes % ell)
-        gram = (mat @ weighted.T) % ell
-        expected = (self.group.order % ell) * np.eye(len(self.irreducibles), dtype=np.int64)
-        if not np.array_equal(gram % ell, expected % ell):
-            raise AssertionError("modular orthogonality failed")
+
+    def _dual_rows_mod(self) -> np.ndarray:
+        """Row i holds s_k * chi_i(g_k^-1) mod ell, the right factor of the Gram."""
+        dual = getattr(self, "_irr_mod_dual", None)
+        if dual is None:
+            ell = self.modular.ell
+            data = self.group.conjugacy()
+            sizes = (data.sizes % ell).astype(np.int64)
+            dual = _exact_mul(self._rows_mod()[:, data.inverse_class], sizes) % ell
+            dual = dual.astype(np.int64)
+            self._irr_mod_dual = dual
+        return dual
 
     def decompose(self, f: ClassFunction) -> list[CyclotomicNumber]:
         return [inner_product(f, chi) for chi in self.irreducibles]
@@ -406,25 +495,13 @@ class CharacterTable:
         together with linear independence of irreducible characters this
         proves the a_i are exactly the multiplicities.
         """
-        mod = self.modular
-        ell = mod.ell
-        fv = mod.reduce_class_function(f)
-        data = self.group.conjugacy()
+        ell = self.modular.ell
+        fv = self.modular.reduce_class_function(f)
         inv_order = pow(self.group.order % ell, -1, ell)
-        cached = getattr(self, "_irr_mod_conj", None)
-        if cached is None:
-            rows = np.array(
-                [mod.reduce_class_function(chi) for chi in self.irreducibles],
-                dtype=np.int64,
-            )
-            cached = rows[:, data.inverse_class]
-            self._irr_mod_conj = cached
         out = []
-        for cv in cached:
-            a = int((fv * cv % ell * (data.sizes % ell)).sum() % ell * inv_order % ell)
-            if a > ell // 2:
-                a -= ell
-            out.append(a)
+        for x in _exact_matmul(self._dual_rows_mod(), fv) % ell:
+            a = int(x) * inv_order % ell
+            out.append(a - ell if a > ell // 2 else a)
         self._verify_integer_combination(f, out)
         return out
 
@@ -794,42 +871,57 @@ def _character_values_mod(group: GroupRealization, omegas: np.ndarray, ell: int)
     return np.array(chi_rows, dtype=np.int64), degrees
 
 
-def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
-    """Lift mod-ell character values to exact cyclotomics via DFT sums."""
+def _power_classes(group: GroupRealization) -> list[np.ndarray]:
+    """For each class i, the classes of g_i^t for t < order(g_i)."""
     data = group.conjugacy()
-    r = data.n_classes
+    reps = group.elements[data.reps]
+    power = np.broadcast_to(group.elements[group.identity_idx], reps.shape)
+    columns = []
+    for _ in range(max(data.orders)):
+        columns.append(data.cls[group.lookup(power)])
+        power = _bmm(group.tables, power, reps)
+    classes = np.stack(columns, axis=1)
+    return [classes[i, :m] for i, m in enumerate(data.orders)]
+
+
+def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
+    """Lift mod-ell character values to exact cyclotomics via DFT sums.
+
+    The Fourier sums of the module docstring are one Vandermonde matmul mod
+    ell per class, for all rows at once; the same multiplicities also fill
+    each character's packed matrix.
+    """
+    data = group.conjugacy()
     e = data.exponent
-    power_classes = []
-    for i in range(r):
-        m = data.orders[i]
-        pcs = [int(data.cls[group.identity_idx])]
-        cur = int(data.reps[i])
-        idx = cur
-        for _ in range(m - 1):
-            pcs.append(int(data.cls[idx]))
-            idx = group.mul_idx(idx, cur)
-        power_classes.append(pcs)
+    ctx = _packed_context(group)
+    n_rows = len(chi_mod)
+    packed = np.zeros((n_rows, data.n_classes, ctx.phi), dtype=np.int64)
+    values = [[] for _ in range(n_rows)]
+    dft_of_order = {}
+    for i, pcs in enumerate(_power_classes(group)):
+        m = len(pcs)
+        if m not in dft_of_order:
+            # dft[t, j] = zeta_m^(-jt) / m mod ell
+            inv_root = pow(pow(zeta_mod, e // m, ell), -1, ell)
+            powers = _root_powers(inv_root, m, ell)
+            exps = np.outer(np.arange(m), np.arange(m)) % m
+            scale = np.array(pow(m, -1, ell), dtype=np.int64)
+            dft_of_order[m] = (_exact_mul(powers[exps], scale) % ell).astype(np.int64)
+        mults = _exact_matmul(chi_mod[:, pcs], dft_of_order[m]) % ell  # (rows, m)
+        if (mults > ell // 2).any():
+            raise RuntimeError("root-of-unity multiplicity fails to lift")
+        # sum_j c_j zeta_e^(j e/m) over the power basis of Q(zeta_e)
+        block = _exact_matmul(mults, ctx.pow_np[np.arange(m) * (e // m)])
+        if block.dtype == object:
+            packed = packed.astype(object)
+        packed[:, i, :] = block
+        for row, counts in enumerate(mults.tolist()):
+            values[row].append(root_of_unity_sum(m, {j: c for j, c in enumerate(counts) if c}))
     irreducibles = []
-    for row_idx in range(len(chi_mod)):
-        values = []
-        for i in range(r):
-            m = data.orders[i]
-            zm = pow(zeta_mod, e // m, ell)
-            vals_t = chi_mod[row_idx][power_classes[i]]
-            mults = {}
-            m_inv = pow(m, -1, ell)
-            for j in range(m):
-                acc = 0
-                for t in range(m):
-                    acc = (acc + int(vals_t[t]) * pow(zm, (-j * t) % m, ell)) % ell
-                c = acc * m_inv % ell
-                if c:
-                    if c > ell // 2:
-                        raise RuntimeError("root-of-unity multiplicity fails to lift")
-                    mults[j] = c
-            values.append(root_of_unity_sum(m, mults))
-        chi = ClassFunction(group, values)
-        if chi.degree.as_int() != degrees[row_idx]:
+    for row in range(n_rows):
+        chi = ClassFunction(group, values[row])
+        chi._packed = (packed[row], 1)
+        if chi.degree.as_int() != degrees[row]:
             raise RuntimeError("lifted degree mismatch")
         irreducibles.append(chi)
     return irreducibles

@@ -1,7 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
+import pytest
+
 from redchar.chartable import (
+    CharacterTable,
     ClassFunction,
+    _packed_context,
     character_table,
     dual_character,
     find_table_prime,
@@ -206,7 +212,9 @@ def test_sl3_4_table_runs_and_is_orthogonal():
     assert elapsed < 60
     assert len(t) == 28
     assert sum(d * d for d in t.degrees) == 60480
-    t.verify_orthogonality()
+    # the coefficient bound of SL3(4)'s Grams (about 2.9e7) exceeds one
+    # prime near 2^24, so the certificate combines two
+    assert len(t.verify_orthogonality()) == 2
 
 
 def test_dual_commutes_with_twist():
@@ -258,3 +266,102 @@ def test_table_prime_bound_refusal():
 
     with pytest.raises(NoTablePrime, match="below the bound"):
         find_table_prime(24, 48, bound=96)
+
+
+# SHA-256 of json.dumps(table.to_json(), sort_keys=True), recorded from the
+# scalar-DFT lift that the Vandermonde lift replaced
+TABLE_DIGESTS = {
+    "GL2(2)": "bc31e14d0cd2c45f2f9dd12ab36c6998fd55a4d187896dde644cdbbc355ae2b1",
+    "GL2(3)": "b48d4e04bc7573c26dc72bab1a1a0dc27a26ff46157fe45e62e3a3da54cac597",
+    "GL2(4)": "e07a80b7f90630ae7ecdd848bbf21903c5cac576b61341fecd4505e485868e24",
+    "GL2(5)": "cd0c9c1d95b86ebeef32f2d7e172203d0c873c6fc1a7b72bf5a4e56f6efe47b6",
+    "SL2(3)": "265b20dab031c0bab86c8d2c7195a05a4d9996740d0f79939ca1079eecc66d85",
+    "SL2(4)": "7faa53e434607fc43da4622db5675269fd274cb11417f8244e4a7ea98a28ef04",
+    "SL2(5)": "b152f354fe282357748999327fe0c13673b5c9c86cd63d38f8599284eaf8a0c0",
+    "GL3(2)": "1de70336c5b1fd68edae068b7cbd983b64b71a7e2ad75323575b05362d2a44aa",
+    "SL3(3)": "99a3e150b451fbb5381dc8bea77c1a4b6ef4c670458f18a14aee887602ed209a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_json_digest_unchanged(name):
+    payload = json.dumps(table(name).to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == TABLE_DIGESTS[name]
+
+
+def _with_row(t, i, chi):
+    rows = list(t.irreducibles)
+    rows[i] = chi
+    return CharacterTable(t.group, rows, t.modular)
+
+
+@pytest.mark.parametrize("coefficient", [0, 1])
+def test_orthogonality_rejects_one_changed_coefficient(coefficient):
+    t = table("GL2(5)")
+    assert t.verify_orthogonality()
+    # the first irrational value of the table, shifted by +1 in one
+    # power-basis coefficient
+    i, k, v = next(
+        (i, k, v)
+        for i, chi in enumerate(t.irreducibles)
+        for k, v in enumerate(chi.values)
+        if not v.is_rational()
+    )
+    num = list(v.num)
+    num[coefficient] += v.den
+    values = list(t.irreducibles[i].values)
+    values[k] = CyclotomicNumber(v.conductor, num, v.den)
+    with pytest.raises(AssertionError, match="orthogonality fails"):
+        _with_row(t, i, ClassFunction(t.group, values)).verify_orthogonality()
+
+
+def test_orthogonality_rejects_repeated_irreducible():
+    t = table("GL2(5)")
+    with pytest.raises(AssertionError, match="orthogonality fails"):
+        _with_row(t, 3, t.irreducibles[4]).verify_orthogonality()
+
+
+def test_orthogonality_rejects_non_integral_value():
+    t = table("GL2(3)")
+    values = list(t.irreducibles[0].values)
+    k = next(k for k in range(len(values)) if k != t.group.conjugacy().cls[t.group.identity_idx])
+    values[k] = values[k] + Fraction(1, 2)
+    half = ClassFunction(t.group, values)
+    with pytest.raises(AssertionError, match="not a cyclotomic integer"):
+        _with_row(t, 0, half).verify_orthogonality()
+
+
+def test_inner_product_does_not_overflow_int64():
+    # (2^62 // 96) - 1 passes the guard on the conjugation matmul (phi = 96);
+    # times the class size 936 it no longer fits in int64
+    g = cached_group("SL3(3)")
+    data = g.conjugacy()
+    k = [int(s) for s in data.sizes].index(936)
+    assert _packed_context(g).phi == 96
+    values = [0] * data.n_classes
+    values[k] = (1 << 62) // 96 - 1
+    f = ClassFunction(g, values)
+    expected = Fraction(2307687492682145452552233839813521, 6)
+    assert inner_product(f, f) == expected == Fraction(values[k] ** 2 * 936, g.order)
+
+
+def test_reduce_class_function_matches_value_by_value():
+    t = table("GL2(5)")
+    mod = t.modular
+    chi = t.irreducibles[-1]
+    f = ClassFunction(t.group, [v * Fraction(1, 3) for v in chi.values])
+    got = mod.reduce_class_function(f)
+    for k, v in enumerate(f.values):
+        x = v.lift(mod.e)
+        acc = sum(c * pow(mod.zeta_mod, i, mod.ell) for i, c in enumerate(x.num))
+        assert got[k] == acc * pow(x.den, -1, mod.ell) % mod.ell
+
+
+def test_lift_packs_the_values_it_returns():
+    # the lift fills packed() from the multiplicities directly; it must agree
+    # with lifting each returned value to the exponent conductor
+    for name in ["GL2(5)", "SL3(3)"]:
+        for chi in table(name).irreducibles:
+            mat, den = chi.packed()
+            ref_mat, ref_den = ClassFunction(chi.group, chi.values).packed()
+            assert den == ref_den == 1 and (mat == ref_mat).all()

@@ -143,3 +143,15 @@ def test_exit_code_on_failures(monkeypatch):
         ]
     )
     assert cli.main(["always-fails", "--group", "GL1(2)"]) == cli.EXIT_FAILURES
+
+
+def test_table_on_sl_does_not_need_the_gl_side():
+    # |SL2(7)| = 336 fits the budget; |GL2(7)| = 2016 does not, and `table`
+    # never builds the GL-side Deligne-Lusztig context
+    assert main(["table", "--group", "SL2(7)", "--budget", "400", "--format", "json"]) == 0
+
+
+def test_dl_check_on_sl_refuses_the_gl_side(capsys):
+    code = main(["series-partition", "--group", "SL2(7)", "--budget", "400"])
+    assert code == EXIT_BUDGET
+    assert "GL2(7)" in capsys.readouterr().err
