@@ -28,15 +28,19 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, _ring, euler_phi, root_of_unity_sum
+from .cyclotomic import (
+    _INT64_GUARD,
+    CyclotomicNumber,
+    _absmax,
+    euler_phi,
+    power_matrix,
+    prime_factors,
+    root_of_unity_sum,
+)
 from .groups import GroupAutomorphism, GroupRealization, _bmm
 
-_INT64_GUARD = 1 << 62
 _EMBEDDING_CHUNK = 8  # conjugate pairs of embeddings evaluated per matmul
-
-
-def _absmax(a: np.ndarray) -> int:
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+_CLASS_MATRIX_PAIRS = 1 << 18  # products per block of a class matrix (~13 MB of temporaries)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,12 +79,10 @@ class _PackedContext:
     def __init__(self, group: GroupRealization):
         data = group.conjugacy()
         self.e = data.exponent
-        ring = _ring(self.e)
-        self.phi = ring.phi
-        self.pow_np = np.array(ring.power_rows, dtype=np.int64)
+        self.pow_np = power_matrix(self.e)
+        self.phi = self.pow_np.shape[1]
         # conjugation zeta^i -> zeta^(e-i) as a matrix on coefficient vectors
-        conj_rows = [ring.power_rows[(self.e - i) % self.e] for i in range(self.phi)]
-        self.conj_np = np.array(conj_rows, dtype=np.int64)
+        self.conj_np = self.pow_np[(self.e - np.arange(self.phi)) % self.e]
         self.sizes = data.sizes.astype(np.int64)
         self.n_classes = data.n_classes
 
@@ -334,27 +336,13 @@ def _expect_gram(gram: np.ndarray, target: np.ndarray, kind: str) -> None:
 
 def _primitive_root_of_unity(ell: int, e: int) -> int:
     """A fixed element of order e in F_ell^x (smallest generator's power)."""
-    factors = _prime_factors(ell - 1)
+    factors = prime_factors(ell - 1)
     g = 2
     while True:
         if all(pow(g, (ell - 1) // p, ell) != 1 for p in factors):
             break
         g += 1
     return pow(g, (ell - 1) // e, ell)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class ModularContext:
@@ -579,19 +567,16 @@ def character_table(group: GroupRealization) -> CharacterTable:
     omegas = _central_characters_mod(group, ell)
     chi_mod, degrees = _character_values_mod(group, omegas, ell)
     irreducibles = _lift_table(group, chi_mod, degrees, ell, zeta_mod)
-    irreducibles.sort(key=_character_sort_key(group, e))
+    irreducibles.sort(key=_character_sort_key)
     table = CharacterTable(group, irreducibles, modular)
     table.verify_degree_sum()
     table.verify_modular_orthogonality()
     return table
 
 
-def _character_sort_key(group: GroupRealization, e: int):
-    def key(chi: ClassFunction):
-        mat, den = chi.packed()
-        return (chi.degree.as_int(), [tuple(int(x) for x in row) for row in mat])
-
-    return key
+def _character_sort_key(chi: ClassFunction):
+    # every packed row has length phi(e), so nested lists order as the rows do
+    return (chi.degree.as_int(), chi.packed()[0].tolist())
 
 
 # -- modular linear algebra --------------------------------------------------
@@ -785,17 +770,25 @@ def _poly_powmod(base, exponent, f, ell):
 
 
 def _class_matrix(group: GroupRealization, i: int) -> np.ndarray:
-    """M_i[j, k] = #{(x, y) in C_i x C_j : x y = g_k}."""
+    """M_i[j, k] = #{(x, y) in C_i x C_j : x y = g_k}.
+
+    Equivalently, column k counts the classes of x^-1 g_k over x in C_i: a
+    row-table product by the fixed representative g_k
+    (`GroupRealization.right_mul`), with no per-pair matrix products.  The
+    representatives go in blocks of at most _CLASS_MATRIX_PAIRS products.
+    """
     data = group.conjugacy()
     r = data.n_classes
-    members = data.members(i)
-    x_inv = group.elements[group.inv_perm[members]]
-    reps_m = group.elements[data.reps]
-    prods = _bmm(group.tables, x_inv[:, None, :, :], reps_m[None, :, :, :])
-    classes = data.cls[group.lookup(prods)]  # (|C_i|, r): class of x^-1 g_k
+    x_inv = group.inv_perm[data.members(i)]
     mat = np.zeros((r, r), dtype=np.int64)
-    for k in range(r):
-        mat[:, k] = np.bincount(classes[:, k], minlength=r)
+    step = max(1, _CLASS_MATRIX_PAIRS // len(x_inv))
+    for start in range(0, r, step):
+        reps = data.reps[start : start + step]
+        classes = data.cls[group.right_mul(group.elements[reps], x_inv)]
+        # one bincount for the block: representative b counts into [b r, (b + 1) r)
+        offsets = r * np.arange(len(reps))[:, None]
+        counts = np.bincount((classes + offsets).ravel(), minlength=r * len(reps))
+        mat[:, start : start + len(reps)] = counts.reshape(len(reps), r).T
     return mat
 
 

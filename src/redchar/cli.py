@@ -247,8 +247,7 @@ def check_fs_indicator(group, ctx, budget, cache):
     return rows
 
 
-def check_center_h1(group, ctx, budget, cache):
-    spec = group.spec
+def check_center_h1(spec):
     datum = named_datum(f"{spec.family}{spec.n}")
     z = center_component_group(datum, FrobeniusDatum(spec.q))
     h1, vanishes = h1_frobenius(z)
@@ -282,9 +281,11 @@ CHECKS = {
 
 _GL_ONLY = {"jordan-auto", "dl-orthogonality", "torus-lemma"}
 _SL_ONLY = {"disconnected-jordan"}
+# checks that read only the parsed spec: no group, no table, no budget
+_SPEC_ONLY = {"center-h1"}
 # checks that never touch the GL-side Deligne-Lusztig context, so an SL spec
 # is not refused for the size of GL_n(q)
-_NO_DL_CONTEXT = {"table", "center-h1", "fs-indicator"}
+_NO_DL_CONTEXT = {"table", "fs-indicator"}
 
 
 def run_check(name: str, spec_text: str, budget: int = DEFAULT_BUDGET,
@@ -292,12 +293,16 @@ def run_check(name: str, spec_text: str, budget: int = DEFAULT_BUDGET,
     if name not in CHECKS:
         raise KeyError(name)
     start = time.monotonic()
-    group = _group_for(spec_text, budget, cache)
-    ctx = None if name in _NO_DL_CONTEXT else _ctx_for(group, budget, cache)
-    items = CHECKS[name](group, ctx, budget, cache)
+    spec = GroupSpec.parse(spec_text)
+    if name in _SPEC_ONLY:
+        items = CHECKS[name](spec)
+    else:
+        group = _group_for(spec_text, budget, cache)
+        ctx = None if name in _NO_DL_CONTEXT else _ctx_for(group, budget, cache)
+        items = CHECKS[name](group, ctx, budget, cache)
     return CheckReport(
         check=name,
-        group=str(group.spec),
+        group=str(spec),
         items=items,
         elapsed_seconds=time.monotonic() - start,
     )

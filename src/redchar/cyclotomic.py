@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -30,32 +32,75 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic), lowest degree first."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_e(x), constant term first."""
+    """Integer coefficients of Phi_e(x), constant term first.
+
+    Phi_e = prod over d | e of (1 - x^d)^mu(e/d) for e > 1, expanded as a
+    power series truncated at degree phi(e); only squarefree e/d contribute.
+    """
     if e == 1:
         return (-1, 1)
-    # x^e - 1 divided by the product of Phi_d for proper divisors d of e.
-    poly = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
+    phi = euler_phi(e)
+    poly = [1] + [0] * phi
+    primes = prime_factors(e)
+    for mask in range(1 << len(primes)):
+        d, sign = e, 1
+        for bit, p in enumerate(primes):
+            if mask >> bit & 1:
+                d //= p
+                sign = -sign
+        if sign > 0:  # times (1 - x^d)
+            for k in range(phi, d - 1, -1):
+                poly[k] -= poly[k - d]
+        else:  # times 1 / (1 - x^d) = 1 + x^d + x^2d + ...
+            for k in range(d, phi + 1):
+                poly[k] += poly[k - d]
     return tuple(poly)
+
+
+_INT64_GUARD = 1 << 62
+
+
+def _absmax(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def power_matrix(e: int, dtype=np.int64) -> np.ndarray:
+    """The (max(e, 2 phi - 1), phi) matrix whose row k is x^k mod Phi_e over
+    the power basis: row k is row k-1 shifted up one degree, minus its top
+    coefficient times Phi_e.
+
+    Every step adds at most max|row| * max|Phi_e| to a row, so int64 rows whose
+    entries stay below 2^62 / (max|Phi_e| + 1) were computed exactly; beyond
+    that the rows are recomputed over python ints (dtype object).
+    """
+    poly = cyclotomic_polynomial(e)
+    phi = len(poly) - 1
+    low = np.array(poly[:phi], dtype=dtype)
+    rows = np.zeros((max(e, 2 * phi - 1), phi), dtype=dtype)
+    rows[:phi] = np.eye(phi, dtype=dtype)
+    for k in range(phi, len(rows)):
+        rows[k, 1:] = rows[k - 1, :-1]
+        rows[k] -= rows[k - 1, -1] * low
+    if dtype is not object and _absmax(rows) * (_absmax(low) + 1) >= _INT64_GUARD:
+        return power_matrix(e, object)
+    return rows
 
 
 class _Ring:
@@ -64,21 +109,8 @@ class _Ring:
     def __init__(self, e: int):
         self.e = e
         self.phi = euler_phi(e)
-        poly = cyclotomic_polynomial(e)
-        assert len(poly) == self.phi + 1 and poly[-1] == 1
         # power_rows[k] = coefficients of x^k mod Phi_e over the power basis.
-        rows: list[tuple[int, ...]] = []
-        cur = [0] * self.phi
-        for k in range(max(e, 2 * self.phi - 1)):
-            if k < self.phi:
-                cur = [0] * self.phi
-                cur[k] = 1
-            else:
-                top = cur[self.phi - 1]
-                shifted = [0] + cur[:-1]
-                cur = [a - top * b for a, b in zip(shifted, poly[: self.phi])]
-            rows.append(tuple(cur))
-        self.power_rows = rows
+        self.power_rows = [tuple(row) for row in power_matrix(e).tolist()]
 
     def reduce_pairs(self, pairs) -> list[int]:
         """Reduce a sparse sum of c*x^k (k may exceed phi) to the power basis."""

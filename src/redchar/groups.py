@@ -3,6 +3,16 @@
 Elements are n x n matrices of field codes (see finitefield) held in one
 numpy uint8 array; all bulk arithmetic goes through small multiplication
 and addition lookup tables, so everything stays exact integer arithmetic.
+
+A row (a_0, ..., a_{n-1}) has the code sum_j a_j q^(n-1-j) in [0, q^n), and a
+matrix has the key whose base-q^n digits are its row codes; keys order the
+elements as they are enumerated.  A dense int32 map over all q^(n^2) keys
+gives each element's index (-1 off the group).  Multiplying many elements by
+one fixed matrix h is the group's bulk primitive: the row table
+T_h[c] = code(row c * h) has q^n entries, so x h for every x is n gathers
+into T_h, a key sum and one gather from the dense map.  Left multiplication
+goes through transposes (g x = (x^T g^T)^T) and conjugation composes both;
+only products of two element arrays still multiply matrices entry by entry.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ class GroupSpec:
             raise ValueError("family must be GL or SL")
         if self.n not in (1, 2, 3):
             raise ValueError("rank must be 1, 2 or 3")
+        _prime_power(self.q)  # raises ValueError for any other q
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
@@ -65,6 +76,8 @@ class GroupSpec:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -109,6 +122,16 @@ def _bmm(tab: _Tables, a, b):
         term = tab.mul[a[..., :, j][..., :, None], b[..., j, :][..., None, :]]
         acc = term if acc is None else tab.add[acc, term]
     return acc
+
+
+def _horner(digits: np.ndarray, base: int) -> np.ndarray:
+    """The integers whose base-`base` digits, most significant first, run
+    along the last axis: row codes from field codes, keys from row codes."""
+    out = digits[..., 0].astype(np.int64)
+    for j in range(1, digits.shape[-1]):
+        out *= base
+        out += digits[..., j]
+    return out
 
 
 def _bdet(tab: _Tables, a):
@@ -217,31 +240,46 @@ class GroupRealization:
         self.elements = np.ascontiguousarray(mats[keep])
         self.order = len(self.elements)
         assert self.order == self.spec.order
-        self._powers = np.array([q ** (n * n - 1 - t) for t in range(n * n)], dtype=np.int64)
-        self.keys = self.elements.reshape(self.order, -1).astype(np.int64) @ self._powers
-        assert np.all(np.diff(self.keys) > 0)  # lexicographic enumeration
+        # a candidate's key is its number, so the kept numbers are the keys
+        self._index = np.full(total, -1, dtype=np.int32)
+        self._index[keep] = np.arange(self.order, dtype=np.int32)
+        self._rows = _horner(self.elements, q).astype(np.int32)  # row codes of every element
+        # candidate c < q^n has c's digits in its last row: row code -> field codes
+        self._row_vectors = mats[: q**n, n - 1].copy()
         ident = np.eye(n, dtype=np.uint8)
         self.identity_idx = int(self.lookup(ident[None])[0])
         self.inv_perm = self.lookup(_binv(self.tables, self.elements))
         self.transpose_perm = self.lookup(np.swapaxes(self.elements, 1, 2))
 
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the matrices with these row codes (shape (..., n))."""
+        idx = self._index[_horner(rows, self.q**self.n)]
+        if (idx < 0).any():
+            raise KeyError("matrix not in the group")
+        return idx.astype(np.int64)
+
     def lookup(self, mats: np.ndarray) -> np.ndarray:
         """Indices of the given code matrices (shape (..., n, n)) in the group."""
-        flat = mats.reshape(-1, self.n * self.n).astype(np.int64) @ self._powers
-        idx = np.searchsorted(self.keys, flat)
-        if not np.all(self.keys[idx] == flat):
-            raise KeyError("matrix not in the group")
-        return idx.reshape(mats.shape[:-2]).astype(np.int64)
+        return self._find(_horner(mats, self.q))
+
+    def _row_table(self, h: np.ndarray) -> np.ndarray:
+        """T[..., c] = code of (row c) h for every row code c, for code
+        matrices h of shape (..., n, n), in the group or not."""
+        vectors = self._row_vectors[:, None, :]
+        return _horner(_bmm(self.tables, vectors, h[..., None, :, :])[..., 0, :], self.q)
+
+    def right_mul(self, h: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """Indices of x h for the elements x at `idx` (default: all).
+
+        h is one code matrix, or a stack of shape (..., n, n) giving a result
+        of shape (..., len(idx)).
+        """
+        rows = self._rows if idx is None else np.take(self._rows, idx, axis=0)
+        return self._find(self._row_table(h)[..., rows])
 
     def mul_idx(self, i: int, j: int) -> int:
         prod = _bmm(self.tables, self.elements[i][None], self.elements[j][None])
         return int(self.lookup(prod)[0])
-
-    def power_idx(self, i: int, m: int) -> int:
-        out = self.identity_idx
-        for _ in range(m):
-            out = self.mul_idx(out, i)
-        return out
 
     def element_order(self, i: int) -> int:
         out, m = i, 1
@@ -249,13 +287,6 @@ class GroupRealization:
             out = self.mul_idx(out, i)
             m += 1
         return m
-
-    def conjugate_idx(self, h: int, x: int) -> int:
-        """Index of h x h^-1."""
-        hm = self.elements[h][None]
-        xm = self.elements[x][None]
-        him = self.elements[self.inv_perm[h]][None]
-        return int(self.lookup(_bmm(self.tables, _bmm(self.tables, hm, xm), him))[0])
 
     # -- distinguished subgroups ------------------------------------------
 
@@ -316,30 +347,31 @@ class GroupRealization:
         return uniq
 
     def _assert_generates(self, gens: list[int]) -> None:
-        perms = [self._left_mul_perm(g) for g in gens]
-        reached = np.zeros(self.order, dtype=bool)
-        reached[self.identity_idx] = True
-        frontier = np.array([self.identity_idx], dtype=np.int64)
-        while len(frontier):
-            new = []
-            for perm in perms:
-                img = perm[frontier]
-                fresh = img[~reached[img]]
-                reached[fresh] = True
-                new.append(np.unique(fresh))
-            frontier = np.unique(np.concatenate(new)) if new else np.array([], dtype=np.int64)
-            frontier = frontier[reached[frontier]]
-        if not reached.all():
+        reached = np.full(self.order, -1, dtype=np.int64)
+        _label_orbit([self._left_mul_perm(g) for g in gens], reached, self.identity_idx, 0)
+        if (reached < 0).any():
             raise RuntimeError("generating set failed to generate the group")
 
     def _left_mul_perm(self, g: int) -> np.ndarray:
-        return self.lookup(_bmm(self.tables, self.elements[g][None], self.elements))
+        """The permutation x -> g x: (g x)^T = x^T g^T, and transposes stay in the group."""
+        tp = self.transpose_perm
+        return tp[self.right_mul(self.elements[g].T, tp)]
 
     def conj_perm(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
-        gm = self.elements[g][None]
-        gim = self.elements[self.inv_perm[g]][None]
-        return self.lookup(_bmm(self.tables, _bmm(self.tables, gm, self.elements), gim))
+        return self.conjugation_perm(self.elements[g])
+
+    def conjugation_perm(self, m: np.ndarray) -> np.ndarray:
+        """The permutation x -> m x m^-1 for an invertible code matrix m.
+
+        m need not lie in the group, only normalize it (a GL_n(q) matrix acting
+        on SL_n(q)), so m x is formed on row codes, which exist off the group:
+        the rows of x^T m^T = (m x)^T are transposed digit-wise into those of m x.
+        """
+        mx_t = self._row_table(m.T)[self._rows[self.transpose_perm]]
+        mx = _horner(np.swapaxes(self._row_vectors[mx_t], 1, 2), self.q)
+        m_inv = _binv(self.tables, m[None])[0]
+        return self._find(self._row_table(m_inv)[mx])
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -356,19 +388,8 @@ class GroupRealization:
         for start in range(self.order):
             if cls[start] >= 0:
                 continue
-            label = len(reps)
+            _label_orbit(perms, cls, start, len(reps))
             reps.append(start)
-            cls[start] = label
-            frontier = np.array([start], dtype=np.int64)
-            while len(frontier):
-                new = []
-                for perm in perms:
-                    img = perm[frontier]
-                    fresh = np.unique(img[cls[img] < 0])
-                    cls[fresh] = label
-                    new.append(fresh)
-                frontier = np.unique(np.concatenate(new))
-                frontier = frontier[cls[frontier] == label]
         reps_arr = np.array(reps, dtype=np.int64)
         sizes = np.bincount(cls, minlength=len(reps))
         orders = [self.element_order(int(r)) for r in reps_arr]
@@ -386,13 +407,24 @@ class GroupRealization:
             exponent=exponent,
         )
 
-    def class_of_power(self, class_index: int, m: int) -> int:
-        data = self.conjugacy()
-        idx = self.power_idx(int(data.reps[class_index]), m)
-        return int(data.cls[idx])
-
     def __repr__(self) -> str:
         return f"GroupRealization({self.spec}, order={self.order})"
+
+
+def _label_orbit(perms: list[np.ndarray], labels: np.ndarray, start: int, label: int) -> None:
+    """Set labels[x] = label on the orbit of `start` under the permutations,
+    breadth first; -1 marks an unlabelled element.  Permutations are
+    injective, so each frontier holds distinct elements without a sort."""
+    labels[start] = label
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier):
+        new = []
+        for perm in perms:
+            img = perm[frontier]
+            fresh = img[labels[img] < 0]
+            labels[fresh] = label
+            new.append(fresh)
+        frontier = np.concatenate(new)
 
 
 def build_group(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> GroupRealization:
@@ -552,15 +584,18 @@ class GroupAutomorphism:
     def is_involution(self) -> bool:
         return bool(np.all(self.perm[self.perm] == np.arange(len(self.perm))))
 
-    def verify_homomorphism(self, samples: int = 200, seed: int = 7) -> None:
-        rng = np.random.default_rng(seed)
+    def verify_homomorphism(self) -> None:
+        """perm(g x) = perm(g) perm(x) for every generator g and every x.
+
+        By induction on word length in the generators this gives
+        perm(w x) = perm(w) perm(x) for all w, x: a proof, not a sample.
+        """
         g = self.group
-        n = g.order
-        xs = rng.integers(0, n, size=samples)
-        ys = rng.integers(0, n, size=samples)
-        for x, y in zip(xs, ys):
-            xy = g.mul_idx(int(x), int(y))
-            if self.perm[xy] != g.mul_idx(int(self.perm[x]), int(self.perm[y])):
+        perm = self.perm
+        for gen in g.generators():
+            lhs = perm[g._left_mul_perm(gen)]
+            rhs = g._left_mul_perm(int(perm[gen]))[perm]
+            if not np.array_equal(lhs, rhs):
                 raise AssertionError(f"{self.name} is not a homomorphism")
 
     def class_permutation(self) -> np.ndarray:
@@ -584,11 +619,7 @@ def ad_by_matrix(group: GroupRealization, mat: np.ndarray, name: str) -> GroupAu
     The matrix need not lie in the group itself (adjoint-group action); it
     must normalize it, which holds for any GL_n(q) matrix acting on SL_n(q).
     """
-    tab = group.tables
-    m = mat.astype(np.uint8)[None]
-    minv = _binv(tab, m)
-    perm = group.lookup(_bmm(tab, _bmm(tab, m, group.elements), minv))
-    return GroupAutomorphism(group, perm, name)
+    return GroupAutomorphism(group, group.conjugation_perm(mat.astype(np.uint8)), name)
 
 
 def ad_by_index(group: GroupRealization, idx: int) -> GroupAutomorphism:

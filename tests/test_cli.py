@@ -155,3 +155,9 @@ def test_dl_check_on_sl_refuses_the_gl_side(capsys):
     code = main(["series-partition", "--group", "SL2(7)", "--budget", "400"])
     assert code == EXIT_BUDGET
     assert "GL2(7)" in capsys.readouterr().err
+
+
+def test_center_h1_builds_no_group():
+    # center-h1 reads only the spec, so neither |SL3(5)| = 372000 nor the
+    # budget matters
+    assert main(["center-h1", "--group", "SL3(5)", "--budget", "100"]) == 0

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from redchar.cyclotomic import (
     cyclotomic_polynomial,
     complex_conjugate,
     euler_phi,
+    power_matrix,
     root_of_unity_sum,
     zeta,
 )
@@ -41,6 +43,47 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _divide_exact(num, den):
+    """Long division of integer polynomials by a monic one, lowest degree first."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = num[k + len(den) - 1]
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    assert not any(num[: len(den) - 1])
+    return out
+
+
+def _cyclotomic_by_division(e, known):
+    """Reference Phi_e: x^e - 1 divided by Phi_d for every proper divisor d."""
+    if e not in known:
+        poly = [-1] + [0] * (e - 1) + [1]
+        for d in range(1, e):
+            if e % d == 0:
+                poly = _divide_exact(poly, _cyclotomic_by_division(d, known))
+        known[e] = tuple(poly)
+    return known[e]
+
+
+def test_cyclotomic_polynomial_matches_long_division():
+    known = {}
+    for e in list(range(1, 301)) + [3720]:
+        assert cyclotomic_polynomial(e) == _cyclotomic_by_division(e, known), e
+
+
+def test_power_matrix_rows_are_reduced_powers():
+    for e in (1, 2, 12, 30, 105):
+        rows = power_matrix(e)
+        phi = euler_phi(e)
+        assert rows.shape == (max(e, 2 * phi - 1), phi)
+        for k in range(len(rows)):
+            oracle = poly_reduction_oracle([0] * k + [1], e)
+            assert rows[k].tolist() == [int(f) for f in oracle], (e, k)
+    # the python-int recurrence (the int64 overflow fallback) gives the same rows
+    assert np.array_equal(power_matrix(105, object), power_matrix(105))
 
 
 def test_i_squared_is_minus_one():

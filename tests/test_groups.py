@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from redchar import chartable
 from redchar.groups import (
     BudgetExceeded,
+    GroupAutomorphism,
     GroupSpec,
+    _binv,
+    _bmm,
     adjoint_action_representatives,
     ad_by_matrix,
     build_group,
@@ -49,6 +53,9 @@ def test_spec_parsing_and_orders():
     assert GroupSpec.parse("SL3(4)").order == 60480
     with pytest.raises(ValueError):
         GroupSpec.parse("Sp4(2)")
+    for bad in ("GL2(0)", "GL2(1)", "SL3(6)"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            GroupSpec.parse(bad)
 
 
 def test_budget_refusal():
@@ -249,3 +256,92 @@ def test_sl_split_torus_model_matches_realization():
                 order = lcm(order, d // gcd(d, x) if x else 1)
             model[order] += 1
         assert realized == model, name
+
+
+# -- the row-table kernel against entry-by-entry products -------------------
+
+
+def _reference_conjugation(group, m):
+    m = m[None]
+    return group.lookup(_bmm(group.tables, _bmm(group.tables, m, group.elements), _binv(group.tables, m)))
+
+
+def _kernel_multipliers(group):
+    """Every element of a small group; for a larger one its class
+    representatives, its generators and a fixed stride through the elements."""
+    if group.order <= 200:
+        return range(group.order)
+    extra = list(group.conjugacy().reps) + group.generators()
+    return sorted(set(int(g) for g in extra) | set(range(0, group.order, 331)))
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(2)", "SL3(3)"])
+def test_row_table_products_match_matrix_products(name):
+    g = cached_group(name)
+    tab, elems = g.tables, g.elements
+    for h in _kernel_multipliers(g):
+        hm = elems[h][None]
+        assert np.array_equal(g.right_mul(elems[h]), g.lookup(_bmm(tab, elems, hm)))
+        assert np.array_equal(g._left_mul_perm(h), g.lookup(_bmm(tab, hm, elems)))
+        assert np.array_equal(g.conj_perm(h), _reference_conjugation(g, elems[h]))
+    subset = np.arange(0, g.order, 7)
+    h = g.generators()[0]
+    assert np.array_equal(g.right_mul(elems[h], subset), g.right_mul(elems[h])[subset])
+
+
+def test_ad_by_matrix_off_the_group_matches_matrix_products():
+    g = cached_group("SL3(3)")
+    for diag in ([2, 1, 1], [1, 2, 1]):  # det 2: outside SL3(3)
+        m = np.diag(diag).astype(np.uint8)
+        auto = ad_by_matrix(g, m, "ad(m)")
+        assert np.array_equal(auto.perm, _reference_conjugation(g, m))
+    m = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.uint8)  # det -1 = 2
+    assert np.array_equal(ad_by_matrix(g, m, "ad(m)").perm, _reference_conjugation(g, m))
+
+
+def test_lookup_rejects_matrices_off_the_group():
+    with pytest.raises(KeyError):
+        cached_group("GL2(3)").lookup(np.array([[[1, 2], [1, 2]]], dtype=np.uint8))
+    with pytest.raises(KeyError):
+        cached_group("SL2(3)").lookup(np.array([[[2, 0], [0, 1]]], dtype=np.uint8))
+    g = cached_group("SL2(3)")
+    with pytest.raises(KeyError):
+        g.right_mul(np.array([[2, 0], [0, 1]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL3(3)"])
+def test_class_matrices_match_a_direct_count(name, monkeypatch):
+    g = cached_group(name)
+    data = g.conjugacy()
+    r = data.n_classes
+    reps = g.elements[data.reps]
+    for i in range(r):
+        members = g.elements[data.members(i)]
+        expected = np.zeros((r, r), dtype=np.int64)
+        if g.order <= 200:
+            # all pairs (x, y) in C_i x G, keeping those with x y a representative
+            prods = g.lookup(_bmm(g.tables, members[:, None], g.elements[None]))
+            for k, rep in enumerate(data.reps):
+                _, y_idx = np.nonzero(prods == rep)
+                np.add.at(expected[:, k], data.cls[y_idx], 1)
+        else:
+            # y = x^-1 g_k is the one partner of x, with x^-1 from the adjugate
+            x_inv = _binv(g.tables, members)
+            for k in range(r):
+                ys = g.lookup(_bmm(g.tables, x_inv, reps[k][None]))
+                expected[:, k] = np.bincount(data.cls[ys], minlength=r)
+        assert np.array_equal(chartable._class_matrix(g, i), expected), i
+        with monkeypatch.context() as m:
+            # several blocks of representatives per class matrix
+            m.setattr(chartable, "_CLASS_MATRIX_PAIRS", 100)
+            assert np.array_equal(chartable._class_matrix(g, i), expected), i
+
+
+def test_verify_homomorphism_rejects_a_swap():
+    g = cached_group("GL2(3)")
+    identity_automorphism(g).verify_homomorphism()
+    perm = np.arange(g.order)
+    a, b = [x for x in range(g.order) if x != g.identity_idx][:2]
+    perm[[a, b]] = perm[[b, a]]
+    with pytest.raises(AssertionError):
+        GroupAutomorphism(g, perm, "swap").verify_homomorphism()
