@@ -32,9 +32,7 @@ from .groups import (
     GroupRealization,
     GroupSpec,
     adjoint_action_representatives,
-    build_group,
     chevalley_involution,
-    conjugacy_classes,
     duality_involution,
     maximal_tori,
 )

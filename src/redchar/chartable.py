@@ -24,6 +24,7 @@ difference to be zero.  Nothing is sampled and nothing is floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -33,6 +34,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     _absmax,
     euler_phi,
+    is_prime,
     power_matrix,
     prime_factors,
     root_of_unity_sum,
@@ -88,11 +90,9 @@ class _PackedContext:
 
 
 def _packed_context(group: GroupRealization) -> _PackedContext:
-    ctx = getattr(group, "_packed_ctx", None)
-    if ctx is None:
-        ctx = _PackedContext(group)
-        group._packed_ctx = ctx
-    return ctx
+    if group._packed_ctx is None:
+        group._packed_ctx = _PackedContext(group)
+    return group._packed_ctx
 
 
 class ClassFunction:
@@ -115,9 +115,6 @@ class ClassFunction:
     def degree(self) -> CyclotomicNumber:
         cls = self.group.conjugacy().cls
         return self.values[int(cls[self.group.identity_idx])]
-
-    def value_at_element(self, idx: int) -> CyclotomicNumber:
-        return self.values[int(self.group.conjugacy().cls[idx])]
 
     def packed(self):
         """(matrix, denominator): values lifted to the exponent conductor."""
@@ -181,6 +178,11 @@ class ClassFunction:
         return f"ClassFunction({self.group.spec}, deg={self.degree})"
 
 
+def _packed_key(f: ClassFunction) -> tuple:
+    mat, den = f.packed()
+    return den, np.asarray(mat, dtype=np.int64).tobytes()
+
+
 def trivial_character(group: GroupRealization) -> ClassFunction:
     return ClassFunction(group, [1] * group.conjugacy().n_classes)
 
@@ -204,10 +206,6 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
     vec = _exact_matmul(conv, ctx.pow_np[: 2 * phi - 1])[0]
     den = df * dg * f.group.order
     return CyclotomicNumber(ctx.e, [int(x) for x in vec], den)
-
-
-def norm_squared(f: ClassFunction) -> Fraction:
-    return inner_product(f, f).as_rational()
 
 
 def dual_character(f: ClassFunction) -> ClassFunction:
@@ -287,17 +285,6 @@ def twisted_fs_indicator(f: ClassFunction, iota: GroupAutomorphism) -> Cyclotomi
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class NoTablePrime(Exception):
     pass
 
@@ -312,7 +299,7 @@ def find_table_prime(exponent: int, order: int, bound: int = 10**9) -> int:
                 f"no prime = 1 mod {exponent} above {2 * order} was found "
                 f"below the bound {bound}"
             )
-        if ell > 2 * order and _is_prime(ell):
+        if ell > 2 * order and is_prime(ell):
             return ell
         k += 1
 
@@ -381,20 +368,17 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.irreducibles)
 
+    @cached_property
+    def _row_index(self) -> dict:
+        """(denominator, packed bytes) -> irreducible index."""
+        return {_packed_key(chi): i for i, chi in enumerate(self.irreducibles)}
+
     def index_of(self, f: ClassFunction) -> int:
         """Index of an irreducible equal to f (hash on packed values)."""
-        index = getattr(self, "_row_index", None)
-        if index is None:
-            index = {}
-            for i, chi in enumerate(self.irreducibles):
-                mat, den = chi.packed()
-                index[(den, np.asarray(mat, dtype=np.int64).tobytes())] = i
-            self._row_index = index
-        mat, den = f.packed()
-        key = (den, np.asarray(mat, dtype=np.int64).tobytes())
-        if key not in index:
+        key = _packed_key(f)
+        if key not in self._row_index:
             raise KeyError("class function is not an irreducible of this table")
-        return index[key]
+        return self._row_index[key]
 
     def verify_degree_sum(self) -> None:
         if sum(d * d for d in self.degrees) != self.group.order:
@@ -449,7 +433,7 @@ class CharacterTable:
     def verify_modular_orthogonality(self) -> None:
         """Orthogonality of the mod-ell shadow (fast sanity for big tables)."""
         ell = self.modular.ell
-        gram = _exact_matmul(self._rows_mod(), self._dual_rows_mod().T) % ell
+        gram = _exact_matmul(self._rows_mod(), self._dual_rows_mod.T) % ell
         expected = (self.group.order % ell) * np.eye(len(self.irreducibles), dtype=np.int64)
         if not np.array_equal(gram, expected):
             raise AssertionError("modular orthogonality failed")
@@ -460,20 +444,14 @@ class CharacterTable:
             dtype=np.int64,
         )
 
+    @cached_property
     def _dual_rows_mod(self) -> np.ndarray:
         """Row i holds s_k * chi_i(g_k^-1) mod ell, the right factor of the Gram."""
-        dual = getattr(self, "_irr_mod_dual", None)
-        if dual is None:
-            ell = self.modular.ell
-            data = self.group.conjugacy()
-            sizes = (data.sizes % ell).astype(np.int64)
-            dual = _exact_mul(self._rows_mod()[:, data.inverse_class], sizes) % ell
-            dual = dual.astype(np.int64)
-            self._irr_mod_dual = dual
-        return dual
-
-    def decompose(self, f: ClassFunction) -> list[CyclotomicNumber]:
-        return [inner_product(f, chi) for chi in self.irreducibles]
+        ell = self.modular.ell
+        data = self.group.conjugacy()
+        sizes = (data.sizes % ell).astype(np.int64)
+        dual = _exact_mul(self._rows_mod()[:, data.inverse_class], sizes) % ell
+        return dual.astype(np.int64)
 
     def decompose_integers(self, f: ClassFunction) -> list[int]:
         """Multiplicities of f over Irr, found mod ell and verified exactly.
@@ -487,7 +465,7 @@ class CharacterTable:
         fv = self.modular.reduce_class_function(f)
         inv_order = pow(self.group.order % ell, -1, ell)
         out = []
-        for x in _exact_matmul(self._dual_rows_mod(), fv) % ell:
+        for x in _exact_matmul(self._dual_rows_mod, fv) % ell:
             a = int(x) * inv_order % ell
             out.append(a - ell if a > ell // 2 else a)
         self._verify_integer_combination(f, out)
@@ -545,11 +523,9 @@ class CharacterTable:
 
 def table_of(group: GroupRealization) -> CharacterTable:
     """The group's character table, computed once and cached on the group."""
-    table = getattr(group, "_table", None)
-    if table is None:
-        table = character_table(group)
-        group._table = table
-    return table
+    if group._table is None:
+        group._table = character_table(group)
+    return group._table
 
 
 def character_table(group: GroupRealization) -> CharacterTable:

@@ -27,11 +27,11 @@ from .groups import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     GroupSpec,
-    build_group,
     cached_group,
     chevalley_involution,
     duality_involution,
     identity_automorphism,
+    partitions_of,
 )
 from .jordan import (
     disconnected_jordan,
@@ -53,16 +53,12 @@ _EXACT_OP_BUDGET = 2 * 10**9  # int64 operation budget for exact bulk checks
 
 
 def _group_for(spec_text: str, budget: int, cache: TableCache | None):
-    spec = GroupSpec.parse(spec_text)
-    # the shared cache key must match the one dl_context uses internally
-    group = cached_group(str(spec)) if budget == DEFAULT_BUDGET else build_group(
-        spec, budget
-    )
+    group = cached_group(spec_text, budget)
     if cache is not None and cache.enabled:
         payload = cache.get_or_compute(
-            "character-table", str(spec), lambda: table_of(group).to_json()
+            "character-table", str(group.spec), lambda: table_of(group).to_json()
         )
-        if getattr(group, "_table", None) is None:
+        if group._table is None:
             group._table = CharacterTable.from_json(group, payload)
     else:
         table_of(group)
@@ -70,18 +66,15 @@ def _group_for(spec_text: str, budget: int, cache: TableCache | None):
 
 
 def _ctx_for(group, budget, cache):
-    if group.spec.family == "GL":
-        gl_group = group
-    else:
-        gl_group = _group_for(f"GL{group.n}({group.q})", budget, cache)
-    return dl_context(str(gl_group.spec))
+    if group.spec.family == "SL":
+        group = _group_for(f"GL{group.n}({group.q})", budget, cache)
+    return dl_context(group.spec, budget)
 
 
 def _pair_budget(ctx) -> bool:
     """Exhaustive (w, theta) enumeration with exact pairwise inner products
     only when the arithmetic volume stays within the operation budget."""
     from .chartable import _packed_context
-    from .dl import partitions_of
 
     total = 0
     for parts in partitions_of(ctx.n):

@@ -18,17 +18,9 @@ import numpy as np
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi is defined for positive integers")
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result *= p - 1
-            m //= p
-            while m % p == 0:
-                result *= p
-                m //= p
-        p += 1
-    if m > 1:
-        result *= m - 1
+    result = n
+    for p in prime_factors(n):
+        result = result // p * (p - 1)
     return result
 
 
@@ -45,6 +37,19 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Trial division that stops at the first divisor, for callers whose
+    candidates are mostly composite."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -324,11 +329,6 @@ class CyclotomicNumber:
 
     __hash__ = None  # equality crosses conductors; no canonical cheap hash
 
-    def sort_key(self, conductor: int) -> tuple:
-        """Deterministic total order key among values liftable to `conductor`."""
-        v = self.lift(conductor)
-        return tuple(Fraction(a, v.den) for a in v.num)
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
@@ -391,15 +391,3 @@ def root_of_unity_sum(e: int, multiplicities: dict[int, int]) -> CyclotomicNumbe
     num = ring.reduce_pairs((k // g, c) for k, c in pairs)
     return CyclotomicNumber(conductor, num)
 
-
-def cyclotomic_arith(a: CyclotomicNumber, b: CyclotomicNumber, op: str) -> CyclotomicNumber:
-    """Dispatch form used by the CLI report layer: op in {'add', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def complex_conjugate(a: CyclotomicNumber) -> CyclotomicNumber:
-    return a.conjugate()

@@ -26,7 +26,14 @@ from .chartable import (
 )
 from .cyclotomic import CyclotomicNumber, root_of_unity_sum
 from .finitefield import finite_field
-from .groups import GroupRealization, cached_group
+from .groups import (
+    DEFAULT_BUDGET,
+    GroupRealization,
+    GroupSpec,
+    _realization,
+    cached_group,
+    partitions_of,
+)
 
 # ---------------------------------------------------------------------------
 # symmetric group data (n <= 3) and unipotent degree polynomials
@@ -45,16 +52,6 @@ SYM_CHARS = {
         (1, 1, 1): {(1, 1, 1): 1, (2, 1): -1, (3,): 1},
     },
 }
-
-
-def partitions_of(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in partitions_of(n - first):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest
 
 
 def unipotent_degree(partition: tuple, q: int) -> int:
@@ -134,16 +131,6 @@ class FieldTower:
         """Exponent in F_{q^d} of the embedded element generator(F_{q^e})^j."""
         t = self._emb_exp[(e, d)]
         return j * t % (self.q**d - 1)
-
-    def orbit_size(self, d: int, j: int) -> int:
-        """Size of the q-power orbit of generator(F_{q^d})^j."""
-        mod = self.q**d - 1
-        size = 1
-        cur = j * self.q % mod
-        while cur != j % mod:
-            cur = cur * self.q % mod
-            size += 1
-        return size
 
     def canonical_tag(self, d: int, j: int) -> tuple[int, int]:
         """Minimal-field representative (d0, j0) of the element g_d^j."""
@@ -308,9 +295,6 @@ def _matrix_rank(fld, rows) -> int:
 
 def class_ss_data(group: GroupRealization) -> list[ClassSSData]:
     """Semisimple label and per-orbit Jordan partitions for every class."""
-    cached = getattr(group, "_ss_data", None)
-    if cached is not None:
-        return cached
     if group.spec.family != "GL":
         raise ValueError("semisimple labels are computed on the GL side")
     tower = field_tower(group.p, group.field.k)
@@ -329,7 +313,6 @@ def class_ss_data(group: GroupRealization) -> list[ClassSSData]:
             group.q, tuple(sorted((k, m) for k, m in orbit_mults.items()))
         )
         out.append(ClassSSData(label=label, partitions=partitions))
-    group._ss_data = out
     return out
 
 
@@ -440,6 +423,12 @@ class DLContext:
         self._unipotent = None
         self._green = None
         self._identity_orbit = self.tower.orbit_key(1, 0)
+        # memos of the series and Jordan layers; the SL-side ones are
+        # (sl_group, value) pairs, valid only for that group object
+        self._series = None
+        self._sl_series = None
+        self._jordan = None
+        self._disconnected = None
 
     # -- unipotent characters ------------------------------------------------
 
@@ -494,16 +483,30 @@ class DLContext:
         return out
 
 
+def dl_context(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> DLContext:
+    """The one DL context of the GL group `spec` in this process.
+
+    The group comes from `cached_group(spec, budget)`, so the budget refuses
+    an over-budget spec and never keys the memo: every admitting budget gets
+    the context of the same group object.
+    """
+    return _context(cached_group(spec, budget))
+
+
 @lru_cache(maxsize=None)
-def dl_context(spec_text: str) -> DLContext:
-    return DLContext(cached_group(spec_text))
+def _context(group: GroupRealization) -> DLContext:
+    return DLContext(group)
 
 
 def green_function(q_power: int, m: int, pi: tuple, lam: tuple) -> int:
-    """Q_{T_pi}^{GL_m(q_power)} evaluated at the unipotent class of type lam."""
+    """Q_{T_pi}^{GL_m(q_power)} evaluated at the unipotent class of type lam.
+
+    GL_m(q_power) is a centralizer inside the GL_n(q) being modelled, never
+    larger than it, so it comes from the ungated realization memo.
+    """
     if m == 1:
         return 1
-    return dl_context(f"GL{m}({q_power})").green_table()[(pi, lam)]
+    return _context(_realization(GroupSpec("GL", m, q_power))).green_table()[(pi, lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +706,6 @@ class LusztigSeries:
     members: tuple  # sorted irreducible indices
     torus_data: list  # SeriesTorusData per maximal torus type of C(s)
 
-    def centralizer_shape(self):
-        """[(orbit degree d_j, multiplicity m_j)] with sum d_j m_j = n."""
-        return [(key[0], m) for key, m in self.label.orbits]
-
 
 def all_labels(ctx: DLContext) -> list[SemisimpleClassLabel]:
     """Every semisimple class label of GL_n(q)*, deterministically ordered."""
@@ -757,9 +756,8 @@ def representative_pair(ctx: DLContext, pi_tuple) -> tuple[tuple, tuple]:
 
 def lusztig_series(ctx: DLContext) -> list[LusztigSeries]:
     """The partition of Irr(GL_n(q)) into rational Lusztig series."""
-    cached = getattr(ctx, "_series", None)
-    if cached is not None:
-        return cached
+    if ctx._series is not None:
+        return ctx._series
     out = []
     seen: dict[int, SemisimpleClassLabel] = {}
     for label in all_labels(ctx):
@@ -827,10 +825,8 @@ class SLSeries:
 
 def restrict_series(ctx: DLContext, sl_group: GroupRealization) -> list[SLSeries]:
     """Lusztig series of SL_n(q) as restrictions of the GL_n(q) series."""
-    cache_key = "_sl_series_" + str(sl_group.spec)
-    cached = getattr(ctx, cache_key, None)
-    if cached is not None:
-        return cached
+    if ctx._sl_series is not None and ctx._sl_series[0] is sl_group:
+        return ctx._sl_series[1]
     if sl_group.spec.family != "SL" or sl_group.q != ctx.q or sl_group.n != ctx.n:
         raise ValueError("restriction needs the matching SL_n(q)")
     sl_table = table_of(sl_group)
@@ -866,7 +862,7 @@ def restrict_series(ctx: DLContext, sl_group: GroupRealization) -> list[SLSeries
         out.append(SLSeries(bar_label, lifts, members, restriction_map))
     if len(covered) != len(sl_table.irreducibles):
         raise AssertionError("SL series do not cover Irr(SL)")
-    setattr(ctx, cache_key, out)
+    ctx._sl_series = (sl_group, out)
     return out
 
 

@@ -14,29 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, zeta
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+from .cyclotomic import CyclotomicNumber, is_prime, zeta
 
 
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
@@ -194,11 +172,6 @@ class FiniteField:
     def frobenius_code(self, a: int) -> int:
         return self.pow_code(a, self.p) if a else 0
 
-    def dlog_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("discrete log of zero")
-        return self.log[a]
-
     def order_of(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("order of zero")
@@ -216,10 +189,6 @@ class FiniteField:
             raise ValueError("wrong coordinate length")
         code = sum((c % self.p) * self.p**i for i, c in enumerate(coords))
         return self.element(code)
-
-    def from_int(self, n: int) -> "FiniteFieldElement":
-        """The image of the rational integer n (prime subfield element)."""
-        return self.element(n % self.p)
 
     def zero(self) -> "FiniteFieldElement":
         return self.element(0)

@@ -24,6 +24,7 @@ from math import gcd
 
 import numpy as np
 
+from .cyclotomic import prime_factors
 from .finitefield import FiniteField, finite_field
 from .intlinalg import IntegerMatrix, cokernel_invariants
 
@@ -33,12 +34,12 @@ _SPEC_RE = re.compile(r"^(GL|SL)([123])\((\d+)\)$")
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, spec, order, budget):
+    def __init__(self, spec: GroupSpec, budget: int):
         super().__init__(
-            f"{spec} has order {order}, above the enumeration budget {budget}; "
-            f"pass budget >= {order} to build it anyway"
+            f"{spec} has order {spec.order}, above the enumeration budget {budget}; "
+            f"pass budget >= {spec.order} to build it anyway"
         )
-        self.required = order
+        self.required = spec.order
 
 
 @dataclass(frozen=True)
@@ -76,22 +77,13 @@ class GroupSpec:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    """(p, k) with q = p^k; ValueError for any q that is not a prime power."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p, k = primes[0], 1
+    while p**k < q:
         k += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
     return p, k
 
 
@@ -207,10 +199,7 @@ class TorusClass:
 class GroupRealization:
     """G^F = GL_n(q) or SL_n(q), fully enumerated."""
 
-    def __init__(self, spec: GroupSpec, budget: int = DEFAULT_BUDGET):
-        order = spec.order
-        if order > budget:
-            raise BudgetExceeded(spec, order, budget)
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.n = spec.n
         self.q = spec.q
@@ -221,6 +210,9 @@ class GroupRealization:
         self._enumerate()
         self._find_subgroups()
         self._conjugacy: ConjugacyData | None = None
+        # memos filled by chartable: the character table and its packed context
+        self._table = None
+        self._packed_ctx = None
 
     # -- enumeration -----------------------------------------------------
 
@@ -427,15 +419,25 @@ def _label_orbit(perms: list[np.ndarray], labels: np.ndarray, start: int, label:
         frontier = np.concatenate(new)
 
 
-def build_group(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> GroupRealization:
+def cached_group(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> GroupRealization:
+    """The one realization of `spec` in this process.
+
+    The budget gates the build and is not part of the key: a spec whose order
+    exceeds it raises BudgetExceeded before anything is enumerated, and every
+    budget that admits the spec returns the same object.
+    """
     if isinstance(spec, str):
         spec = GroupSpec.parse(spec)
-    return GroupRealization(spec, budget)
+    if spec.order > budget:
+        raise BudgetExceeded(spec, budget)
+    return _realization(spec)
 
 
 @lru_cache(maxsize=None)
-def cached_group(text: str, budget: int = DEFAULT_BUDGET) -> GroupRealization:
-    return build_group(GroupSpec.parse(text), budget)
+def _realization(spec: GroupSpec) -> GroupRealization:
+    """The ungated memo behind `cached_group`, for groups that fit inside one
+    already admitted (the centralizers GL_m(q^d) of a GL_n(q))."""
+    return GroupRealization(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +445,13 @@ def cached_group(text: str, budget: int = DEFAULT_BUDGET) -> GroupRealization:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(n: int):
+def partitions_of(n: int):
+    """The partitions of n, parts descending, in reverse lexicographic order."""
     if n == 0:
         yield ()
         return
     for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
+        for rest in partitions_of(n - first):
             if not rest or first >= rest[0]:
                 yield (first,) + rest
 
@@ -499,7 +502,7 @@ def maximal_tori(group: GroupRealization) -> list[TorusClass]:
     """One torus class per cycle type of W = S_n (split groups)."""
     out = []
     n, q = group.n, group.q
-    for parts in _partitions(n):
+    for parts in partitions_of(n):
         order_gl = 1
         for d in parts:
             order_gl *= q**d - 1
@@ -622,10 +625,6 @@ def ad_by_matrix(group: GroupRealization, mat: np.ndarray, name: str) -> GroupAu
     return GroupAutomorphism(group, group.conjugation_perm(mat.astype(np.uint8)), name)
 
 
-def ad_by_index(group: GroupRealization, idx: int) -> GroupAutomorphism:
-    return ad_by_matrix(group, group.elements[idx], f"ad[{idx}]")
-
-
 def transpose_inverse(group: GroupRealization) -> GroupAutomorphism:
     perm = group.inv_perm[group.transpose_perm]
     return GroupAutomorphism(group, perm, "transpose-inverse")
@@ -737,7 +736,3 @@ def adjoint_action_representatives(group: GroupRealization) -> list[GroupAutomor
         out.append(ad_by_matrix(group, mat, f"ad(diag(g^{j},1..))"))
     return out
 
-
-def conjugacy_classes(group: GroupRealization) -> ConjugacyData:
-    """The complete class partition with power and inverse maps."""
-    return group.conjugacy()

@@ -26,10 +26,10 @@ from .dl import (
     SemisimpleClassLabel,
     SYM_CHARS,
     dl_character,
+    dl_context,
     epsilon_group,
     label_stabilizer_order,
     lusztig_series,
-    partitions_of,
     restrict_series,
 )
 from .finitefield import multiplicative_embedding
@@ -37,8 +37,8 @@ from .groups import (
     GroupRealization,
     GroupAutomorphism,
     adjoint_action_representatives,
-    cached_group,
     duality_involution,
+    partitions_of,
 )
 from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius, named_datum
 
@@ -53,7 +53,7 @@ class DualCentralizerData:
     label: SemisimpleClassLabel
     factors: list  # [(orbit_key, multiplicity)] -> GL_m(q^d) factors
     epsilon_product: int  # eps_G * eps_H
-    realized_specs: list  # group spec strings of the factors
+    realized_specs: list  # spec strings of the GL_m(q^d) factors
     component_order: int  # |H^F / H0^F| (1 on the GL side)
 
 
@@ -66,8 +66,6 @@ def dual_centralizer(ctx: DLContext, label: SemisimpleClassLabel, sl_side: bool 
     if sl_side:
         eps_h = -eps_h  # the central torus F_q^x is quotiented out
     specs = [f"GL{m}({ctx.q ** key[0]})" for key, m in factors]
-    for spec in specs:
-        cached_group(spec)  # realize (tiny groups; raises if over budget)
     component = label_stabilizer_order(ctx, label) if sl_side else 1
     return DualCentralizerData(
         label=label,
@@ -168,11 +166,9 @@ def jordan_bijection(ctx: DLContext, label: SemisimpleClassLabel) -> JordanData:
 
 
 def all_jordan_data(ctx: DLContext) -> dict:
-    cached = getattr(ctx, "_jordan", None)
-    if cached is None:
-        cached = {s.label: jordan_bijection(ctx, s.label) for s in lusztig_series(ctx)}
-        ctx._jordan = cached
-    return cached
+    if ctx._jordan is None:
+        ctx._jordan = {s.label: jordan_bijection(ctx, s.label) for s in lusztig_series(ctx)}
+    return ctx._jordan
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +352,8 @@ def disconnected_jordan(
     """The surjection J_s for every series of SL_n(q), with the fiber-orbit
     property, the fiber-size property, and the multiplicity sum identity all
     verified as postconditions."""
-    cache = getattr(ctx, "_disconnected", None)
-    if cache is not None and cache[0] is sl_group:
-        return cache[1]
+    if ctx._disconnected is not None and ctx._disconnected[0] is sl_group:
+        return ctx._disconnected[1]
     gl_jordan = all_jordan_data(ctx)
     series_list = restrict_series(ctx, sl_group)
     sl_table = table_of(sl_group)
@@ -527,14 +522,14 @@ def verify_duality_biconditional(group: GroupRealization, ctx: DLContext | None 
         )
     rows = verify_dualizing(group)
     if group.spec.family == "GL":
-        ctx = ctx or _context_for(group)
+        ctx = ctx or dl_context(group.spec)
         jd = all_jordan_data(ctx)
         eigen_by_member = {}
         for data in jd.values():
             for m, wit in data.witnesses.items():
                 eigen_by_member[m] = frobenius_eigenvalue(wit.unipotent)
     else:
-        gl_ctx = ctx or dl_context_for_sl(group)
+        gl_ctx = ctx or dl_context(f"GL{group.n}({group.q})")
         dj = disconnected_jordan(gl_ctx, group)
         eigen_by_member = {}
         for dmap in dj.values():
@@ -547,18 +542,6 @@ def verify_duality_biconditional(group: GroupRealization, ctx: DLContext | None 
         row["ok"] = bool(row["ok"] == rhs and rhs)
         row["detail"] = "rho o iota == rho^vee iff omega(u_rho) in {1,-1}"
     return rows
-
-
-def _context_for(group: GroupRealization) -> DLContext:
-    from .dl import dl_context
-
-    return dl_context(str(group.spec))
-
-
-def dl_context_for_sl(sl_group: GroupRealization) -> DLContext:
-    from .dl import dl_context
-
-    return dl_context(f"GL{sl_group.n}({sl_group.q})")
 
 
 def verify_hc_rigidity(sl_group: GroupRealization) -> list[dict]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cyclotomic import prime_factors
 from .intlinalg import (
     FiniteAbelianGroup,
     IntegerMatrix,
@@ -84,9 +85,6 @@ class BasedRootDatum:
     def simple_coroots(self):
         return [self.coroots[i] for i in self.simples]
 
-    def root_index(self, root) -> int:
-        return self.roots.index(tuple(root))
-
     def reflection_matrix(self, i: int):
         """s_alpha as a matrix on X for the i-th root."""
         alpha, cov = self.roots[i], self.coroots[i]
@@ -94,10 +92,6 @@ class BasedRootDatum:
         return tuple(
             tuple((1 if r == c else 0) - alpha[r] * cov[c] for c in range(n)) for r in range(n)
         )
-
-    def is_valid_symmetry(self, mat) -> bool:
-        root_set = set(self.roots)
-        return all(_mat_vec(mat, r) in root_set for r in self.roots)
 
     def to_json(self) -> dict:
         return {
@@ -342,7 +336,7 @@ def center_component_group(
     """Torsion of X/Z.Phi with the F-action (multiplication by q composed
     with the datum automorphism), prime-to-p part only."""
     if p is None:
-        p = _smallest_prime_factor(frob.q)
+        p = prime_factors(frob.q)[0]
     r = datum.rank
     if not datum.roots:
         return CenterComponentGroup(FiniteAbelianGroup([]), [])
@@ -369,15 +363,6 @@ def center_component_group(
     ]
     group = FiniteAbelianGroup(divisors)
     return CenterComponentGroup(group, block)
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def h1_frobenius(center: CenterComponentGroup):

@@ -16,8 +16,8 @@ from redchar.dl import (
     verify_dl_invariants,
 )
 from redchar.groups import (
+    GroupRealization,
     GroupSpec,
-    build_group,
     cached_group,
     chevalley_involution,
     duality_involution,
@@ -57,7 +57,7 @@ def announce(number: int, ok: bool, text: str) -> None:
 def test_criterion_01_table_integrity():
     timings = {}
     for name in TABLE_GROUPS:
-        fresh = build_group(name)  # fresh build: honest timing
+        fresh = GroupRealization(GroupSpec.parse(name))  # fresh build: honest timing
         start = time.monotonic()
         table = table_of(fresh)
         table.verify_degree_sum()

@@ -14,14 +14,16 @@ from redchar.chartable import (
     induce_from_subgroup,
     inner_product,
     restrict_between_groups,
+    table_of,
     trivial_character,
     twist_by_automorphism,
     twisted_fs_indicator,
 )
 from redchar.cyclotomic import CyclotomicNumber
 from redchar.groups import (
+    GroupRealization,
+    GroupSpec,
     adjoint_action_representatives,
-    build_group,
     cached_group,
     duality_involution,
     identity_automorphism,
@@ -30,16 +32,11 @@ from redchar.groups import (
 
 
 def table(name):
-    group = cached_group(name)
-    cached = getattr(group, "_table", None)
-    if cached is None:
-        cached = character_table(group)
-        group._table = cached
-    return cached
+    return table_of(cached_group(name))
 
 
 def test_trivial_group_table():
-    t = character_table(build_group("GL1(2)"))
+    t = character_table(GroupRealization(GroupSpec.parse("GL1(2)")))
     assert len(t) == 1 and t.degrees == [1]
 
 
@@ -252,11 +249,9 @@ def test_frobenius_reciprocity_random_pairs():
 
 def test_table_json_deterministic_across_builds():
     import json
-    from redchar.groups import build_group
-    from redchar.chartable import character_table
 
-    a = character_table(build_group("GL2(3)")).to_json()
-    b = character_table(build_group("GL2(3)")).to_json()
+    a = character_table(GroupRealization(GroupSpec.parse("GL2(3)"))).to_json()
+    b = character_table(GroupRealization(GroupSpec.parse("GL2(3)"))).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 

@@ -161,3 +161,9 @@ def test_center_h1_builds_no_group():
     # center-h1 reads only the spec, so neither |SL3(5)| = 372000 nor the
     # budget matters
     assert main(["center-h1", "--group", "SL3(5)", "--budget", "100"]) == 0
+
+
+def test_series_partition_builds_each_group_once(group_builds):
+    # the budget only gates: GL3(3) and the context's GL2(3) are each built once
+    assert run_check("series-partition", "GL3(3)", budget=20000).all_ok()
+    assert group_builds == {"GL3(3)": 1, "GL2(3)": 1}

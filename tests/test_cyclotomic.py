@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from redchar.cyclotomic import (
     CyclotomicNumber,
-    cyclotomic_arith,
     cyclotomic_polynomial,
-    complex_conjugate,
     euler_phi,
     power_matrix,
     root_of_unity_sum,
@@ -106,10 +104,10 @@ def test_product_one_plus_zeta5():
 
 
 def test_conjugation_examples():
-    assert complex_conjugate(zeta(3)) == zeta(3, 2)
+    assert zeta(3).conjugate() == zeta(3, 2)
     assert zeta(3, 2) == -1 - zeta(3)
     half5 = CyclotomicNumber.from_rational(Fraction(5, 2))
-    assert complex_conjugate(half5) == half5
+    assert half5.conjugate() == half5
 
 
 def test_equality_across_conductors():
@@ -132,12 +130,7 @@ def test_rational_interop():
     assert (x * 2 - 1) == 2 * zeta(5)
 
 
-def test_dispatch_and_errors():
-    a, b = zeta(4), zeta(4, 3)
-    assert cyclotomic_arith(a, b, "mul") == 1
-    assert cyclotomic_arith(a, b, "add").is_zero()
-    with pytest.raises(ValueError):
-        cyclotomic_arith(a, b, "div")
+def test_galois_refuses_a_non_unit():
     with pytest.raises(ValueError):
         zeta(6).galois(2)
 
@@ -174,9 +167,9 @@ def test_ring_laws(x, y, z):
 @settings(max_examples=150, deadline=None)
 @given(cyclotomics(), cyclotomics())
 def test_conjugation_is_ring_automorphism(x, y):
-    assert complex_conjugate(x + y) == complex_conjugate(x) + complex_conjugate(y)
-    assert complex_conjugate(x * y) == complex_conjugate(x) * complex_conjugate(y)
-    assert complex_conjugate(complex_conjugate(x)) == x
+    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert x.conjugate().conjugate() == x
 
 
 @settings(max_examples=100, deadline=None)

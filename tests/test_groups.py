@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from redchar import chartable
+from redchar.dl import dl_context, lusztig_series
 from redchar.groups import (
     BudgetExceeded,
     GroupAutomorphism,
+    GroupRealization,
     GroupSpec,
     _binv,
     _bmm,
     adjoint_action_representatives,
     ad_by_matrix,
-    build_group,
     cached_group,
     chevalley_involution,
     duality_involution,
@@ -18,6 +19,7 @@ from redchar.groups import (
     maximal_tori,
     transpose_inverse,
 )
+from redchar.jordan import dual_centralizer
 
 
 def brute_force_class_count(group):
@@ -60,9 +62,10 @@ def test_spec_parsing_and_orders():
 
 def test_budget_refusal():
     with pytest.raises(BudgetExceeded) as exc:
-        build_group("GL3(5)")
+        cached_group("GL3(5)")
     assert exc.value.required == 1488000
-    build_group("GL3(3)")  # order 11232: inside the default budget
+    assert "GL3(5)" in str(exc.value)
+    assert cached_group("GL3(3)").order == 11232  # inside the default budget
 
 
 def test_build_small_groups():
@@ -73,7 +76,7 @@ def test_build_small_groups():
     assert len(g.unipotent_indices) == 3
     sl = cached_group("SL2(3)")
     assert sl.order == 24
-    gl1 = build_group("GL1(2)")
+    gl1 = cached_group("GL1(2)")
     assert gl1.order == 1
 
 
@@ -85,7 +88,7 @@ def test_conjugacy_class_counts():
 
 
 def test_conjugacy_against_brute_force():
-    g = build_group("SL2(3)")
+    g = GroupRealization(GroupSpec.parse("SL2(3)"))
     assert brute_force_class_count(g) == g.conjugacy().n_classes
 
 
@@ -345,3 +348,23 @@ def test_verify_homomorphism_rejects_a_swap():
     perm[[a, b]] = perm[[b, a]]
     with pytest.raises(AssertionError):
         GroupAutomorphism(g, perm, "swap").verify_homomorphism()
+
+
+def test_budget_gates_but_does_not_key_the_memo():
+    assert cached_group("GL2(3)", 1000) is cached_group("GL2(3)")
+    assert cached_group(GroupSpec.parse("GL2(3)"), 48) is cached_group("GL2(3)")
+    assert dl_context("GL2(3)", 1000).group is cached_group("GL2(3)")
+    assert dl_context("GL2(3)", 1000) is dl_context("GL2(3)")
+
+
+def test_dl_context_refuses_an_over_budget_spec():
+    with pytest.raises(BudgetExceeded, match=r"GL2\(4\)"):
+        dl_context("GL2(4)", budget=100)
+
+
+def test_dual_centralizer_builds_no_group(group_builds):
+    ctx = dl_context("GL2(3)")
+    built = sum(group_builds.values())
+    for s in lusztig_series(ctx):
+        dual_centralizer(ctx, s.label)
+    assert sum(group_builds.values()) == built
