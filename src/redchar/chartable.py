@@ -14,11 +14,15 @@ Every table value is stored over the power basis of Z[zeta_e] ("packed").
 Orthogonality is certified exactly from those integer arrays: at a prime
 p = 1 (mod e) the cyclotomic polynomial splits into distinct linear factors
 mod p, so evaluating at all phi(e) embeddings zeta_e -> w^u mod p is
-injective on Z[zeta_e]/p.  Agreement of the row and column Gram matrices
-with their targets at every embedding therefore puts each difference in
-p Z[zeta_e]; an explicit bound B on the power-basis coefficients of the
-Grams, with enough primes that their product exceeds 2(B + |G|), forces the
-difference to be zero.  Nothing is sampled and nothing is floating point.
+injective on Z[zeta_e]/p.  Agreement of a Gram matrix with an integer
+target at every embedding therefore puts each difference in p Z[zeta_e]; an
+explicit bound B on the power-basis coefficients of the Gram, with enough
+primes that their product exceeds 2(B + max|target|), forces the difference
+to be zero.  One routine (`gram_certificate`) runs this for the table's row
+and column Grams (targets |G| I and diag(|G| / s_k)) and for the Gram of
+any list of integer-valued class functions, such as the Deligne-Lusztig
+characters against |G| times their exclusion-theorem counts.  Nothing is
+sampled and nothing is floating point.
 """
 
 from __future__ import annotations
@@ -266,18 +270,31 @@ def twisted_fs_indicator(f: ClassFunction, iota: GroupAutomorphism) -> Cyclotomi
 
     Zero iff f o iota is not the dual of f; otherwise +-1 for irreducible f.
     """
+    return twisted_fs_indicators([f], iota)[0]
+
+
+def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]:
+    """`twisted_fs_indicator` of every class function in `fs`.
+
+    The classes of g * iota(g) depend only on iota, so they are counted in
+    one product pass over the group and each f is summed against the counts.
+    """
     if not iota.is_involution():
         raise ValueError("twisted indicator needs an involutive automorphism")
-    g = f.group
+    g = iota.group
     data = g.conjugacy()
     prods = _bmm(g.tables, g.elements, g.elements[iota.perm])
-    classes = data.cls[g.lookup(prods)]
-    counts = np.bincount(classes, minlength=data.n_classes)
-    total = CyclotomicNumber.zero()
-    for k, c in enumerate(counts):
-        if c:
-            total = total + f.values[k] * int(c)
-    return total * Fraction(1, g.order)
+    counts = np.bincount(data.cls[g.lookup(prods)], minlength=data.n_classes)
+    out = []
+    for f in fs:
+        if f.group is not g:
+            raise ValueError("automorphism of a different group")
+        total = CyclotomicNumber.zero()
+        for k, c in enumerate(counts):
+            if c:
+                total = total + f.values[k] * int(c)
+        out.append(total * Fraction(1, g.order))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +331,6 @@ def _certificate_primes(exponent: int, bound: int) -> list[int]:
     return primes
 
 
-def _expect_gram(gram: np.ndarray, target: np.ndarray, kind: str) -> None:
-    bad = np.argwhere(gram != target)
-    if len(bad):
-        i, j = (int(x) for x in bad[0])
-        raise AssertionError(f"{kind} orthogonality fails at ({i}, {j})")
-
-
 def _primitive_root_of_unity(ell: int, e: int) -> int:
     """A fixed element of order e in F_ell^x (smallest generator's power)."""
     factors = prime_factors(ell - 1)
@@ -330,6 +340,58 @@ def _primitive_root_of_unity(ell: int, e: int) -> int:
             break
         g += 1
     return pow(g, (ell - 1) // e, ell)
+
+
+def gram_certificate(group: GroupRealization, packed, row_target, col_target=None):
+    """Pairwise verdicts of exact Gram identities over Z[zeta_e].
+
+    `packed` lists power-basis matrices X_i (classes x phi(e)) of integer
+    valued class functions.  The row Gram sum_k s_k X_i(g_k) conj(X_j(g_k))
+    is compared with the integer matrix `row_target` and, when given, the
+    column Gram sum_i X_i(g_k) conj(X_i(g_m)) with `col_target`, at every
+    embedding zeta_e -> w^u mod primes p = 1 (mod e) whose product exceeds
+    2(B + max|target|), B a bound on the Grams' power-basis coefficients.
+    Entry (i, j) of a verdict is True iff entries (i, j) and (j, i) of the
+    Gram equal the target there at every embedding, which is a proof that
+    both identities hold exactly.  Returns (row verdict, column verdict or
+    None, primes).
+    """
+    ctx = _packed_context(group)
+    e, phi = ctx.e, ctx.phi
+    targets = [t for t in (row_target, col_target) if t is not None]
+    # a coefficient of x * conj(y) is at most |x|_1 |conj y|_1 max|power_rows|
+    conj_l1 = np.abs(ctx.conj_np).sum(axis=1)
+    weights = np.stack([np.ones_like(conj_l1), conj_l1], axis=1)
+    l1 = np.stack([_exact_matmul(np.abs(mat), weights) for mat in packed])
+    norm, conj_norm = np.moveaxis(l1, -1, 0)
+    bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), conj_norm.T))
+    if col_target is not None:
+        bound = max(bound, _absmax(_exact_matmul(norm.T, conj_norm)))
+    bound *= _absmax(ctx.pow_np[: 2 * phi - 1])
+    primes = _certificate_primes(e, 2 * (bound + max(_absmax(t) for t in targets)))
+    verdicts = [np.ones(np.shape(t), dtype=bool) for t in targets]
+    # the embedding at -u is the conjugate of the one at u and its Grams
+    # are the transposes, so half of the units suffice
+    units = [u for u in range(e) if gcd(u, e) == 1 and u <= -u % e]
+    for p in primes:
+        w = _primitive_root_of_unity(p, e)
+        sizes = ctx.sizes % p
+        residues = [np.asarray(t % p, dtype=np.int64) for t in targets]
+        for start in range(0, len(units), _EMBEDDING_CHUNK):
+            chunk = units[start : start + _EMBEDDING_CHUNK]
+            exps = chunk + [-u % e for u in chunk]
+            vander = np.stack([_root_powers(pow(w, v, p), phi, p) for v in exps], axis=1)
+            # one chunk of embeddings at a time: the packed rows are never stacked
+            values = np.stack([_evaluate_mod(mat, vander, p).T for mat in packed], axis=1)
+            for x, x_bar in zip(values[: len(chunk)], values[len(chunk) :]):
+                grams = [_exact_matmul(_exact_mul(x, sizes) % p, x_bar.T) % p]
+                if col_target is not None:
+                    grams.append(_exact_matmul(x.T, x_bar) % p)
+                for ok, gram, target in zip(verdicts, grams, residues):
+                    ok &= (gram == target) & (gram.T == target)
+    row_ok = verdicts[0] & verdicts[0].T
+    col_ok = None if col_target is None else verdicts[1] & verdicts[1].T
+    return row_ok, col_ok, primes
 
 
 class ModularContext:
@@ -388,46 +450,25 @@ class CharacterTable:
         """Exact row and column orthogonality for the whole table.
 
         Both Gram identities, sum_k s_k X_ik conj(X_jk) = |G| delta_ij and
-        sum_i X_ik conj(X_im) = (|G| / s_k) delta_km, are checked at every
-        embedding zeta_e -> w^u mod primes p = 1 (mod e) whose product
-        exceeds twice the bound on the Grams' coefficients; the module
-        docstring says why that is a proof.  Returns the primes used.
+        sum_i X_ik conj(X_im) = (|G| / s_k) delta_km, are certified by
+        `gram_certificate`; the module docstring says why that is a proof.
+        Returns the primes used.
         """
-        ctx = _packed_context(self.group)
-        e, phi, order = self.exponent, ctx.phi, self.group.order
-        # a coefficient of x * conj(y) is at most |x|_1 |conj y|_1 max|power_rows|
-        conj_l1 = np.abs(ctx.conj_np).sum(axis=1)
-        weights = np.stack([np.ones_like(conj_l1), conj_l1], axis=1)
-        packed, l1 = [], []
+        packed = []
         for chi in self.irreducibles:
             mat, den = chi.packed()
             if den != 1:
                 raise AssertionError("a table value is not a cyclotomic integer")
             packed.append(mat)
-            l1.append(_exact_matmul(np.abs(mat), weights))
-        norm, conj_norm = np.moveaxis(np.stack(l1), -1, 0)
-        row_bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), conj_norm.T))
-        col_bound = _absmax(_exact_matmul(norm.T, conj_norm))
-        bound = max(row_bound, col_bound) * _absmax(ctx.pow_np[: 2 * phi - 1])
-        primes = _certificate_primes(e, 2 * (bound + order))
-        # the embedding at -u is the conjugate of the one at u and its Grams
-        # are the transposes, so half of the units suffice
-        units = [u for u in range(e) if gcd(u, e) == 1 and u <= -u % e]
-        for p in primes:
-            w = _primitive_root_of_unity(p, e)
-            sizes = ctx.sizes % p
-            row_target = (order % p) * np.eye(len(packed), dtype=np.int64)
-            col_target = np.diag([order // int(s) % p for s in ctx.sizes]).astype(np.int64)
-            for start in range(0, len(units), _EMBEDDING_CHUNK):
-                chunk = units[start : start + _EMBEDDING_CHUNK]
-                exps = chunk + [-u % e for u in chunk]
-                vander = np.stack([_root_powers(pow(w, v, p), phi, p) for v in exps], axis=1)
-                # one chunk of embeddings at a time: the packed rows are never stacked
-                values = np.stack([_evaluate_mod(mat, vander, p).T for mat in packed], axis=1)
-                for x, x_bar in zip(values[: len(chunk)], values[len(chunk) :]):
-                    rows = _exact_matmul(_exact_mul(x, sizes) % p, x_bar.T) % p
-                    _expect_gram(rows, row_target, "row")
-                    _expect_gram(_exact_matmul(x.T, x_bar) % p, col_target, "column")
+        order = self.group.order
+        row_target = order * np.eye(len(packed), dtype=np.int64)
+        col_target = np.diag(order // self.group.conjugacy().sizes.astype(np.int64))
+        row_ok, col_ok, primes = gram_certificate(self.group, packed, row_target, col_target)
+        for ok, kind in ((row_ok, "row"), (col_ok, "column")):
+            bad = np.argwhere(~ok)
+            if len(bad):
+                i, j = (int(x) for x in bad[0])
+                raise AssertionError(f"{kind} orthogonality fails at ({i}, {j})")
         return primes
 
     def verify_modular_orthogonality(self) -> None:

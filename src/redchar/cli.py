@@ -15,7 +15,7 @@ import sys
 import time
 
 from .cache import TableCache
-from .chartable import CharacterTable, table_of, twisted_fs_indicator
+from .chartable import CharacterTable, table_of, twisted_fs_indicators
 from .dl import (
     dl_context,
     lusztig_series,
@@ -72,8 +72,15 @@ def _ctx_for(group, budget, cache):
 
 
 def _pair_budget(ctx) -> bool:
-    """Exhaustive (w, theta) enumeration with exact pairwise inner products
-    only when the arithmetic volume stays within the operation budget."""
+    """Whether the DL checks enumerate every (w, theta) pair or one pair per
+    W-orbit type.
+
+    Exhaustive mode certifies the N x N Gram of all N pairs at once
+    (`dl.verify_dl_invariants`), at about (primes) N r phi^2 multiply-adds.
+    The volume N^2 phi^2 r / 2 below is the cost of the pairwise inner
+    products that certificate replaced; it is kept as the tier rule because
+    the tier decides which report items exist.
+    """
     from .chartable import _packed_context
 
     total = 0
@@ -224,8 +231,7 @@ def check_fs_indicator(group, ctx, budget, cache):
     # indicator is legitimately 0, so only membership in {-1, 0, 1} is checked
     dualizing_scope = two_h1_predicate(group.spec)
     rows = []
-    for i, chi in enumerate(table.irreducibles):
-        eps = twisted_fs_indicator(chi, iota)
+    for i, eps in enumerate(twisted_fs_indicators(table.irreducibles, iota)):
         value = eps.as_int() if eps.is_rational() else None
         allowed = (1, -1) if dualizing_scope else (1, -1, 0)
         rows.append(

@@ -18,6 +18,7 @@ from redchar.chartable import (
     trivial_character,
     twist_by_automorphism,
     twisted_fs_indicator,
+    twisted_fs_indicators,
 )
 from redchar.cyclotomic import CyclotomicNumber
 from redchar.groups import (
@@ -158,6 +159,23 @@ def test_twisted_fs_indicator_gl2_3():
     iota = duality_involution(t.group)
     for chi in t.irreducibles:
         assert twisted_fs_indicator(chi, iota) == 1
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(2)"])
+def test_batched_fs_indicators_match_one_by_one(name):
+    t = table(name)
+    g = t.group
+    iota = duality_involution(g)
+    cls = g.conjugacy().cls
+    # independent reference: the class of g * iota(g), one element at a time
+    square_classes = [int(cls[g.mul_idx(x, iota.apply(x))]) for x in range(g.order)]
+    batched = twisted_fs_indicators(t.irreducibles, iota)
+    assert len(batched) == len(t)
+    for chi, eps in zip(t.irreducibles, batched):
+        total = CyclotomicNumber.zero()
+        for k in square_classes:
+            total = total + chi.values[k]
+        assert eps == total * Fraction(1, g.order) == twisted_fs_indicator(chi, iota)
 
 
 def test_twisted_involution_count_identity():

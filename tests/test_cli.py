@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -167,3 +168,20 @@ def test_series_partition_builds_each_group_once(group_builds):
     # the budget only gates: GL3(3) and the context's GL2(3) are each built once
     assert run_check("series-partition", "GL3(3)", budget=20000).all_ok()
     assert group_builds == {"GL3(3)": 1, "GL2(3)": 1}
+
+
+# stdout SHA-256 of `verify <check> --group <spec> --format json`, recorded
+# before the DL Gram certificate and the batched fs-indicators replaced the
+# pairwise inner products and the per-character product passes
+REPORT_DIGESTS = {
+    ("dl-orthogonality", "GL2(5)"): "b00e53fb8df33fc813106974413304cb1f196bf853057de19b65614ad92caf89",
+    ("torus-lemma", "GL3(2)"): "fe1474b0ab73cc47e0c4ab696bdde003048dc62e05e1f30bc3a30c285d7232b1",
+    ("fs-indicator", "GL3(3)"): "6cef36f7ad7256c8d93708adb3a9cdb1f2b3f0aea0a48396986e829bfd8522e9",
+}
+
+
+@pytest.mark.parametrize("check, spec", sorted(REPORT_DIGESTS))
+def test_report_stdout_digest_unchanged(check, spec, capsys):
+    assert main([check, "--group", spec, "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[(check, spec)]

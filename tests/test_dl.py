@@ -1,6 +1,15 @@
 import itertools
 
-from redchar.chartable import dual_character, inner_product, twist_by_automorphism
+import numpy as np
+import pytest
+
+from redchar import dl
+from redchar.chartable import (
+    dual_character,
+    gram_certificate,
+    inner_product,
+    twist_by_automorphism,
+)
 from redchar.dl import (
     all_labels,
     classify_pair,
@@ -136,6 +145,123 @@ def test_exclusion_theorem_gl3_2_exhaustive():
         lhs = inner_product(chars[p1].class_function, chars[p2].class_function)
         rhs = twisted_identifications_oracle(2, p1[0], p1[1], p2[0], p2[1])
         assert lhs == rhs, (p1, p2)
+
+
+def _dl_gram(name):
+    """Context, DL characters of every pair, their packed matrices and the
+    oracle's twisted identification counts."""
+    ctx = dl_context(name)
+    pairs = all_pairs(ctx)
+    chars = [dl_character(ctx, *p) for p in pairs]
+    packed = [r.class_function.packed()[0] for r in chars]
+    counts = np.array(
+        [[twisted_identifications_oracle(ctx.q, *p1, *p2) for p2 in pairs] for p1 in pairs],
+        dtype=np.int64,
+    )
+    return ctx, chars, packed, counts
+
+
+def _pairwise_verdicts(chars, target):
+    return np.array(
+        [
+            [
+                inner_product(a.class_function, b.class_function) == target[i, j]
+                and inner_product(b.class_function, a.class_function) == target[j, i]
+                for j, b in enumerate(chars)
+            ]
+            for i, a in enumerate(chars)
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", ["GL2(3)", "GL2(4)", "GL3(2)"])
+def test_dl_gram_certificate_matches_pairwise_inner_products(name):
+    ctx, chars, packed, counts = _dl_gram(name)
+    order = ctx.group.order
+    verdict, col_verdict, primes = gram_certificate(ctx.group, packed, order * counts)
+    assert col_verdict is None and primes
+    assert verdict.all()
+    assert (verdict == _pairwise_verdicts(chars, counts)).all()
+    # a target off by one on a few symmetric entries: the same pairs fail
+    wrong = counts.copy()
+    for i, j in [(0, 0), (1, 5), (3, 2)]:
+        wrong[i, j] += 1
+        wrong[j, i] = wrong[i, j]
+    verdict = gram_certificate(ctx.group, packed, order * wrong)[0]
+    assert (verdict == _pairwise_verdicts(chars, wrong)).all()
+    assert set(map(tuple, np.argwhere(~verdict).tolist())) == {
+        (0, 0), (1, 5), (5, 1), (2, 3), (3, 2)
+    }
+
+
+def test_dl_gram_certificate_flags_a_perturbed_target_entry():
+    ctx, _chars, packed, counts = _dl_gram("GL2(3)")
+    target = ctx.group.order * counts
+    target[2, 7] += 1  # one entry, not its transpose
+    verdict = gram_certificate(ctx.group, packed, target)[0]
+    assert set(map(tuple, np.argwhere(~verdict).tolist())) == {(2, 7), (7, 2)}
+
+
+def test_dl_gram_certificate_flags_a_perturbed_character():
+    ctx, _chars, packed, counts = _dl_gram("GL2(3)")
+    ident = int(ctx.group.conjugacy().cls[ctx.group.identity_idx])
+    i = 5
+    packed = list(packed)
+    packed[i] = packed[i].copy()
+    # R_i(1) + 1: every R_j(1) is a nonzero degree, so every pair with i moves
+    packed[i][ident, 0] += 1
+    verdict = gram_certificate(ctx.group, packed, ctx.group.order * counts)[0]
+    bad = np.zeros_like(verdict)
+    bad[i, :] = bad[:, i] = True
+    assert (verdict == ~bad).all()
+
+
+def test_dl_invariants_prove_passing_pairs_without_inner_products(monkeypatch):
+    def no_inner_product(f, g):
+        raise AssertionError("a passing pair computed an inner product")
+
+    monkeypatch.setattr(dl, "inner_product", no_inner_product)
+    rows = dl.verify_dl_invariants(dl_context("GL2(3)"), exhaustive=True)
+    assert all(row["ok"] for row in rows)
+
+
+def test_dl_invariants_report_a_failing_pair_with_its_inner_product(monkeypatch):
+    ctx = dl_context("GL2(3)")
+    pairs = all_pairs(ctx)
+    p1, p2 = pairs[1], pairs[6]
+    count = dl.twisted_identification_count
+
+    def off_by_one(q, parts1, exps1, parts2, exps2):
+        bump = ((parts1, exps1), (parts2, exps2)) == (p1, p2)
+        return count(q, parts1, exps1, parts2, exps2) + bump
+
+    monkeypatch.setattr(dl, "twisted_identification_count", off_by_one)
+    rows = [
+        row
+        for row in dl.verify_dl_invariants(ctx, exhaustive=True)
+        if row["check"] == "exclusion-orthogonality"
+    ]
+    failed = [row for row in rows if not row["ok"]]
+    got = inner_product(
+        dl_character(ctx, *p1).class_function, dl_character(ctx, *p2).class_function
+    )
+    expected = twisted_identifications_oracle(ctx.q, *p1, *p2) + 1
+    assert failed == [
+        {
+            "check": "exclusion-orthogonality",
+            "pair": f"{p1} vs {p2}",
+            "ok": False,
+            "detail": f"<R,R'> = {got}, twisted identifications = {expected}",
+        }
+    ]
+    assert len(rows) == len(pairs) * (len(pairs) + 1) // 2
+
+
+def test_dl_character_is_built_once_per_context():
+    ctx = dl_context("GL2(3)")
+    r = dl_character(ctx, (2,), (1,))
+    assert dl_character(ctx, (2,), (1 + 8,)) is r
+    assert dl_character(ctx, [2], [1]) is r
 
 
 def test_classify_pair():
