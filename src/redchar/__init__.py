@@ -1,6 +1,8 @@
 """redchar: exact character theory of small finite reductive groups.
 
-Builds GL_n(q) and SL_n(q) for n <= 3 by full enumeration, computes exact
+Builds GL_n(q) and SL_n(q) for n <= 3 with every element explicit (found
+from row codes: a cofactor table gives the determinant of every matrix at
+once, and inverses and transposes are table lookups), computes exact
 character tables, Deligne-Lusztig virtual characters, Lusztig series and
 Jordan decompositions, and machine-verifies the duality-involution
 identities relating characters to their duals.

@@ -521,7 +521,8 @@ class CharacterTable:
         for a, chi in zip(coeffs, self.irreducibles):
             if a:
                 mc, dc = chi.packed()
-                assert dc == 1
+                if dc != 1:
+                    raise AssertionError("an irreducible's packed values have a denominator")
                 acc = acc + a * mc
         if not np.array_equal(acc, mf):
             raise AssertionError("modular decomposition failed exact verification")
@@ -881,19 +882,6 @@ def _character_values_mod(group: GroupRealization, omegas: np.ndarray, ell: int)
     return np.array(chi_rows, dtype=np.int64), degrees
 
 
-def _power_classes(group: GroupRealization) -> list[np.ndarray]:
-    """For each class i, the classes of g_i^t for t < order(g_i)."""
-    data = group.conjugacy()
-    reps = group.elements[data.reps]
-    power = np.broadcast_to(group.elements[group.identity_idx], reps.shape)
-    columns = []
-    for _ in range(max(data.orders)):
-        columns.append(data.cls[group.lookup(power)])
-        power = _bmm(group.tables, power, reps)
-    classes = np.stack(columns, axis=1)
-    return [classes[i, :m] for i, m in enumerate(data.orders)]
-
-
 def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
     """Lift mod-ell character values to exact cyclotomics via DFT sums.
 
@@ -908,8 +896,8 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
     packed = np.zeros((n_rows, data.n_classes, ctx.phi), dtype=np.int64)
     values = [[] for _ in range(n_rows)]
     dft_of_order = {}
-    for i, pcs in enumerate(_power_classes(group)):
-        m = len(pcs)
+    for i, m in enumerate(data.orders):
+        pcs = data.power_classes[i, :m]
         if m not in dft_of_order:
             # dft[t, j] = zeta_m^(-jt) / m mod ell
             inv_root = pow(pow(zeta_mod, e // m, ell), -1, ell)

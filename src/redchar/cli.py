@@ -337,13 +337,13 @@ def main(argv=None) -> int:
     if args.cache_dir and not args.no_cache:
         cache = TableCache(args.cache_dir)
 
-    names = _suite_for(args.group) if args.check == "all" else [args.check]
-    if any(n not in CHECKS for n in names):
+    if args.check != "all" and args.check not in CHECKS:
         print(f"error: unknown check {args.check!r}; known: {sorted(CHECKS)}", file=sys.stderr)
         return EXIT_UNKNOWN_CHECK
 
     all_ok = True
     try:
+        names = _suite_for(args.group) if args.check == "all" else [args.check]
         for name in names:
             report = run_check(name, args.group, args.budget, cache)
             sys.stdout.write(emit_report(report, args.format))

@@ -148,7 +148,8 @@ class FieldTower:
                     # element lies in the image of F_{q^d0}; translate back
                     t = self._emb_exp[(d0, d)]
                     s = gcd(t, mod)
-                    assert s == ratio
+                    if s != ratio:
+                        raise RuntimeError(f"embedding exponent {t} has gcd {s} with {mod}, not {ratio}")
                     j0 = (j // ratio) * pow(t // ratio, -1, sub) % sub
                     return (d0, j0)
         raise AssertionError("unreachable: every divisor chain ends at d")
@@ -211,7 +212,8 @@ class SemisimpleClassLabel:
     orbits: tuple  # sorted tuple of ((d, j_min), multiplicity)
 
     def __post_init__(self):
-        assert tuple(sorted(self.orbits)) == self.orbits
+        if tuple(sorted(self.orbits)) != self.orbits:
+            raise ValueError("orbits must be a sorted tuple")
 
     @property
     def n(self) -> int:
@@ -352,7 +354,8 @@ def _factor_over_base(group, tower: FieldTower, coeffs) -> dict:
                 x for x in range(1, big.q) if _eval_poly(big, emb_codes, x) == 0
             )
             key = tower.orbit_key(deg, big.log[root])
-            assert key[0] == deg  # irreducible factor: minimal field matches
+            if key[0] != deg:  # irreducible factor: minimal field matches
+                raise RuntimeError(f"a degree-{deg} factor has a root of degree {key[0]}")
             orbits[key] = orbits.get(key, 0) + 1
     return orbits
 
@@ -389,7 +392,8 @@ def _jordan_partition(group, tower: FieldTower, idx, key, mult) -> tuple:
         count = (ranks[k - 1] - ranks[k]) - (ranks[k] - ranks[k + 1] if k < mult else 0)
         blocks.extend([k] * count)
     partition = tuple(sorted(blocks, reverse=True))
-    assert sum(partition) == mult
+    if sum(partition) != mult:
+        raise RuntimeError(f"Jordan blocks {partition} do not add up to multiplicity {mult}")
     return partition
 
 
@@ -529,7 +533,8 @@ class TorusCharacter:
     exps: tuple
 
     def __post_init__(self):
-        assert len(self.parts) == len(self.exps)
+        if len(self.parts) != len(self.exps):
+            raise ValueError("parts and exps must have the same length")
 
 
 def classify_pair(ctx: DLContext, parts: tuple, exps: tuple) -> SemisimpleClassLabel:

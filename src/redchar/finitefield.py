@@ -297,7 +297,8 @@ def field_embedding(small: FiniteField, big: FiniteField):
         return big.exp[small.log[code] * t % (big.q - 1)]
 
     # the image of the small generator must have exact order small.q - 1
-    assert big.order_of(embed(small.generator_code)) == small.q - 1
+    if big.order_of(embed(small.generator_code)) != small.q - 1:
+        raise RuntimeError(f"the embedding of F_{small.q} into F_{big.q} is not injective")
     return embed
 
 

@@ -25,7 +25,8 @@ def _trace_to_prime_field(fld, code: int) -> int:
     for _ in range(fld.k):
         acc = fld.add_codes(acc, cur)
         cur = fld.frobenius_code(cur)
-    assert acc < fld.p  # lies in the prime subfield
+    if acc >= fld.p:
+        raise RuntimeError(f"trace of code {code} is not in the prime subfield")
     return acc
 
 

@@ -1,4 +1,4 @@
-"""Explicit realizations of GL_n(q) and SL_n(q), n <= 3, by full enumeration.
+"""Explicit realizations of GL_n(q) and SL_n(q), n <= 3, built from row codes.
 
 Elements are n x n matrices of field codes (see finitefield) held in one
 numpy uint8 array; all bulk arithmetic goes through small multiplication
@@ -6,13 +6,24 @@ and addition lookup tables, so everything stays exact integer arithmetic.
 
 A row (a_0, ..., a_{n-1}) has the code sum_j a_j q^(n-1-j) in [0, q^n), and a
 matrix has the key whose base-q^n digits are its row codes; keys order the
-elements as they are enumerated.  A dense int32 map over all q^(n^2) keys
-gives each element's index (-1 off the group).  Multiplying many elements by
-one fixed matrix h is the group's bulk primitive: the row table
-T_h[c] = code(row c * h) has q^n entries, so x h for every x is n gathers
-into T_h, a key sum and one gather from the dense map.  Left multiplication
-goes through transposes (g x = (x^T g^T)^T) and conjugation composes both;
-only products of two element arrays still multiply matrices entry by entry.
+elements.  The group is built from tables over the q^n row codes, never by
+expanding the q^(n^2) candidate matrices: with V[c] the field codes of row c,
+the dot table D[a, b] = V[a].V[b] and the cofactor table C over n - 1 rows
+(the cross product for n = 3, (-a_1, a_0) for n = 2, the constant row (1) for
+n = 1) give det(r_1, ..., r_n) = D[C[r_1, ..., r_{n-1}], r_n].  One uint8
+gather D[C] is therefore the determinant of every key in key order, and its
+kept positions are the group's keys.  Row j of (x^-1)^T is the cofactor row
+of the other rows times +-det(x)^-1, read through a scale table, and the row
+codes of x^T are sums of n per-position tables, so inverses and transposes
+are table gathers over the group's row codes.
+
+A dense int32 map over all q^(n^2) keys gives each element's index (-1 off
+the group).  Multiplying many elements by one fixed matrix h is the group's
+bulk primitive: the row table T_h[c] = code(row c * h) has q^n entries, so
+x h for every x is n gathers into T_h, a key sum and one gather from the
+dense map.  Left multiplication goes through transposes (g x = (x^T g^T)^T)
+and conjugation composes both; only products of two element arrays still
+multiply matrices entry by entry.
 """
 
 from __future__ import annotations
@@ -126,47 +137,39 @@ def _horner(digits: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def _bdet(tab: _Tables, a):
-    n = a.shape[-1]
+def _digits(values: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The inverse of `_horner`: the `width` base-`base` digits of each value,
+    most significant first, along a new last axis."""
+    return np.stack([values // base ** (width - 1 - j) % base for j in range(width)], axis=-1)
+
+
+def _dot_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
+    """D[a, b] = vectors[a] . vectors[b] over the field, as uint8 codes."""
+    terms = tab.mul[vectors[:, None, :], vectors[None, :, :]]
+    acc = terms[..., 0]
+    for k in range(1, vectors.shape[1]):
+        acc = tab.add[acc, terms[..., k]]
+    return acc
+
+
+def _cofactor_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
+    """C[r_1, ..., r_{n-1}] = the row code of the vector c with
+    c . y = det(r_1, ..., r_{n-1}, y) for every row y (n - 1 row-code axes)."""
+    n = vectors.shape[1]
     if n == 1:
-        return a[..., 0, 0]
+        return np.array(1, dtype=np.int32)  # det(y) = y = (1) . y
     if n == 2:
-        return tab.sub(
-            tab.mul[a[..., 0, 0], a[..., 1, 1]], tab.mul[a[..., 0, 1], a[..., 1, 0]]
+        cof = np.stack([tab.neg[vectors[:, 1]], vectors[:, 0]], axis=-1)
+    else:  # the cross product a x b
+        a, b = vectors[:, None, :], vectors[None, :, :]
+        cof = np.stack(
+            [
+                tab.sub(tab.mul[a[..., i], b[..., j]], tab.mul[a[..., j], b[..., i]])
+                for i, j in ((1, 2), (2, 0), (0, 1))
+            ],
+            axis=-1,
         )
-    m = tab.mul
-    pos = m[a[..., 0, 0], tab.sub(m[a[..., 1, 1], a[..., 2, 2]], m[a[..., 1, 2], a[..., 2, 1]])]
-    mid = m[a[..., 0, 1], tab.sub(m[a[..., 1, 0], a[..., 2, 2]], m[a[..., 1, 2], a[..., 2, 0]])]
-    neg = m[a[..., 0, 2], tab.sub(m[a[..., 1, 0], a[..., 2, 1]], m[a[..., 1, 1], a[..., 2, 0]])]
-    return tab.add[tab.sub(pos, mid), neg]
-
-
-def _binv(tab: _Tables, a):
-    n = a.shape[-1]
-    det_inv = tab.inv[_bdet(tab, a)]
-    if n == 1:
-        return det_inv[..., None, None]
-    m = tab.mul
-    if n == 2:
-        out = np.empty_like(a)
-        out[..., 0, 0] = a[..., 1, 1]
-        out[..., 0, 1] = tab.neg[a[..., 0, 1]]
-        out[..., 1, 0] = tab.neg[a[..., 1, 0]]
-        out[..., 1, 1] = a[..., 0, 0]
-        return m[det_inv[..., None, None], out]
-    # n == 3: adjugate via 2x2 cofactors
-    out = np.empty_like(a)
-    idx = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
-    for i in range(3):
-        for j in range(3):
-            r = idx[j][1], idx[j][2]  # rows skipping j
-            c = idx[i][1], idx[i][2]  # cols skipping i
-            minor = tab.sub(
-                m[a[..., r[0], c[0]], a[..., r[1], c[1]]],
-                m[a[..., r[0], c[1]], a[..., r[1], c[0]]],
-            )
-            out[..., i, j] = tab.neg[minor] if (i + j) % 2 else minor
-    return m[det_inv[..., None, None], out]
+    return _horner(cof, tab.q).astype(np.int32)
 
 
 @dataclass
@@ -178,6 +181,7 @@ class ConjugacyData:
     reps: np.ndarray  # class index -> element index of the minimal member
     sizes: np.ndarray
     orders: list  # order of each class representative
+    power_classes: np.ndarray  # [i, t] = class of reps[i]^t for t < max(orders)
     inverse_class: np.ndarray  # class of g^-1
     exponent: int
 
@@ -197,7 +201,12 @@ class TorusClass:
 
 
 class GroupRealization:
-    """G^F = GL_n(q) or SL_n(q), fully enumerated."""
+    """G^F = GL_n(q) or SL_n(q), every element explicit.
+
+    The elements are found from the row-code tables of the module docstring
+    (the determinant of every key at once), not by testing candidate
+    matrices; `elements`, `_rows` and the index map are in key order.
+    """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
@@ -217,31 +226,57 @@ class GroupRealization:
     # -- enumeration -----------------------------------------------------
 
     def _enumerate(self) -> None:
-        n, q = self.n, self.q
-        total = q ** (n * n)
-        cand = np.arange(total, dtype=np.int64)
-        digits = np.empty((total, n * n), dtype=np.uint8)
-        for t in range(n * n):
-            digits[:, t] = (cand // q ** (n * n - 1 - t)) % q
-        mats = digits.reshape(total, n, n)
-        dets = _bdet(self.tables, mats)
-        if self.spec.family == "GL":
-            keep = dets != 0
-        else:
-            keep = dets == 1
-        self.elements = np.ascontiguousarray(mats[keep])
-        self.order = len(self.elements)
-        assert self.order == self.spec.order
-        # a candidate's key is its number, so the kept numbers are the keys
-        self._index = np.full(total, -1, dtype=np.int32)
-        self._index[keep] = np.arange(self.order, dtype=np.int32)
-        self._rows = _horner(self.elements, q).astype(np.int32)  # row codes of every element
-        # candidate c < q^n has c's digits in its last row: row code -> field codes
-        self._row_vectors = mats[: q**n, n - 1].copy()
+        n, q, tab = self.n, self.q, self.tables
+        size = q**n  # number of row codes
+        vectors = _digits(np.arange(size), q, n).astype(np.uint8)
+        self._row_vectors = vectors  # row code -> field codes
+        self._dot = _dot_table(tab, vectors)
+        self._cofactor = _cofactor_table(tab, vectors)
+        # _scale[s, c] = code of s * row c
+        self._scale = _horner(tab.mul[np.arange(q)[:, None, None], vectors], q).astype(np.int32)
+        # _spread[j, c] = the field codes of row c times q^(n-1-j): summed over
+        # the rows j of x they are the row codes of x^T
+        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int32)
+        self._spread = vectors.astype(np.int32)[None] * weights[:, None, None]
+        det = self._dot[self._cofactor].ravel()  # det of every key, in key order
+        keys = np.flatnonzero(det != 0 if self.spec.family == "GL" else det == 1)
+        self.order = len(keys)
+        if self.order != self.spec.order:
+            raise RuntimeError(f"{self.spec}: found {self.order} elements, expected {self.spec.order}")
+        self._index = np.full(det.size, -1, dtype=np.int32)
+        self._index[keys] = np.arange(self.order, dtype=np.int32)
+        self._rows = _digits(keys, size, n).astype(np.int32)  # row codes of every element
+        self.elements = vectors.take(self._rows, axis=0)
         ident = np.eye(n, dtype=np.uint8)
         self.identity_idx = int(self.lookup(ident[None])[0])
-        self.inv_perm = self.lookup(_binv(self.tables, self.elements))
-        self.transpose_perm = self.lookup(np.swapaxes(self.elements, 1, 2))
+        self._rows_t = self._transposed_rows(self._rows)  # row codes of every x^T
+        self.transpose_perm = self._find(self._rows_t)
+        self.inv_perm = self.transpose_perm[self._find(self._inverse_transposed_rows(self._rows))]
+
+    def _det(self, rows: np.ndarray) -> np.ndarray:
+        """Field codes of det x for the matrices x with these row codes (shape (..., n))."""
+        n = self.n
+        return self._dot[self._cofactor[tuple(rows[..., j] for j in range(n - 1))], rows[..., n - 1]]
+
+    def _transposed_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Row codes of x^T for the matrices x with these row codes."""
+        out = self._spread[0].take(rows[..., 0], axis=0)
+        for j in range(1, self.n):
+            out += self._spread[j].take(rows[..., j], axis=0)
+        return out
+
+    def _inverse_transposed_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Row codes of (x^-1)^T for the invertible matrices x with these row
+        codes: row j is the cofactor row of the other rows, which
+        (-1)^(n-1-j) det(x)^-1 scales."""
+        tab, n = self.tables, self.n
+        det_inv = tab.inv[self._det(rows)]
+        out = np.empty(rows.shape, dtype=np.int32)
+        for j in range(n):
+            cof = self._cofactor[tuple(rows[..., i] for i in range(n) if i != j)]
+            scale = det_inv if (n - 1 - j) % 2 == 0 else tab.neg[det_inv]
+            out[..., j] = self._scale[scale, cof]
+        return out
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
         """Indices of the matrices with these row codes (shape (..., n))."""
@@ -258,7 +293,8 @@ class GroupRealization:
         """T[..., c] = code of (row c) h for every row code c, for code
         matrices h of shape (..., n, n), in the group or not."""
         vectors = self._row_vectors[:, None, :]
-        return _horner(_bmm(self.tables, vectors, h[..., None, :, :])[..., 0, :], self.q)
+        prod = _bmm(self.tables, vectors, h[..., None, :, :])[..., 0, :]
+        return _horner(prod, self.q).astype(np.int32)
 
     def right_mul(self, h: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Indices of x h for the elements x at `idx` (default: all).
@@ -299,7 +335,8 @@ class GroupRealization:
         self.borel_indices = np.nonzero(lower)[0]
         self.torus_indices = np.nonzero(lower & strict_upper_zero)[0]
         self.unipotent_indices = np.nonzero(lower & diag_one)[0]
-        assert len(self.borel_indices) == len(self.torus_indices) * len(self.unipotent_indices)
+        if len(self.borel_indices) != len(self.torus_indices) * len(self.unipotent_indices):
+            raise RuntimeError(f"{self.spec}: the Borel subgroup is not T U")
 
     def root_subgroup_element(self, i: int, c: int) -> int:
         """Index of x_{alpha_i}(c) = I + c E_{i,i+1} (simple root subgroups)."""
@@ -346,8 +383,7 @@ class GroupRealization:
 
     def _left_mul_perm(self, g: int) -> np.ndarray:
         """The permutation x -> g x: (g x)^T = x^T g^T, and transposes stay in the group."""
-        tp = self.transpose_perm
-        return tp[self.right_mul(self.elements[g].T, tp)]
+        return self.transpose_perm[self._find(self._row_table(self.elements[g].T)[self._rows_t])]
 
     def conj_perm(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
@@ -358,12 +394,12 @@ class GroupRealization:
 
         m need not lie in the group, only normalize it (a GL_n(q) matrix acting
         on SL_n(q)), so m x is formed on row codes, which exist off the group:
-        the rows of x^T m^T = (m x)^T are transposed digit-wise into those of m x.
+        the rows of x^T m^T = (m x)^T are transposed into those of m x through
+        the per-position tables, and m^-1 comes from the cofactor table.
         """
-        mx_t = self._row_table(m.T)[self._rows[self.transpose_perm]]
-        mx = _horner(np.swapaxes(self._row_vectors[mx_t], 1, 2), self.q)
-        m_inv = _binv(self.tables, m[None])[0]
-        return self._find(self._row_table(m_inv)[mx])
+        mx_t = self._row_table(m.T)[self._rows_t]
+        m_inv = self._row_vectors[self._inverse_transposed_rows(_horner(m, self.q))].T
+        return self._find(self._row_table(m_inv)[self._transposed_rows(mx_t)])
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -377,14 +413,15 @@ class GroupRealization:
         perms = [self.conj_perm(g) for g in gens]
         cls = np.full(self.order, -1, dtype=np.int64)
         reps = []
-        for start in range(self.order):
-            if cls[start] >= 0:
-                continue
+        start = 0  # the least unlabelled element: its class's minimal member
+        while start < self.order:
             _label_orbit(perms, cls, start, len(reps))
             reps.append(start)
+            rest = np.flatnonzero(cls[start:] < 0)
+            start += int(rest[0]) if len(rest) else self.order
         reps_arr = np.array(reps, dtype=np.int64)
         sizes = np.bincount(cls, minlength=len(reps))
-        orders = [self.element_order(int(r)) for r in reps_arr]
+        orders, power_classes = self._powers(reps_arr, cls)
         inverse_class = cls[self.inv_perm[reps_arr]]
         exponent = 1
         for o in orders:
@@ -395,9 +432,24 @@ class GroupRealization:
             reps=reps_arr,
             sizes=sizes,
             orders=orders,
+            power_classes=power_classes,
             inverse_class=inverse_class,
             exponent=exponent,
         )
+
+    def _powers(self, reps: np.ndarray, cls: np.ndarray) -> tuple[list, np.ndarray]:
+        """The order of each element at `reps` and the classes of its powers,
+        [i, t] = cls(reps[i]^t) for t < max order: one batched power loop."""
+        base = self.elements[reps]
+        orders = np.zeros(len(reps), dtype=np.int64)
+        columns = [np.full(len(reps), cls[self.identity_idx])]
+        power, t = base, 1
+        while not orders.all():
+            idx = self.lookup(power)
+            orders[(orders == 0) & (idx == self.identity_idx)] = t
+            columns.append(cls[idx])
+            power, t = _bmm(self.tables, power, base), t + 1
+        return orders.tolist(), np.stack(columns[:-1], axis=1)
 
     def __repr__(self) -> str:
         return f"GroupRealization({self.spec}, order={self.order})"
@@ -480,7 +532,8 @@ def _sl_torus_invariants(parts, q: int) -> list:
         rel_cols.append(_solve_integer(b, target))
     rel = IntegerMatrix([[col[i] for col in rel_cols] for i in range(r)])
     inv = cokernel_invariants(rel)
-    assert 0 not in inv
+    if 0 in inv:
+        raise RuntimeError("the determinant-one torus came out infinite")
     return sorted(inv)
 
 
@@ -517,11 +570,13 @@ def maximal_tori(group: GroupRealization) -> list[TorusClass]:
         member_idx = None
         if len(parts) == n:  # split torus: subgroup of the diagonal
             member_idx = group.torus_indices
-            assert len(member_idx) == order
+            if len(member_idx) != order:
+                raise RuntimeError(f"{group.spec}: split torus has {len(member_idx)} elements, expected {order}")
         total = 1
         for d in cyclic:
             total *= d
-        assert total == order
+        if total != order:
+            raise RuntimeError(f"torus {parts}: invariant factors {cyclic} do not multiply to {order}")
         out.append(
             TorusClass(
                 partition=tuple(parts),

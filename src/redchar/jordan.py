@@ -178,11 +178,9 @@ def all_jordan_data(ctx: DLContext) -> dict:
 
 def central_linear_character(ctx: DLContext, z_exp: int) -> ClassFunction:
     """The linear character zhat = (character matched to z) o det on GL_n(q)."""
-    from .groups import _bdet
-
     g = ctx.group
     data = g.conjugacy()
-    dets = _bdet(g.tables, g.elements[data.reps])
+    dets = g._det(g._rows[data.reps])
     fld = g.field
     values = []
     for dcode in dets:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,26 @@ def test_report_stdout_digest_unchanged(check, spec, capsys):
     assert main([check, "--group", spec, "--format", "json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[(check, spec)]
+
+
+@pytest.mark.parametrize("spec", ["GL4(3)", "GL2(6)", "SL2(1)"])
+def test_all_on_a_bad_spec_is_refused_like_a_single_check(spec, capsys):
+    assert main(["table", "--group", spec]) == EXIT_UNSUPPORTED_SPEC
+    single = capsys.readouterr().err
+    assert main(["all", "--group", spec]) == EXIT_UNSUPPORTED_SPEC
+    assert capsys.readouterr().err == single
+    assert single.startswith("error: ")
+
+
+def test_optimized_interpreter_keeps_the_checks_and_the_report():
+    # `python -O` strips assert statements; the package raises explicitly,
+    # so the optimized run prints the same bytes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    command = ["-m", "redchar.cli", "all", "--group", "GL2(3)", "--format", "json"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *command], env=env, capture_output=True, check=True)
+        for flags in ([], ["-O"])
+    )
+    assert plain.stdout and optimized.stdout == plain.stdout

@@ -8,7 +8,6 @@ from redchar.groups import (
     GroupAutomorphism,
     GroupRealization,
     GroupSpec,
-    _binv,
     _bmm,
     adjoint_action_representatives,
     ad_by_matrix,
@@ -20,6 +19,49 @@ from redchar.groups import (
     transpose_inverse,
 )
 from redchar.jordan import dual_centralizer
+
+
+def _bdet(tab, a):
+    """Determinants of code matrices (shape (..., n, n)) by cofactor expansion."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    if n == 2:
+        return tab.sub(
+            tab.mul[a[..., 0, 0], a[..., 1, 1]], tab.mul[a[..., 0, 1], a[..., 1, 0]]
+        )
+    m = tab.mul
+    pos = m[a[..., 0, 0], tab.sub(m[a[..., 1, 1], a[..., 2, 2]], m[a[..., 1, 2], a[..., 2, 1]])]
+    mid = m[a[..., 0, 1], tab.sub(m[a[..., 1, 0], a[..., 2, 2]], m[a[..., 1, 2], a[..., 2, 0]])]
+    neg = m[a[..., 0, 2], tab.sub(m[a[..., 1, 0], a[..., 2, 1]], m[a[..., 1, 1], a[..., 2, 0]])]
+    return tab.add[tab.sub(pos, mid), neg]
+
+
+def _binv(tab, a):
+    """Inverses of invertible code matrices as adjugate / determinant."""
+    n = a.shape[-1]
+    det_inv = tab.inv[_bdet(tab, a)]
+    if n == 1:
+        return det_inv[..., None, None]
+    m = tab.mul
+    out = np.empty_like(a)
+    if n == 2:
+        out[..., 0, 0] = a[..., 1, 1]
+        out[..., 0, 1] = tab.neg[a[..., 0, 1]]
+        out[..., 1, 0] = tab.neg[a[..., 1, 0]]
+        out[..., 1, 1] = a[..., 0, 0]
+        return m[det_inv[..., None, None], out]
+    idx = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
+    for i in range(3):
+        for j in range(3):
+            r = idx[j][1], idx[j][2]  # rows skipping j
+            c = idx[i][1], idx[i][2]  # cols skipping i
+            minor = tab.sub(
+                m[a[..., r[0], c[0]], a[..., r[1], c[1]]],
+                m[a[..., r[0], c[1]], a[..., r[1], c[0]]],
+            )
+            out[..., i, j] = tab.neg[minor] if (i + j) % 2 else minor
+    return m[det_inv[..., None, None], out]
 
 
 def brute_force_class_count(group):
@@ -368,3 +410,62 @@ def test_dual_centralizer_builds_no_group(group_builds):
     for s in lusztig_series(ctx):
         dual_centralizer(ctx, s.label)
     assert sum(group_builds.values()) == built
+
+
+# -- construction from row codes against the candidate sweep ----------------
+
+
+def _candidate_sweep(group):
+    """The enumeration that the row-code tables replaced: every one of the
+    q^(n^2) candidate matrices spelled out digit by digit, kept when its
+    cofactor-expansion determinant is nonzero (GL) or one (SL)."""
+    n, q = group.n, group.q
+    total = q ** (n * n)
+    cand = np.arange(total, dtype=np.int64)
+    digits = np.stack([cand // q ** (n * n - 1 - t) % q for t in range(n * n)], axis=1)
+    mats = digits.astype(np.uint8).reshape(total, n, n)
+    dets = _bdet(group.tables, mats)
+    keep = dets != 0 if group.spec.family == "GL" else dets == 1
+    index = np.full(total, -1, dtype=np.int64)
+    index[keep] = np.arange(int(keep.sum()))
+    return mats[keep], index
+
+
+_SWEEP_SPECS = [
+    f"{family}{n}({q})"
+    for n in (1, 2, 3)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for family in ("GL", "SL")
+    if q ** (n * n) <= 3 * 10**5
+]
+
+
+@pytest.mark.parametrize("name", _SWEEP_SPECS)
+def test_row_code_construction_matches_the_candidate_sweep(name):
+    g = cached_group(name)
+    elements, index = _candidate_sweep(g)
+    assert np.array_equal(g.elements, elements)
+    assert np.array_equal(g._index, index)
+    weights = g.q ** np.arange(g.n - 1, -1, -1)
+    assert np.array_equal(g._rows, (elements.astype(np.int64) * weights).sum(axis=2))
+    assert np.array_equal(g.inv_perm, g.lookup(_binv(g.tables, elements)))
+    assert np.array_equal(g.transpose_perm, g.lookup(np.swapaxes(elements, 1, 2)))
+
+
+def test_conjugation_by_a_matrix_off_sl3_4_matches_matrix_products():
+    g = cached_group("SL3(4)")
+    m = np.array([[2, 1, 0], [1, 1, 3], [0, 0, 1]], dtype=np.uint8)
+    assert _bdet(g.tables, m[None])[0] not in (0, 1)  # in GL3(4), not in SL3(4)
+    assert np.array_equal(g.conjugation_perm(m), _reference_conjugation(g, m))
+
+
+@pytest.mark.parametrize("name", ["GL2(9)", "SL3(3)", "GL1(7)"])
+def test_batched_powers_match_element_order(name):
+    g = cached_group(name)
+    data = g.conjugacy()
+    assert data.orders == [g.element_order(int(x)) for x in data.reps]
+    power = np.broadcast_to(g.elements[g.identity_idx], (data.n_classes, g.n, g.n))
+    for t in range(data.power_classes.shape[1]):
+        assert np.array_equal(data.power_classes[:, t], data.cls[g.lookup(power)])
+        power = _bmm(g.tables, power, g.elements[data.reps])
+    assert data.power_classes.shape[1] == max(data.orders)

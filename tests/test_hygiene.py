@@ -7,6 +7,8 @@
 - Memos are declared attributes, not string-named ones: no `getattr` or
   `setattr` call in the package names an attribute with a string literal
   that starts with an underscore.
+- No `assert` statement in the package: `python -O` removes them, so every
+  internal check raises explicitly.
 """
 
 import ast
@@ -84,3 +86,13 @@ def test_no_string_named_private_attributes():
             if any(text.startswith("_") for text in literals):
                 offenders.append(f"{path.name}:{node.lineno} {node.func.id}{literals}")
     assert offenders == [], f"string-named private attributes: {offenders}"
+
+
+def test_no_assert_statements():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == [], f"assert statements vanish under python -O: {offenders}"
