@@ -10,7 +10,11 @@ at once as one m x m Vandermonde matmul mod ell per class.  Multiplicities
 lie in [0, deg chi] and ell > 2|G| > 2 deg chi, so each residue names one
 integer, and the lifted values are exact.
 
-Every table value is stored over the power basis of Z[zeta_e] ("packed").
+A class function is an integer matrix over the power basis of Z[zeta_e]
+(one row per class) and a denominator; the lift writes sum_j c_j
+zeta_e^(j e/m) into it directly and records the conductor
+m / gcd(m, support of c) at which the JSON form writes each value.
+
 Orthogonality is certified exactly from those integer arrays: at a prime
 p = 1 (mod e) the cyclotomic polynomial splits into distinct linear factors
 mod p, so evaluating at all phi(e) embeddings zeta_e -> w^u mod p is
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -37,11 +41,12 @@ from .cyclotomic import (
     _INT64_GUARD,
     CyclotomicNumber,
     _absmax,
+    _normalize,
+    cyclotomic_json,
     euler_phi,
     is_prime,
     power_matrix,
     prime_factors,
-    root_of_unity_sum,
 )
 from .groups import GroupAutomorphism, GroupRealization, _bmm
 
@@ -80,7 +85,7 @@ def _evaluate_mod(mat: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
 
 
 class _PackedContext:
-    """Per-group data for vectorized exact cyclotomic inner products."""
+    """Per-group data for class functions over the power basis of Z[zeta_e]."""
 
     def __init__(self, group: GroupRealization):
         data = group.conjugacy()
@@ -91,6 +96,27 @@ class _PackedContext:
         self.conj_np = self.pow_np[(self.e - np.arange(self.phi)) % self.e]
         self.sizes = data.sizes.astype(np.int64)
         self.n_classes = data.n_classes
+        self.identity_class = int(data.cls[group.identity_idx])
+        self._descents: dict[int, np.ndarray] = {}
+
+    def descent(self, c: int) -> np.ndarray:
+        """The (phi(e), phi(c)) matrix taking coordinates over zeta_e of an
+        element of Q(zeta_c), c | e, to its coordinates over zeta_c.
+
+        With e = e0 t, t the part of e prime to c, and u t + v e0 = 1:
+        zeta_e^k = zeta_e0^(k u) zeta_t^(k v), the products zeta_e0^a zeta_t^b
+        are a basis in which Q(zeta_e0) has only b = 0 terms, and zeta_c^i
+        is zeta_e0^(i e0 / c) in the power basis of zeta_e0 (same primes).
+        """
+        if c not in self._descents:
+            e0 = gcd(self.e, c ** self.e.bit_length())
+            t = self.e // e0
+            u = pow(t, -1, e0)
+            k = np.arange(self.phi)
+            low = power_matrix(e0)[k * u % e0][:, :: e0 // c]
+            high = power_matrix(t)[k * ((1 - u * t) // e0) % t, 0]
+            self._descents[c] = low * high[:, None]
+        return self._descents[c]
 
 
 def _packed_context(group: GroupRealization) -> _PackedContext:
@@ -100,95 +126,142 @@ def _packed_context(group: GroupRealization) -> _PackedContext:
 
 
 class ClassFunction:
-    """An exact class function: one cyclotomic value per conjugacy class."""
+    """An exact class function: the value at class k is
+    sum_i mat[k, i] zeta_e^i / den, e the group exponent.
+
+    (mat, den) is reduced, gcd(den, mat) = 1, and `mat` is int64 while its
+    entries are below 2^62 (object beyond), so (den, mat.tobytes()) names
+    the function.  Gathers, sums and products act on `mat`; CyclotomicNumbers
+    appear only in the values constructor, `values`, `degree` and the JSON
+    form, at `conductors` per class when recorded and at e otherwise.
+    """
 
     def __init__(self, group: GroupRealization, values):
-        data = group.conjugacy()
-        if len(values) != data.n_classes:
+        """From values (CyclotomicNumbers or rationals), one per class."""
+        if len(values) != group.conjugacy().n_classes:
             raise ValueError("one value per conjugacy class required")
-        self.group = group
-        self.values = [
-            v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v)
-            for v in values
-        ]
-        self._packed = None
+        values = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v) for v in values]
+        lifted = [v.lift(_packed_context(group).e) for v in values]
+        den = lcm(*(v.den for v in lifted))
+        mat = np.array([[c * (den // v.den) for c in v.num] for v in lifted], dtype=object)
+        self._assign(group, mat, den, np.array([v.conductor for v in values]))
 
-    # -- structure ---------------------------------------------------------
+    @classmethod
+    def from_mat(cls, group, mat: np.ndarray, den: int = 1, conductors=None) -> "ClassFunction":
+        out = cls.__new__(cls)
+        out._assign(group, mat, den, conductors)
+        return out
+
+    def _assign(self, group, mat, den, conductors) -> None:
+        if den != 1:
+            g = gcd(den, *mat.ravel().tolist())
+            mat, den = mat // g, den // g
+        if (mat.dtype == object) != (_absmax(mat) >= _INT64_GUARD):
+            mat = mat.astype(np.int64 if mat.dtype == object else object)
+        mat.flags.writeable = False
+        self.group, self.mat, self.den, self.conductors = group, mat, den, conductors
 
     @property
     def degree(self) -> CyclotomicNumber:
-        cls = self.group.conjugacy().cls
-        return self.values[int(cls[self.group.identity_idx])]
+        ctx = _packed_context(self.group)
+        row = self.mat[ctx.identity_class]
+        if row[1:].any():
+            return CyclotomicNumber(ctx.e, row.tolist(), self.den)
+        return CyclotomicNumber.from_rational(Fraction(int(row[0]), self.den))
 
-    def packed(self):
-        """(matrix, denominator): values lifted to the exponent conductor."""
-        if self._packed is None:
-            ctx = _packed_context(self.group)
-            lifted = [v.lift(ctx.e) for v in self.values]
-            den = 1
-            for v in lifted:
-                den = den * v.den // gcd(den, v.den)
-            mat = np.zeros((ctx.n_classes, ctx.phi), dtype=np.int64)
-            big = max((max(abs(c) for c in v.num) if v.num else 0) for v in lifted)
-            if big * den >= _INT64_GUARD:
-                mat = mat.astype(object)
-            for k, v in enumerate(lifted):
-                scale = den // v.den
-                for i, c in enumerate(v.num):
-                    mat[k, i] = c * scale
-            self._packed = (mat, den)
-        return self._packed
+    @cached_property
+    def values(self) -> list[CyclotomicNumber]:
+        return [CyclotomicNumber(c, num, self.den) for c, num in _descended([self])[0]]
 
-    # -- pointwise algebra ---------------------------------------------------
+    def __add__(self, other: "ClassFunction") -> "ClassFunction":
+        if other.group is not self.group:
+            raise ValueError("class functions on different groups")
+        den = lcm(self.den, other.den)
+        # each term is below 2^62, so the int64 sum cannot wrap
+        terms = [_exact_mul(f.mat, np.asarray(den // f.den)) for f in (self, other)]
+        return ClassFunction.from_mat(self.group, terms[0] + terms[1], den)
 
-    def _binary(self, other, op):
+    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
+        return self + other * -1
+
+    def __mul__(self, other) -> "ClassFunction":
+        """Pointwise product with a class function, or product with a rational."""
         if isinstance(other, ClassFunction):
-            if other.group is not self.group:
-                raise ValueError("class functions on different groups")
-            return ClassFunction(
-                self.group, [op(a, b) for a, b in zip(self.values, other.values)]
-            )
-        return ClassFunction(self.group, [op(a, other) for a in self.values])
+            return self._pointwise(other)
+        s = Fraction(other)
+        mat = _exact_mul(self.mat, np.asarray(s.numerator))
+        return ClassFunction.from_mat(self.group, mat, self.den * s.denominator)
 
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+    __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __rmul__(self, scalar):
-        return ClassFunction(self.group, [v * scalar for v in self.values])
-
-    def __neg__(self):
-        return ClassFunction(self.group, [-v for v in self.values])
+    def _pointwise(self, other: "ClassFunction") -> "ClassFunction":
+        """Per class, the convolution of the rows, reduced through zeta_e^t."""
+        if other.group is not self.group:
+            raise ValueError("class functions on different groups")
+        ctx = _packed_context(self.group)
+        phi = ctx.phi
+        a, b = self.mat, other.mat
+        if _absmax(a) * _absmax(b) * phi >= _INT64_GUARD or object in (a.dtype, b.dtype):
+            a, b = a.astype(object), b.astype(object)
+        conv = np.zeros((len(a), 2 * phi - 1), dtype=a.dtype)
+        for i in range(phi):
+            conv[:, i : i + phi] += a[:, i : i + 1] * b
+        product = _exact_matmul(conv, ctx.pow_np[: 2 * phi - 1])
+        return ClassFunction.from_mat(self.group, product, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClassFunction)
             and other.group is self.group
-            and all(a == b for a, b in zip(self.values, other.values))
+            and other.den == self.den
+            and np.array_equal(other.mat, self.mat)
         )
 
     def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, [v.conjugate() for v in self.values])
-
-    def to_json(self) -> dict:
-        return {"values": [v.to_json() for v in self.values]}
+        ctx = _packed_context(self.group)
+        return ClassFunction.from_mat(self.group, _exact_matmul(self.mat, ctx.conj_np), self.den)
 
     def __repr__(self) -> str:
         return f"ClassFunction({self.group.spec}, deg={self.degree})"
 
 
-def _packed_key(f: ClassFunction) -> tuple:
-    mat, den = f.packed()
-    return den, np.asarray(mat, dtype=np.int64).tobytes()
+def _descended(fs: list[ClassFunction]) -> list[list[tuple[int, list[int]]]]:
+    """Per function of `fs` (one group) and class, the conductor c and the
+    coordinates over zeta_c of den times the value: a matmul per conductor."""
+    ctx = _packed_context(fs[0].group)
+    default = np.full(ctx.n_classes, ctx.e)
+    conductors = np.stack([default if f.conductors is None else f.conductors for f in fs])
+    out = [[None] * ctx.n_classes for _ in fs]
+    for c in sorted(set(conductors.ravel().tolist())):
+        positions = list(zip(*(w.tolist() for w in np.nonzero(conductors == c))))
+        block = np.stack([fs[i].mat[k] for i, k in positions])
+        for (i, k), num in zip(positions, _exact_matmul(block, ctx.descent(c)).tolist()):
+            out[i][k] = (c, num)
+    return out
+
+
+def root_sum_function(group: GroupRealization, classes, exponents=0, weights=1, den=1):
+    """The class function whose value at class k is the sum of
+    weights[i] zeta_e^exponents[i] / den over the i with classes[i] == k:
+    a power-matrix row per distinct (class, power), added per class."""
+    ctx = _packed_context(group)
+    keys = np.asarray(classes, dtype=np.int64) * ctx.e + np.asarray(exponents, dtype=np.int64) % ctx.e
+    order = np.argsort(keys, kind="stable")  # np.unique would import numpy.ma (~40 ms)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape)[order]
+    distinct = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    totals = np.add.reduceat(weights, distinct)
+    cls, powers = np.divmod(keys[order][distinct], ctx.e)
+    terms = _exact_mul(totals[:, None], ctx.pow_np[powers])
+    if _absmax(terms) * len(terms) >= _INT64_GUARD:
+        terms = terms.astype(object)
+    mat = np.zeros((ctx.n_classes, ctx.phi), dtype=terms.dtype)
+    starts = np.flatnonzero(np.diff(cls, prepend=-1))  # keys are sorted by class
+    mat[cls[starts]] = np.add.reduceat(terms, starts, axis=0)
+    return ClassFunction.from_mat(group, mat, den)
 
 
 def trivial_character(group: GroupRealization) -> ClassFunction:
-    return ClassFunction(group, [1] * group.conjugacy().n_classes)
+    return root_sum_function(group, np.arange(group.conjugacy().n_classes))
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
@@ -196,11 +269,9 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
     if f.group is not g.group:
         raise ValueError("class functions on different groups")
     ctx = _packed_context(f.group)
-    mf, df = f.packed()
-    mg, dg = g.packed()
     phi = ctx.phi
-    weighted = _exact_mul(_exact_matmul(mg, ctx.conj_np), ctx.sizes[:, None])
-    surface = _exact_matmul(mf.T, weighted)  # (phi, phi)
+    weighted = _exact_mul(_exact_matmul(g.mat, ctx.conj_np), ctx.sizes[:, None])
+    surface = _exact_matmul(f.mat.T, weighted)  # (phi, phi)
     # collapse the product surface along antidiagonals, conv[t] = sum_{a+b=t}:
     # with skew[a, a + b] = surface[a, b], conv is the column sum of skew
     skew = np.zeros((phi, 2 * phi - 1), dtype=surface.dtype)
@@ -208,52 +279,48 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
     skew[rows, rows + np.arange(phi)] = surface
     conv = _exact_matmul(np.ones((1, phi), dtype=np.int64), skew)
     vec = _exact_matmul(conv, ctx.pow_np[: 2 * phi - 1])[0]
-    den = df * dg * f.group.order
+    den = f.den * g.den * f.group.order
     return CyclotomicNumber(ctx.e, [int(x) for x in vec], den)
 
 
 def dual_character(f: ClassFunction) -> ClassFunction:
     """chi^vee: value at the class of g is the value at the class of g^-1."""
     inv = f.group.conjugacy().inverse_class
-    return ClassFunction(f.group, [f.values[int(inv[k])] for k in range(len(f.values))])
+    return ClassFunction.from_mat(f.group, f.mat[inv], f.den)
 
 
 def twist_by_automorphism(f: ClassFunction, sigma: GroupAutomorphism) -> ClassFunction:
-    """f o sigma^(-1), realized through sigma's class permutation."""
+    """f o sigma^(-1), a gather through sigma's inverse class permutation."""
     if sigma.group is not f.group:
         raise ValueError("automorphism of a different group")
-    cp_inv = sigma.inverse().class_permutation()
-    return ClassFunction(f.group, [f.values[int(cp_inv[k])] for k in range(len(f.values))])
+    cp_inv = np.argsort(sigma.class_permutation())
+    return ClassFunction.from_mat(f.group, f.mat[cp_inv], f.den)
 
 
-def induce_from_subgroup(
-    group: GroupRealization, member_indices, value_at_index
-) -> ClassFunction:
-    """Induction of a subgroup class function given by values on elements.
-
-    `member_indices` lists the subgroup's element indices inside `group`;
-    `value_at_index` maps an element index to its CyclotomicNumber value.
-    """
+def induce_from_subgroup(group: GroupRealization, member_indices, exponents=0) -> ClassFunction:
+    """Induction of psi(x_i) = zeta_e^exponents[i] (default 1) from the
+    subgroup with element indices x_i: Ind psi (g_k) is
+    |C_G(g_k)| / |H| times the sum of psi over the x_i in the class of g_k."""
     data = group.conjugacy()
-    sub_order = len(member_indices)
-    sums = [CyclotomicNumber.zero() for _ in range(data.n_classes)]
-    for idx in member_indices:
-        c = int(data.cls[idx])
-        sums[c] = sums[c] + value_at_index(int(idx))
-    scale = Fraction(group.order, sub_order)
-    out = []
-    for k in range(data.n_classes):
-        out.append(sums[k] * (scale / int(data.sizes[k])))
-    return ClassFunction(group, out)
+    classes = data.cls[np.asarray(member_indices)]
+    centralizers = group.order // data.sizes.astype(np.int64)
+    return root_sum_function(group, classes, exponents, centralizers[classes], len(classes))
 
 
 def restrict_between_groups(
     f: ClassFunction, subgroup: GroupRealization
 ) -> ClassFunction:
-    """Restriction along an inclusion of realized matrix groups (same field)."""
-    big = f.group
-    fusion = class_fusion(subgroup, big)
-    return ClassFunction(subgroup, [f.values[int(fusion[k])] for k in range(len(fusion))])
+    """Restriction along an inclusion of realized matrix groups (same field),
+    rewritten over the subgroup's zeta_e'; a value outside Q(zeta_e') is refused."""
+    ctx, sub_ctx = _packed_context(f.group), _packed_context(subgroup)
+    gathered = f.mat[class_fusion(subgroup, f.group)]
+    if sub_ctx.e == ctx.e:
+        return ClassFunction.from_mat(subgroup, gathered, f.den)
+    mat = _exact_matmul(gathered, ctx.descent(sub_ctx.e))
+    lift = ctx.pow_np[np.arange(sub_ctx.phi) * (ctx.e // sub_ctx.e)]
+    if not np.array_equal(_exact_matmul(mat, lift), gathered):
+        raise ValueError(f"a restricted value does not lie in Q(zeta_{sub_ctx.e})")
+    return ClassFunction.from_mat(subgroup, mat, f.den)
 
 
 def class_fusion(small: GroupRealization, big: GroupRealization) -> np.ndarray:
@@ -289,11 +356,8 @@ def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]
     for f in fs:
         if f.group is not g:
             raise ValueError("automorphism of a different group")
-        total = CyclotomicNumber.zero()
-        for k, c in enumerate(counts):
-            if c:
-                total = total + f.values[k] * int(c)
-        out.append(total * Fraction(1, g.order))
+        total = _exact_matmul(counts[None, :], f.mat)[0].tolist()
+        out.append(CyclotomicNumber(_packed_context(g).e, total, f.den * g.order))
     return out
 
 
@@ -406,11 +470,10 @@ class ModularContext:
 
     def reduce_class_function(self, f: ClassFunction) -> np.ndarray:
         """f's values mod ell, with zeta_e mapped to zeta_mod."""
-        mat, den = f.packed()
-        values = _evaluate_mod(mat, self._powers, self.ell)
-        if den == 1:
+        values = _evaluate_mod(f.mat, self._powers, self.ell)
+        if f.den == 1:
             return values
-        inverse = np.array(pow(den, -1, self.ell), dtype=np.int64)
+        inverse = np.array(pow(f.den, -1, self.ell), dtype=np.int64)
         return (_exact_mul(values, inverse) % self.ell).astype(np.int64)
 
 
@@ -432,15 +495,15 @@ class CharacterTable:
 
     @cached_property
     def _row_index(self) -> dict:
-        """(denominator, packed bytes) -> irreducible index."""
-        return {_packed_key(chi): i for i, chi in enumerate(self.irreducibles)}
+        """(denominator, matrix bytes) -> irreducible index."""
+        return {(chi.den, chi.mat.tobytes()): i for i, chi in enumerate(self.irreducibles)}
 
     def index_of(self, f: ClassFunction) -> int:
-        """Index of an irreducible equal to f (hash on packed values)."""
-        key = _packed_key(f)
-        if key not in self._row_index:
+        """Index of the irreducible equal to f (dict lookup on its bytes)."""
+        index = None if f.mat.dtype == object else self._row_index.get((f.den, f.mat.tobytes()))
+        if index is None:
             raise KeyError("class function is not an irreducible of this table")
-        return self._row_index[key]
+        return index
 
     def verify_degree_sum(self) -> None:
         if sum(d * d for d in self.degrees) != self.group.order:
@@ -454,12 +517,9 @@ class CharacterTable:
         `gram_certificate`; the module docstring says why that is a proof.
         Returns the primes used.
         """
-        packed = []
-        for chi in self.irreducibles:
-            mat, den = chi.packed()
-            if den != 1:
-                raise AssertionError("a table value is not a cyclotomic integer")
-            packed.append(mat)
+        if any(chi.den != 1 for chi in self.irreducibles):
+            raise AssertionError("a table value is not a cyclotomic integer")
+        packed = [chi.mat for chi in self.irreducibles]
         order = self.group.order
         row_target = order * np.eye(len(packed), dtype=np.int64)
         col_target = np.diag(order // self.group.conjugacy().sizes.astype(np.int64))
@@ -513,18 +573,12 @@ class CharacterTable:
         return out
 
     def _verify_integer_combination(self, f: ClassFunction, coeffs: list[int]) -> None:
-        ctx = _packed_context(self.group)
-        mf, df = f.packed()
-        if df != 1:
+        if f.den != 1:
             raise AssertionError("virtual characters must have integral values")
-        acc = np.zeros_like(mf)
-        for a, chi in zip(coeffs, self.irreducibles):
-            if a:
-                mc, dc = chi.packed()
-                if dc != 1:
-                    raise AssertionError("an irreducible's packed values have a denominator")
-                acc = acc + a * mc
-        if not np.array_equal(acc, mf):
+        if any(chi.den != 1 for chi in self.irreducibles):
+            raise AssertionError("an irreducible's values have a denominator")
+        acc = sum((a * chi.mat for a, chi in zip(coeffs, self.irreducibles) if a), np.zeros_like(f.mat))
+        if not np.array_equal(acc, f.mat):
             raise AssertionError("modular decomposition failed exact verification")
 
     def to_json(self) -> dict:
@@ -537,7 +591,10 @@ class CharacterTable:
             "class_sizes": [int(s) for s in data.sizes],
             "class_orders": list(data.orders),
             "degrees": self.degrees,
-            "rows": [chi.to_json() for chi in self.irreducibles],
+            "rows": [
+                {"values": [cyclotomic_json(c, *_normalize(num, chi.den)) for c, num in coords]}
+                for chi, coords in zip(self.irreducibles, _descended(self.irreducibles))
+            ],
         }
 
     @staticmethod
@@ -594,7 +651,7 @@ def character_table(group: GroupRealization) -> CharacterTable:
 
 def _character_sort_key(chi: ClassFunction):
     # every packed row has length phi(e), so nested lists order as the rows do
-    return (chi.degree.as_int(), chi.packed()[0].tolist())
+    return (chi.degree.as_int(), chi.mat.tolist())
 
 
 # -- modular linear algebra --------------------------------------------------
@@ -886,15 +943,15 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
     """Lift mod-ell character values to exact cyclotomics via DFT sums.
 
     The Fourier sums of the module docstring are one Vandermonde matmul mod
-    ell per class, for all rows at once; the same multiplicities also fill
-    each character's packed matrix.
+    ell per class, for all rows at once; the multiplicities fill the rows'
+    matrices and give each value's conductor.
     """
     data = group.conjugacy()
     e = data.exponent
     ctx = _packed_context(group)
     n_rows = len(chi_mod)
     packed = np.zeros((n_rows, data.n_classes, ctx.phi), dtype=np.int64)
-    values = [[] for _ in range(n_rows)]
+    conductors = np.empty((n_rows, data.n_classes), dtype=np.int64)
     dft_of_order = {}
     for i, m in enumerate(data.orders):
         pcs = data.power_classes[i, :m]
@@ -913,13 +970,10 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
         if block.dtype == object:
             packed = packed.astype(object)
         packed[:, i, :] = block
-        for row, counts in enumerate(mults.tolist()):
-            values[row].append(root_of_unity_sum(m, {j: c for j, c in enumerate(counts) if c}))
-    irreducibles = []
-    for row in range(n_rows):
-        chi = ClassFunction(group, values[row])
-        chi._packed = (packed[row], 1)
-        if chi.degree.as_int() != degrees[row]:
-            raise RuntimeError("lifted degree mismatch")
-        irreducibles.append(chi)
-    return irreducibles
+        support = np.gcd.reduce(np.where(mults != 0, np.arange(m), 0), axis=1)
+        conductors[:, i] = m // np.gcd(support, m)
+    degree_rows = np.zeros((n_rows, ctx.phi), dtype=np.int64)
+    degree_rows[:, 0] = degrees
+    if not np.array_equal(packed[:, ctx.identity_class], degree_rows):
+        raise RuntimeError("lifted degree mismatch")
+    return [ClassFunction.from_mat(group, packed[r], 1, conductors[r]) for r in range(n_rows)]

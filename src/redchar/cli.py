@@ -5,7 +5,9 @@
 
 Checks: dualizing, generic, jordan-dual, jordan-auto, disconnected-jordan,
 series-partition, dl-orthogonality, fs-indicator, center-h1, torus-lemma,
-table, all.  Exit status 0 iff every item of every report passes.
+table, all.  Exit status 0 iff every item of every report passes; 1 for a
+failed item, 2 for an unknown check, 3 for an InvalidSpec or UnsupportedSpec
+and 4 above the budget.  Other exceptions are internal errors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .groups import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     GroupSpec,
+    InvalidSpec,
+    UnsupportedSpec,
     cached_group,
     chevalley_involution,
     duality_involution,
@@ -35,6 +39,7 @@ from .groups import (
 )
 from .jordan import (
     disconnected_jordan,
+    spec_datum,
     two_h1_predicate,
     verify_automorphism_equivariance,
     verify_dual_equivariance,
@@ -42,7 +47,7 @@ from .jordan import (
 )
 from .gelfandgraev import verify_generic_duality, whittaker_data
 from .reports import CheckReport, emit_report
-from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius, named_datum
+from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius
 
 EXIT_FAILURES = 1
 EXIT_UNKNOWN_CHECK = 2
@@ -247,8 +252,7 @@ def check_fs_indicator(group, ctx, budget, cache):
 
 
 def check_center_h1(spec):
-    datum = named_datum(f"{spec.family}{spec.n}")
-    z = center_component_group(datum, FrobeniusDatum(spec.q))
+    z = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
     h1, vanishes = h1_frobenius(z)
     return [
         {
@@ -258,10 +262,6 @@ def check_center_h1(spec):
             f"two_h1_vanishes = {vanishes}",
         }
     ]
-
-
-class UnsupportedSpec(Exception):
-    pass
 
 
 CHECKS = {
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UnsupportedSpec, ValueError) as exc:
+    except (InvalidSpec, UnsupportedSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_SPEC
     return 0 if all_ok else EXIT_FAILURES

@@ -9,7 +9,7 @@ point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -114,8 +114,11 @@ class _Ring:
     def __init__(self, e: int):
         self.e = e
         self.phi = euler_phi(e)
-        # power_rows[k] = coefficients of x^k mod Phi_e over the power basis.
-        self.power_rows = [tuple(row) for row in power_matrix(e).tolist()]
+
+    @cached_property
+    def power_rows(self) -> list[tuple[int, ...]]:
+        """Row k: x^k mod Phi_e over the power basis (built on first use)."""
+        return [tuple(row) for row in power_matrix(self.e).tolist()]
 
     def reduce_pairs(self, pairs) -> list[int]:
         """Reduce a sparse sum of c*x^k (k may exceed phi) to the power basis."""
@@ -160,6 +163,11 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
+def cyclotomic_json(conductor: int, num, den: int) -> dict:
+    """The JSON form of sum_i num[i] zeta_conductor^i / den, (num, den) reduced."""
+    return {"conductor": conductor, "coefficients": [f"{a}/{den}" for a in num]}
+
+
 class CyclotomicNumber:
     """An exact element of Q(zeta_e) over the power basis of Q[x]/Phi_e(x).
 
@@ -201,9 +209,6 @@ class CyclotomicNumber:
         return CyclotomicNumber.from_rational(1, conductor)
 
     # -- basic queries -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -290,19 +295,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "CyclotomicNumber":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = CyclotomicNumber.one(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def conjugate(self) -> "CyclotomicNumber":
         """Image under zeta_e -> zeta_e^(-1) (complex conjugation on characters)."""
         return self.galois(-1)
@@ -332,10 +324,7 @@ class CyclotomicNumber:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coefficients": [f"{a}/{self.den}" for a in self.num],
-        }
+        return cyclotomic_json(self.conductor, self.num, self.den)
 
     @staticmethod
     def from_json(data: dict) -> "CyclotomicNumber":
@@ -370,24 +359,3 @@ def zeta(e: int, k: int = 1) -> CyclotomicNumber:
     ring = _ring(e // g)
     num = ring.reduce_pairs([(k // g, 1)])
     return CyclotomicNumber(e // g, num)
-
-
-def root_of_unity_sum(e: int, multiplicities: dict[int, int]) -> CyclotomicNumber:
-    """Sum of m copies of zeta_e^k for each (k, m) pair, reduced.
-
-    The stored conductor is e divided by the gcd of the exponent support,
-    so a sum of m-th roots of unity is stored at a conductor dividing m.
-    """
-    pairs = [(k % e, c) for k, c in multiplicities.items() if c]
-    if not pairs:
-        return CyclotomicNumber.zero()
-    g = e
-    for k, _ in pairs:
-        g = gcd(g, k)
-        if g == 1:
-            break
-    conductor = e // g
-    ring = _ring(conductor)
-    num = ring.reduce_pairs((k // g, c) for k, c in pairs)
-    return CyclotomicNumber(conductor, num)
-

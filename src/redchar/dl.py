@@ -26,9 +26,9 @@ from .chartable import (
     induce_from_subgroup,
     inner_product,
     restrict_between_groups,
+    root_sum_function,
     table_of,
 )
-from .cyclotomic import CyclotomicNumber, root_of_unity_sum
 from .finitefield import finite_field
 from .groups import (
     DEFAULT_BUDGET,
@@ -248,29 +248,23 @@ class ClassSSData:
     partitions: dict  # orbit key -> partition of its multiplicity
 
 
-def _char_poly_coeffs(group: GroupRealization, idx: int) -> list[int]:
-    """Characteristic polynomial codes of an element, constant term first."""
+def _char_poly_coeffs(group: GroupRealization, idx: int, det: int) -> list[int]:
+    """Characteristic polynomial codes of an element, constant term first,
+    given its determinant code: x^n - tr x^(n-1) + m2 x - ... + (-1)^n det."""
     fld = group.field
-    m = group.elements[idx]
-    n = group.n
-    a = [[int(m[i, j]) for j in range(n)] for i in range(n)]
-    mul, add, sub = fld.mul_codes, fld.add_codes, fld.sub_codes
-    if n == 1:
-        return [fld.neg_code(a[0][0]), 1]
-    if n == 2:
-        tr = add(a[0][0], a[1][1])
-        det = sub(mul(a[0][0], a[1][1]), mul(a[0][1], a[1][0]))
-        return [det, fld.neg_code(tr), 1]
-    tr = add(add(a[0][0], a[1][1]), a[2][2])
-    minors = 0
+    a = group.elements[idx].tolist()
+    mul, add, sub, neg = fld.mul_codes, fld.add_codes, fld.sub_codes, fld.neg_code
+    tr = 0
+    for i in range(group.n):
+        tr = add(tr, a[i][i])
+    if group.n == 1:
+        return [neg(det), 1]
+    if group.n == 2:
+        return [det, neg(tr), 1]
+    minors = 0  # m2, the sum of the principal 2 x 2 minors
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         minors = add(minors, sub(mul(a[i][i], a[j][j]), mul(a[i][j], a[j][i])))
-    det = 0
-    det = add(det, mul(a[0][0], sub(mul(a[1][1], a[2][2]), mul(a[1][2], a[2][1]))))
-    det = sub(det, mul(a[0][1], sub(mul(a[1][0], a[2][2]), mul(a[1][2], a[2][0]))))
-    det = add(det, mul(a[0][2], sub(mul(a[1][0], a[2][1]), mul(a[1][1], a[2][0]))))
-    # det(xI - A) = x^3 - tr x^2 + m2 x - det
-    return [fld.neg_code(det), minors, fld.neg_code(tr), 1]
+    return [neg(det), minors, neg(tr), 1]
 
 
 def _eval_poly(fld, coeffs_embedded, x):
@@ -305,10 +299,11 @@ def class_ss_data(group: GroupRealization) -> list[ClassSSData]:
         raise ValueError("semisimple labels are computed on the GL side")
     tower = field_tower(group.p, group.field.k)
     data = group.conjugacy()
+    dets = group._det(group._rows[data.reps]).tolist()
     out = []
     for ci in range(data.n_classes):
         idx = int(data.reps[ci])
-        coeffs = _char_poly_coeffs(group, idx)
+        coeffs = _char_poly_coeffs(group, idx, dets[ci])
         factors = _factor_over_base(group, tower, coeffs)
         orbit_mults: dict[tuple[int, int], int] = {}
         partitions: dict[tuple[int, int], tuple] = {}
@@ -447,7 +442,7 @@ class DLContext:
         if self._unipotent is not None:
             return self._unipotent
         g = self.group
-        ind_b = induce_from_subgroup(g, g.borel_indices, lambda idx: CyclotomicNumber.one())
+        ind_b = induce_from_subgroup(g, g.borel_indices)
         coeffs = self.table.decompose_integers(ind_b)
         out = {}
         for lam in partitions_of(self.n):
@@ -475,20 +470,14 @@ class DLContext:
     # -- Green functions -------------------------------------------------------
 
     def green_table(self) -> dict:
-        """(torus cycle type, unipotent type) -> Q_{T_w}(u), for this group."""
+        """(torus cycle type, unipotent type) -> Q_{T_w}(u) = R_{T_w}(1)(u)."""
         if self._green is not None:
             return self._green
-        uni = self.unipotent_characters()
         out = {}
         for w_parts in partitions_of(self.n):
+            r_w = dl_character_unipotent(self, w_parts)
             for lam in partitions_of(self.n):
-                k = self.unipotent_class_index(lam)
-                acc = CyclotomicNumber.zero()
-                for mu, idx in uni.items():
-                    coeff = SYM_CHARS[self.n][mu][w_parts]
-                    if coeff:
-                        acc = acc + coeff * self.table.irreducibles[idx].values[k]
-                out[(w_parts, lam)] = acc.as_int()
+                out[(w_parts, lam)] = r_w.values[self.unipotent_class_index(lam)].as_int()
         self._green = out
         return out
 
@@ -587,7 +576,8 @@ def dl_character(ctx: DLContext, parts, exps: tuple = None) -> DLCharacter:
 def _build_dl_character(ctx: DLContext, parts: tuple, exps: tuple) -> DLCharacter:
     e = ctx.e
     data = ctx.group.conjugacy()
-    values = []
+    # R(g_ci) = sum of weights[i] zeta_e^exponents[i] over the i with classes[i] == ci
+    classes, exponents, weights = [], [], []
     for ci in range(data.n_classes):
         ssd = ctx.ss[ci]
         orbit_list = list(ssd.label.orbits)  # [((d0, j0), mult)]
@@ -616,8 +606,10 @@ def _build_dl_character(ctx: DLContext, parts: tuple, exps: tuple) -> DLCharacte
             {0: 1},
             total,
         )
-        values.append(root_of_unity_sum(e, total) if total else CyclotomicNumber.zero())
-    cf = ClassFunction(ctx.group, values)
+        classes += [ci] * len(total)
+        exponents += total.keys()
+        weights += total.values()
+    cf = root_sum_function(ctx.group, classes, exponents, weights)
     decomp = ctx.table.decompose_integers(cf)
     out = DLCharacter(
         parts=parts,
@@ -966,15 +958,18 @@ def verify_dl_invariants(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
         )
     functions = [r.class_function for r in chars]
     if exhaustive:
-        packed = [f.packed()[0] for f in functions]
+        packed = [f.mat for f in functions]
         verdict = gram_certificate(ctx.group, packed, ctx.group.order * counts)[0]
+    else:
+        decompositions = np.array([r.decomposition for r in chars], dtype=np.int64)
+        decomposition_gram = decompositions @ decompositions.T
     for i, j in index_pairs:
         expected = int(counts[i, j])
         if exhaustive:
             ok = bool(verdict[i, j])
             got = expected if ok else inner_product(functions[i], functions[j])
         else:
-            got = sum(a * b for a, b in zip(chars[i].decomposition, chars[j].decomposition))
+            got = int(decomposition_gram[i, j])
             ok = got == expected
         rows.append(
             {

@@ -13,7 +13,6 @@ from .chartable import (
     table_of,
     twist_by_automorphism,
 )
-from .cyclotomic import CyclotomicNumber, zeta
 from .dl import DLContext, lusztig_series, restrict_series
 from .groups import GroupRealization, conjugated_duality_involution, duality_involution
 
@@ -53,14 +52,19 @@ class WhittakerDatum:
             if not nontrivial:
                 raise ValueError(f"restriction to root subgroup {i} is trivial")
 
-    def value_at_index(self, idx: int) -> CyclotomicNumber:
+    def root_exponents(self) -> np.ndarray:
+        """psi(u) = zeta_p^t = zeta_e^(t e / p) on `group.unipotent_indices`,
+        as the exponents t e / p (p | e unless U^F is trivial and t = 0)."""
         g = self.group
         fld = g.field
-        mat = g.elements[idx]
-        acc = 0
-        for i, a in enumerate(self.functionals):
-            acc = fld.add_codes(acc, fld.mul_codes(a, int(mat[i, i + 1])))
-        return zeta(fld.p, _trace_to_prime_field(fld, acc))
+        traces = []
+        for idx in g.unipotent_indices:
+            mat = g.elements[idx]
+            acc = 0
+            for i, a in enumerate(self.functionals):
+                acc = fld.add_codes(acc, fld.mul_codes(a, int(mat[i, i + 1])))
+            traces.append(_trace_to_prime_field(fld, acc))
+        return np.array(traces, dtype=np.int64) * (g.conjugacy().exponent // fld.p)
 
     def inverse(self) -> "WhittakerDatum":
         neg = self.group.field.neg_code
@@ -102,7 +106,7 @@ def whittaker_data(group: GroupRealization) -> list[WhittakerDatum]:
 def gelfand_graev(psi: WhittakerDatum) -> ClassFunction:
     """Gamma_psi: induction of psi from U^F to G^F."""
     g = psi.group
-    return induce_from_subgroup(g, g.unipotent_indices, psi.value_at_index)
+    return induce_from_subgroup(g, g.unipotent_indices, psi.root_exponents())
 
 
 def gg_decomposition(psi: WhittakerDatum, table) -> list[int]:

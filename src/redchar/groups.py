@@ -53,6 +53,14 @@ class BudgetExceeded(Exception):
         self.required = spec.order
 
 
+class InvalidSpec(ValueError):
+    """A group spec that names no group (bad syntax, family, rank or q)."""
+
+
+class UnsupportedSpec(ValueError):
+    """A valid spec outside the scope of a check or of the verifier."""
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     family: str  # "GL" or "SL"
@@ -61,16 +69,16 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.family not in ("GL", "SL"):
-            raise ValueError("family must be GL or SL")
+            raise InvalidSpec("family must be GL or SL")
         if self.n not in (1, 2, 3):
-            raise ValueError("rank must be 1, 2 or 3")
-        _prime_power(self.q)  # raises ValueError for any other q
+            raise InvalidSpec("rank must be 1, 2 or 3")
+        _prime_power(self.q)  # raises InvalidSpec for any other q
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
         m = _SPEC_RE.match(text.strip())
         if not m:
-            raise ValueError(f"cannot parse group spec {text!r}; expected like 'GL2(3)'")
+            raise InvalidSpec(f"cannot parse group spec {text!r}; expected like 'GL2(3)'")
         return GroupSpec(m.group(1), int(m.group(2)), int(m.group(3)))
 
     @property
@@ -88,10 +96,10 @@ class GroupSpec:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k; ValueError for any q that is not a prime power."""
+    """(p, k) with q = p^k; InvalidSpec for any q that is not a prime power."""
     primes = prime_factors(q)
     if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise InvalidSpec(f"{q} is not a prime power")
     p, k = primes[0], 1
     while p**k < q:
         k += 1

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chartable import (
     table_of,
     ClassFunction,
     dual_character,
     restrict_between_groups,
+    root_sum_function,
     twist_by_automorphism,
 )
 from .cyclotomic import CyclotomicNumber
@@ -32,15 +35,15 @@ from .dl import (
     lusztig_series,
     restrict_series,
 )
-from .finitefield import multiplicative_embedding
 from .groups import (
     GroupRealization,
     GroupAutomorphism,
+    UnsupportedSpec,
     adjoint_action_representatives,
     duality_involution,
     partitions_of,
 )
-from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius, named_datum
+from .rootdatum import BasedRootDatum, FrobeniusDatum, center_component_group, h1_frobenius, named_datum
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +180,13 @@ def all_jordan_data(ctx: DLContext) -> dict:
 
 
 def central_linear_character(ctx: DLContext, z_exp: int) -> ClassFunction:
-    """The linear character zhat = (character matched to z) o det on GL_n(q)."""
+    """The linear character zhat = (character matched to z) o det on GL_n(q):
+    zhat(x) = zeta_(q-1)^(z log det x) = zeta_e^(z log det x e / (q-1))."""
     g = ctx.group
     data = g.conjugacy()
-    dets = g._det(g._rows[data.reps])
-    fld = g.field
-    values = []
-    for dcode in dets:
-        el = fld.element(int(dcode))
-        values.append(multiplicative_embedding(el, ctx.e) ** z_exp if ctx.q > 2 else CyclotomicNumber.one())
-    return ClassFunction(g, values)
+    logs = np.array(g.field.log)[g._det(g._rows[data.reps])]
+    exponents = logs * z_exp * (ctx.e // (ctx.q - 1))
+    return root_sum_function(g, np.arange(data.n_classes), exponents)
 
 
 def _orbit_transport(ctx, label_from, label_to, mapping_key):
@@ -484,9 +484,16 @@ def _verify_sum_identity(ctx, sl_group, sl_table, s, lift, fibers) -> list[dict]
 # ---------------------------------------------------------------------------
 
 
+def spec_datum(spec) -> BasedRootDatum:
+    """The based root datum of the spec's family and rank (none for SL1)."""
+    try:
+        return named_datum(f"{spec.family}{spec.n}")
+    except ValueError as exc:
+        raise UnsupportedSpec(str(exc)) from None
+
+
 def two_h1_predicate(spec) -> bool:
-    datum = named_datum(f"{spec.family}{spec.n}")
-    center = center_component_group(datum, FrobeniusDatum(spec.q))
+    center = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
     return h1_frobenius(center)[1]
 
 
@@ -513,7 +520,7 @@ def verify_duality_biconditional(group: GroupRealization, ctx: DLContext | None 
     """Both sides of: rho o iota = rho^vee iff the Frobenius eigenvalue of
     u_rho lies in {+-1}; requires the squared-coinvariants predicate."""
     if not two_h1_predicate(group.spec):
-        raise ValueError(
+        raise UnsupportedSpec(
             f"{group.spec}: the duality involution is not pinning-independent "
             "(an order > 2 class survives in the Frobenius coinvariants of the "
             "center component group), so the biconditional is out of scope"

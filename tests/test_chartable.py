@@ -101,9 +101,7 @@ def test_steinberg_is_self_dual():
     t = table("GL2(3)")
     # Steinberg: the degree-q constituent of Ind_B(1)
     g = t.group
-    ind_b = induce_from_subgroup(
-        g, g.borel_indices, lambda idx: CyclotomicNumber.one()
-    )
+    ind_b = induce_from_subgroup(g, g.borel_indices)
     assert ind_b.degree.as_int() == 4
     decomp = [inner_product(ind_b, chi).as_rational() for chi in t.irreducibles]
     assert sorted(x for x in decomp if x) == [1, 1]
@@ -118,7 +116,7 @@ def test_steinberg_is_self_dual():
 def test_induction_from_unipotent_and_reciprocity():
     g = cached_group("GL2(3)")
     t = table("GL2(3)")
-    ind_u = induce_from_subgroup(g, g.unipotent_indices, lambda idx: CyclotomicNumber.one())
+    ind_u = induce_from_subgroup(g, g.unipotent_indices)
     assert ind_u.degree.as_int() == 16  # 48 / 3
     assert inner_product(ind_u, trivial_character(g)) == 1
     # Frobenius reciprocity against restriction to U (rank-1 check):
@@ -212,7 +210,7 @@ def test_restriction_gl2_to_sl2():
 def test_modular_decomposition_matches_exact():
     t = table("GL2(3)")
     g = t.group
-    ind_b = induce_from_subgroup(g, g.borel_indices, lambda idx: CyclotomicNumber.one())
+    ind_b = induce_from_subgroup(g, g.borel_indices)
     coeffs = t.decompose_integers(ind_b)
     exact = [inner_product(ind_b, chi).as_rational() for chi in t.irreducibles]
     assert [Fraction(c) for c in coeffs] == exact
@@ -252,7 +250,7 @@ def test_frobenius_reciprocity_random_pairs():
 
     g = cached_group("GL2(3)")
     t = table("GL2(3)")
-    ind_b = induce_from_subgroup(g, g.borel_indices, lambda idx: CyclotomicNumber.one())
+    ind_b = induce_from_subgroup(g, g.borel_indices)
     cls = g.conjugacy().cls
     rng = random.Random(11)
     for _ in range(20):
@@ -371,10 +369,9 @@ def test_reduce_class_function_matches_value_by_value():
 
 
 def test_lift_packs_the_values_it_returns():
-    # the lift fills packed() from the multiplicities directly; it must agree
+    # the lift fills mat from the multiplicities directly; it must agree
     # with lifting each returned value to the exponent conductor
     for name in ["GL2(5)", "SL3(3)"]:
         for chi in table(name).irreducibles:
-            mat, den = chi.packed()
-            ref_mat, ref_den = ClassFunction(chi.group, chi.values).packed()
-            assert den == ref_den == 1 and (mat == ref_mat).all()
+            ref = ClassFunction(chi.group, chi.values)
+            assert chi.den == ref.den == 1 and (chi.mat == ref.mat).all()

@@ -200,6 +200,24 @@ def test_all_on_a_bad_spec_is_refused_like_a_single_check(spec, capsys):
     assert single.startswith("error: ")
 
 
+def test_internal_value_error_is_not_a_refused_spec(monkeypatch):
+    # only InvalidSpec and UnsupportedSpec exit 3; a ValueError raised inside
+    # a check is an internal bug and propagates
+    import redchar.cli as cli
+
+    def broken(group, ctx, budget, cache):
+        raise ValueError("unknown label action 'sideways'")
+
+    monkeypatch.setitem(cli.CHECKS, "broken", broken)
+    with pytest.raises(ValueError, match="unknown label action"):
+        cli.main(["broken", "--group", "GL2(3)"])
+
+
+def test_spec_without_a_root_datum_is_refused():
+    # SL1(q) is a valid spec, but no root datum is named for it
+    assert main(["center-h1", "--group", "SL1(3)"]) == EXIT_UNSUPPORTED_SPEC
+
+
 def test_optimized_interpreter_keeps_the_checks_and_the_report():
     # `python -O` strips assert statements; the package raises explicitly,
     # so the optimized run prints the same bytes

@@ -9,7 +9,6 @@ from redchar.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     power_matrix,
-    root_of_unity_sum,
     zeta,
 )
 
@@ -116,12 +115,6 @@ def test_equality_across_conductors():
     assert zeta(4, 2) == zeta(2)
     assert zeta(12, 4) == zeta(3)
     assert zeta(3) != zeta(4)
-
-
-def test_root_of_unity_sum_reduces():
-    # 1 + z3 + z3^2 = 0
-    assert root_of_unity_sum(3, {0: 1, 1: 1, 2: 1}).is_zero()
-    assert root_of_unity_sum(8, {1: 2, 5: 2}).is_zero()
 
 
 def test_rational_interop():

@@ -153,7 +153,7 @@ def _dl_gram(name):
     ctx = dl_context(name)
     pairs = all_pairs(ctx)
     chars = [dl_character(ctx, *p) for p in pairs]
-    packed = [r.class_function.packed()[0] for r in chars]
+    packed = [r.class_function.mat for r in chars]
     counts = np.array(
         [[twisted_identifications_oracle(ctx.q, *p1, *p2) for p2 in pairs] for p1 in pairs],
         dtype=np.int64,
@@ -223,6 +223,21 @@ def test_dl_invariants_prove_passing_pairs_without_inner_products(monkeypatch):
     monkeypatch.setattr(dl, "inner_product", no_inner_product)
     rows = dl.verify_dl_invariants(dl_context("GL2(3)"), exhaustive=True)
     assert all(row["ok"] for row in rows)
+
+
+def test_type_mode_dl_invariants_take_inner_products_from_decompositions():
+    # one pair per W-orbit type; <R, R'> is the dot product of the exactly
+    # verified decomposition vectors, here checked against inner_product
+    ctx = dl_context("GL2(3)")
+    pairs = dl.enumerate_type_pairs(ctx)
+    rows = dl.verify_dl_invariants(ctx, exhaustive=False)
+    assert rows and all(row["ok"] for row in rows)
+    details = [row["detail"] for row in rows if row["check"] == "exclusion-orthogonality"]
+    expected = [
+        inner_product(dl_character(ctx, *p1).class_function, dl_character(ctx, *p2).class_function)
+        for p1, p2 in itertools.combinations_with_replacement(pairs, 2)
+    ]
+    assert [int(d.split(" = ")[1].split(",")[0]) for d in details] == expected
 
 
 def test_dl_invariants_report_a_failing_pair_with_its_inner_product(monkeypatch):
@@ -472,22 +487,19 @@ def test_split_torus_dl_equals_borel_induction():
     from fractions import Fraction
 
     from redchar.chartable import induce_from_subgroup
-    from redchar.cyclotomic import zeta
 
     for name in ["GL2(3)", "GL3(2)", "GL2(4)"]:
         ctx = dl_context(name)
         g = ctx.group
         n, q = g.n, g.q
         parts = (1,) * n
+        # theta(b) = prod_i zeta_(q-1)^(c_i log b_ii), as a power of zeta_e
+        step = ctx.e // (q - 1)
         for exps in itertools.product(range(q - 1), repeat=n):
-            def theta_of_borel(idx, exps=exps):
-                mat = g.elements[idx]
-                acc = zeta(1, 0)
-                for i, c in enumerate(exps):
-                    dlog = g.field.log[int(mat[i, i])]
-                    acc = acc * zeta(q - 1, c * dlog) if q > 2 else acc
-                return acc
-
+            theta_of_borel = [
+                step * sum(c * g.field.log[int(g.elements[idx][i, i])] for i, c in enumerate(exps))
+                for idx in g.borel_indices
+            ]
             induced = induce_from_subgroup(g, g.borel_indices, theta_of_borel)
             r = dl_character(ctx, parts, exps)
             assert r.class_function == induced, (name, exps)
