@@ -10,6 +10,15 @@ at once as one m x m Vandermonde matmul mod ell per class.  Multiplicities
 lie in [0, deg chi] and ell > 2|G| > 2 deg chi, so each residue names one
 integer, and the lifted values are exact.
 
+The split keeps each common eigenspace in echelon form: a column basis V
+and pivot rows P with V[P] = I.  A class matrix M maps the space to itself,
+M V = V A, and reading that on the rows P gives A = M[P] V with no solve.
+Class matrices are diagonalizable over F_ell (ell prime to |G|, ell = 1
+mod e), so A has one eigenvalue exactly when it is a scalar matrix: the
+space then stays whole, with no characteristic polynomial.  Otherwise the
+piece for a root is V K, K the kernel basis of A - root I, whose pivot rows
+are P at K's free columns, where K is the identity.
+
 A class function is an integer matrix over the power basis of Z[zeta_e]
 (one row per class) and a denominator; the lift writes sum_j c_j
 zeta_e^(j e/m) into it directly and records the conductor
@@ -48,6 +57,7 @@ from .cyclotomic import (
     power_matrix,
     prime_factors,
 )
+from .finitefield import poly_roots
 from .groups import GroupAutomorphism, GroupRealization, _bmm
 
 _EMBEDDING_CHUNK = 8  # conjugate pairs of embeddings evaluated per matmul
@@ -650,8 +660,15 @@ def character_table(group: GroupRealization) -> CharacterTable:
 
 
 def _character_sort_key(chi: ClassFunction):
-    # every packed row has length phi(e), so nested lists order as the rows do
-    return (chi.degree.as_int(), chi.mat.tolist())
+    """(degree, entries of mat in row-major order).  An int64 matrix is
+    compared row by row as bytes: flipping the sign bit maps signed order to
+    unsigned order, and big-endian words compare as bytes the way they do as
+    numbers.  One bytes object per row keeps the allocations small (one per
+    matrix raised the peak RSS of the SL3(5) table by 1.6 MB)."""
+    if chi.mat.dtype == object:
+        return chi.degree.as_int(), chi.mat.tolist()
+    flipped = (chi.mat.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
+    return chi.degree.as_int(), tuple(row.tobytes() for row in flipped)
 
 
 # -- modular linear algebra --------------------------------------------------
@@ -683,18 +700,9 @@ def _mod_rref(mat: np.ndarray, ell: int):
     return m, pivots
 
 
-def _mod_solve(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    """Solve a @ x = b mod ell for square invertible a."""
-    n = a.shape[0]
-    aug = np.concatenate([a % ell, b % ell], axis=1).astype(np.int64)
-    red, pivots = _mod_rref(aug, ell)
-    if pivots[:n] != list(range(n)):
-        raise ArithmeticError("singular system mod ell")
-    return red[:n, n:]
-
-
-def _mod_nullspace(a: np.ndarray, ell: int) -> np.ndarray:
-    """Columns spanning the kernel of a mod ell."""
+def _mod_nullspace(a: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
+    """Columns K spanning the kernel of a mod ell, and the free columns of
+    a's echelon form: K restricted to the rows `free` is the identity."""
     rows, cols = a.shape
     red, pivots = _mod_rref(a.copy(), ell)
     free = [c for c in range(cols) if c not in pivots]
@@ -703,55 +711,7 @@ def _mod_nullspace(a: np.ndarray, ell: int) -> np.ndarray:
         basis[fc, j] = 1
         for i, pc in enumerate(pivots):
             basis[pc, j] = (-red[i, fc]) % ell
-    return basis
-
-
-def _poly_mulmod(a, b, f, ell):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % ell
-    # reduce modulo monic f
-    df = len(f) - 1
-    for k in range(len(out) - 1, df - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(df):
-                out[k - df + i] = (out[k - df + i] - c * f[i]) % ell
-    out = out[:df]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_gcd(a, b, ell):
-    a = [x % ell for x in a]
-    b = [x % ell for x in b]
-    while any(b):
-        a, b = b, _poly_mod_poly(a, b, ell)
-    # normalize monic
-    if any(a):
-        inv = pow(a[-1], -1, ell)
-        a = [x * inv % ell for x in a]
-    return a
-
-
-def _poly_mod_poly(a, b, ell):
-    a = [x % ell for x in a]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    inv = pow(b[-1], -1, ell)
-    while len(a) - 1 >= db and any(a):
-        c = a[-1] * inv % ell
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - c * b[i]) % ell
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
+    return basis, free
 
 
 def _char_poly_mod(a: np.ndarray, ell: int) -> list[int]:
@@ -776,69 +736,6 @@ def _char_poly_mod(a: np.ndarray, ell: int) -> list[int]:
     for k in range(1, n + 1):
         coeffs[n - k] = (es[k] if k % 2 == 0 else -es[k]) % ell
     return coeffs
-
-
-def _poly_roots_mod(f: list[int], ell: int) -> list[int]:
-    """All roots in F_ell of a polynomial that splits completely."""
-    # strip multiplicities: gcd with derivative
-    fp = [(i * c) % ell for i, c in enumerate(f)][1:]
-    g = _poly_gcd(f, fp, ell) if any(fp) else [1]
-    if len(g) > 1:
-        f = _poly_divide_mod(f, g, ell)
-    roots: list[int] = []
-    _split_linear(f, ell, roots)
-    return sorted(roots)
-
-
-def _poly_divide_mod(a, b, ell):
-    a = [x % ell for x in a]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, ell)
-    for k in range(len(out) - 1, -1, -1):
-        c = a[k + len(b) - 1] * inv % ell
-        out[k] = c
-        if c:
-            for i in range(len(b)):
-                a[k + i] = (a[k + i] - c * b[i]) % ell
-    return out
-
-
-def _split_linear(f, ell, roots):
-    """Cantor-Zassenhaus style splitting for a squarefree split polynomial."""
-    deg = len(f) - 1
-    if deg == 0:
-        return
-    if deg == 1:
-        roots.append((-f[0]) * pow(f[1], -1, ell) % ell)
-        return
-    if f[0] == 0:
-        roots.append(0)
-        _split_linear(_poly_divide_mod(f, [0, 1], ell), ell, roots)
-        return
-    shift = 0
-    while True:
-        # gcd(f, (x + shift)^((ell-1)/2) - 1)
-        base = [shift % ell, 1]
-        power = _poly_powmod(base, (ell - 1) // 2, f, ell)
-        power[0] = (power[0] - 1) % ell
-        g = _poly_gcd(f, power, ell)
-        if 0 < len(g) - 1 < deg:
-            _split_linear(g, ell, roots)
-            _split_linear(_poly_divide_mod(f, g, ell), ell, roots)
-            return
-        shift += 1
-
-
-def _poly_powmod(base, exponent, f, ell):
-    result = [1]
-    b = [x % ell for x in base]
-    while exponent:
-        if exponent & 1:
-            result = _poly_mulmod(result, b, f, ell)
-        exponent >>= 1
-        if exponent:
-            b = _poly_mulmod(b, b, f, ell)
-    return result
 
 
 # -- Dixon-Schneider splitting ------------------------------------------------
@@ -868,75 +765,67 @@ def _class_matrix(group: GroupRealization, i: int) -> np.ndarray:
 
 
 def _central_characters_mod(group: GroupRealization, ell: int) -> np.ndarray:
-    """All central character vectors (omega(K_k))_k as rows, mod ell."""
+    """All central character vectors (omega(K_k))_k as rows, mod ell.
+
+    Each common eigenspace is a column basis V with pivot rows P, V[P] = I
+    (the echelon invariant of the module docstring).
+    """
     data = group.conjugacy()
     r = data.n_classes
-    spaces = [np.eye(r, dtype=np.int64)]  # each: (r, dim) column basis
+    ident = int(data.cls[group.identity_idx])
+    spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
     class_order = sorted(range(r), key=lambda i: int(data.sizes[i]))
     for i in class_order:
-        if all(s.shape[1] == 1 for s in spaces):
+        if all(v.shape[1] == 1 for v, _ in spaces):
             break
-        if int(data.sizes[i]) == 1 and i == int(data.cls[group.identity_idx]):
+        if i == ident:
             continue
         m = _class_matrix(group, i) % ell
         new_spaces = []
-        for v in spaces:
+        for v, pivots in spaces:
             if v.shape[1] == 1:
-                new_spaces.append(v)
+                new_spaces.append((v, pivots))
                 continue
-            mv = m @ v % ell
-            # action matrix A with M V = V A: solve using independent rows
-            pivot_rows = _independent_rows(v, ell)
-            a = _mod_solve(v[pivot_rows], mv[pivot_rows], ell)
-            for root in _poly_roots_mod(_char_poly_mod(a, ell), ell):
-                shifted = (a - root * np.eye(a.shape[0], dtype=np.int64)) % ell
-                kern = _mod_nullspace(shifted, ell)
-                if kern.shape[1]:
-                    new_spaces.append(v @ kern % ell)
+            a = m[pivots] @ v % ell  # M V = V A, read on the rows where V is I
+            eye = np.eye(len(a), dtype=np.int64)
+            if np.array_equal(a, a[0, 0] * eye):  # one eigenvalue
+                new_spaces.append((v, pivots))
+                continue
+            for root in poly_roots(_char_poly_mod(a, ell), ell):
+                kern, free = _mod_nullspace(a - root * eye, ell)
+                new_spaces.append((v @ kern % ell, pivots[free]))
         spaces = new_spaces
-    if not all(s.shape[1] == 1 for s in spaces):
+    if not all(v.shape[1] == 1 for v, _ in spaces):
         raise RuntimeError("class matrices failed to split the eigenspaces")
-    ident = int(group.conjugacy().cls[group.identity_idx])
     out = []
-    for s in spaces:
-        w = s[:, 0] % ell
-        if w[ident] % ell == 0:
+    for v, _ in spaces:
+        w = v[:, 0]
+        if w[ident] == 0:
             raise RuntimeError("eigenvector with zero identity coordinate")
-        w = w * pow(int(w[ident]), -1, ell) % ell
-        out.append(w)
+        out.append(w * pow(int(w[ident]), -1, ell) % ell)
     return np.array(sorted(out, key=lambda v: v.tolist()), dtype=np.int64)
 
 
-def _independent_rows(v: np.ndarray, ell: int) -> list[int]:
-    _, pivots = _mod_rref(v.T.copy() % ell, ell)
-    return pivots
-
-
 def _character_values_mod(group: GroupRealization, omegas: np.ndarray, ell: int):
-    """chi(g_k) mod ell and exact integer degrees from central characters."""
+    """chi(g_k) mod ell and exact integer degrees from central characters.
+
+    With chi(g_k) = omega(K_k) deg / s_k, sum_k chi(g_k) chi(g_k^-1) s_k = |G|
+    gives deg^2 = |G| / sum_k omega(K_k) omega(K_k^-1) / s_k mod ell, and
+    ell > 2|G| >= 2 deg^2 makes that residue deg^2 itself.  Residues are
+    below ell < 10^9 (`find_table_prime`), so products fit in int64.
+    """
     data = group.conjugacy()
-    r = data.n_classes
-    sizes = data.sizes.astype(np.int64)
-    inv = data.inverse_class
-    chi_rows = []
+    size_inv = np.array([pow(int(s), -1, ell) for s in data.sizes], dtype=np.int64)
+    scaled = omegas * size_inv % ell
+    norms = (scaled * omegas[:, data.inverse_class] % ell).sum(axis=1) % ell
     degrees = []
-    order = group.order
-    for w in omegas:
-        s = 0
-        for k in range(r):
-            s = (s + w[k] * w[int(inv[k])] % ell * pow(int(sizes[k]), -1, ell)) % ell
-        d_sq = order % ell * pow(int(s), -1, ell) % ell
-        d = None
-        for cand in range(1, isqrt(order) + 1):
-            if cand * cand % ell == d_sq:
-                d = cand
-                break
-        if d is None:
+    for norm in norms.tolist():
+        d_sq = group.order * pow(norm, -1, ell) % ell
+        d = isqrt(d_sq)
+        if d * d != d_sq:
             raise RuntimeError("no integral degree matches the eigenvector")
         degrees.append(d)
-        size_inv = np.array([pow(int(sizes[k]), -1, ell) for k in range(r)], dtype=np.int64)
-        chi_rows.append(w * size_inv % ell * d % ell)
-    return np.array(chi_rows, dtype=np.int64), degrees
+    return scaled * np.array(degrees, dtype=np.int64)[:, None] % ell, degrees
 
 
 def _lift_table(group, chi_mod, degrees, ell, zeta_mod):

@@ -14,24 +14,97 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, is_prime, zeta
+from .cyclotomic import CyclotomicNumber, is_prime, prime_factors, zeta
 
 
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
+# -- polynomials over F_p -----------------------------------------------------
+#
+# A polynomial is a list of coefficients, constant term first.  Results are
+# reduced mod p and trimmed (a nonzero last coefficient; zero is []).
+
+
+def _poly_trim(a, p: int) -> list[int]:
     a = [c % p for c in a]
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) >= len(m) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(m)
-        for i, d in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * d) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
+
+
+def _poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    a, b = _poly_trim(a, p), _poly_trim(b, p)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    quotient = [0] * max(len(a) - db, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        c = a[k + db] * inv_lead % p
+        quotient[k] = c
+        if c:
+            for i in range(db):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    return quotient, _poly_trim(a[:db], p)
+
+
+def _poly_mul(a, b, p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out, p)
+
+
+def poly_powmod(base, n: int, f, p: int) -> list[int]:
+    """base^n mod f over F_p, by repeated squaring."""
+    result, base = [1], _poly_divmod(base, f, p)[1]
+    while n:
+        if n & 1:
+            result = _poly_divmod(_poly_mul(result, base, p), f, p)[1]
+        n >>= 1
+        if n:
+            base = _poly_divmod(_poly_mul(base, base, p), f, p)[1]
+    return result
+
+
+def poly_gcd(a, b, p: int) -> list[int]:
+    """The monic gcd of a and b over F_p ([] when both are zero)."""
+    a, b = _poly_trim(a, p), _poly_trim(b, p)
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv_lead = pow(a[-1], -1, p) if a else 0
+    return [c * inv_lead % p for c in a]
+
+
+def poly_roots(f, p: int) -> list[int]:
+    """The distinct roots, sorted, of an f of degree below p (p odd) that
+    splits into linear factors over F_p.
+
+    Multiplicities are below p, so f / gcd(f, f') is the squarefree part of
+    f.  It is split by Cantor-Zassenhaus on a stack of factors: for a
+    shift s, gcd(g, (x + s)^((p-1)/2) - 1) keeps the roots r of g with r + s
+    a nonzero square.  Two distinct roots are separated by some s < p (the
+    nonzero squares are not invariant under a translation), so a factor
+    that no shift splits does not split over F_p: ValueError.
+    """
+    f = _poly_trim(f, p)
+    derivative = [i * c for i, c in enumerate(f)][1:]
+    stack = [_poly_divmod(f, poly_gcd(f, derivative, p), p)[0]]
+    roots = []
+    while stack:
+        g = stack.pop()
+        if len(g) < 3:
+            roots += [-g[0] * pow(g[1], -1, p) % p] if len(g) == 2 else []
+            continue
+        for shift in range(p):
+            h = poly_powmod([shift, 1], (p - 1) // 2, g, p) or [0]
+            h[0] -= 1
+            h = poly_gcd(g, h, p)
+            if 1 < len(h) < len(g):
+                stack += [h, _poly_divmod(g, h, p)[0]]
+                break
+        else:
+            raise ValueError(f"a factor of degree {len(g) - 1} does not split over F_{p}")
+    return sorted(roots)
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -47,8 +120,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
                 g[i] = c % p
                 c //= p
             g[deg] = 1
-            r = _poly_mod(list(f), g, p)
-            if r == [0]:
+            if not _poly_divmod(f, g, p)[1]:
                 return False
     return True
 
@@ -85,38 +157,17 @@ class FiniteField:
         raise RuntimeError("no primitive polynomial found")  # unreachable
 
     def _root_is_primitive(self, f: list[int]) -> bool:
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            root = (-f[0]) % p
-            if root == 0:
-                return False
-            x, order = root, 1
-            while x != 1:
-                x = x * root % p
-                order += 1
-            return order == p - 1
-        # powers of x mod f must have period exactly q - 1
-        cur = [0, 1]
-        for i in range(1, q - 1):
-            cur = _poly_mod([0] + cur, f, p)
-            if cur == [1]:
-                return i == q - 2
-        return True
+        """x has order q - 1 mod the irreducible f: no x^((q-1)/r) is 1."""
+        q = self.q
+        return all(poly_powmod([0, 1], (q - 1) // r, f, self.p) != [1]
+                   for r in prime_factors(q - 1))
 
     def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            g = (-self.poly[0]) % p
-            exp = [1]
-            for _ in range(q - 2):
-                exp.append(exp[-1] * g % p)
-        else:
-            cur = [1]
-            exp_vecs = [cur]
-            for _ in range(q - 2):
-                cur = _poly_mod([0] + cur, list(self.poly), p)
-                exp_vecs.append(cur)
-            exp = [sum(c * p**i for i, c in enumerate(v)) for v in exp_vecs]
+        p, q = self.p, self.q
+        cur, exp = [1], []
+        for _ in range(q - 1):
+            exp.append(sum(c * p**i for i, c in enumerate(cur)))
+            cur = _poly_divmod([0] + cur, self.poly, p)[1]
         self.exp = exp  # exp[i] = code of generator^i
         log = [-1] * q
         for i, c in enumerate(exp):

@@ -2,11 +2,15 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from redchar.chartable import (
     CharacterTable,
     ClassFunction,
+    _central_characters_mod,
+    _character_sort_key,
+    _character_values_mod,
     _packed_context,
     character_table,
     dual_character,
@@ -280,7 +284,9 @@ def test_table_prime_bound_refusal():
 
 
 # SHA-256 of json.dumps(table.to_json(), sort_keys=True), recorded from the
-# scalar-DFT lift that the Vandermonde lift replaced
+# scalar-DFT lift that the Vandermonde lift replaced; GL2(7) through SL3(4)
+# recorded from the eigenspace split that solved for each action matrix, before
+# the echelon-form split replaced it
 TABLE_DIGESTS = {
     "GL2(2)": "bc31e14d0cd2c45f2f9dd12ab36c6998fd55a4d187896dde644cdbbc355ae2b1",
     "GL2(3)": "b48d4e04bc7573c26dc72bab1a1a0dc27a26ff46157fe45e62e3a3da54cac597",
@@ -291,6 +297,10 @@ TABLE_DIGESTS = {
     "SL2(5)": "b152f354fe282357748999327fe0c13673b5c9c86cd63d38f8599284eaf8a0c0",
     "GL3(2)": "1de70336c5b1fd68edae068b7cbd983b64b71a7e2ad75323575b05362d2a44aa",
     "SL3(3)": "99a3e150b451fbb5381dc8bea77c1a4b6ef4c670458f18a14aee887602ed209a",
+    "GL2(7)": "65e8b4d1924e630d59388931da20cd623cffacc2de3269b570346ef5e59491b3",
+    "GL3(3)": "8994e032416e0b92a6103e8dc65de37b48da4fc6fe4e5e59427020c0c17b2e42",
+    "GL2(9)": "d7968a053ccc457ccd9ca57724156857b02b5b99e82fe53ff4c12ab35c78aec7",
+    "SL3(4)": "5581be37c892400a4122b0a0276f4673f5d29daaea2c8fafbda9e106309b984d",
 }
 
 
@@ -298,6 +308,35 @@ TABLE_DIGESTS = {
 def test_table_json_digest_unchanged(name):
     payload = json.dumps(table(name).to_json(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["GL2(3)", "GL2(4)", "SL2(5)", "GL3(2)", "GL3(3)", "SL3(3)"])
+def test_split_rows_are_the_central_characters_of_the_table(name):
+    """The class-matrix split yields exactly omega_chi(K_k) = s_k chi(g_k) / chi(1)
+    mod ell, one row per irreducible of the exactly certified table, and the
+    values and degrees recovered from them are the table's."""
+    t = table(name)
+    t.verify_orthogonality()
+    ell = t.modular.ell
+    sizes = t.group.conjugacy().sizes.astype(np.int64)
+    rows = [t.modular.reduce_class_function(chi) for chi in t.irreducibles]
+    expected = sorted(
+        (row * sizes % ell * pow(d, -1, ell) % ell).tolist() for row, d in zip(rows, t.degrees)
+    )
+    omegas = _central_characters_mod(t.group, ell)
+    assert omegas.tolist() == expected
+    chi_mod, degrees = _character_values_mod(t.group, omegas, ell)
+    assert sorted(zip(degrees, chi_mod.tolist())) == sorted(
+        zip(t.degrees, (row.tolist() for row in rows))
+    )
+
+
+@pytest.mark.parametrize("name", ["GL2(5)", "SL3(3)"])
+def test_sort_key_orders_as_degree_then_nested_lists(name):
+    rows = list(table(name).irreducibles)
+    by_lists = sorted(rows, key=lambda chi: (chi.degree.as_int(), chi.mat.tolist()))
+    assert any((chi.mat < 0).any() for chi in rows)
+    assert sorted(reversed(rows), key=_character_sort_key) == by_lists
 
 
 def _with_row(t, i, chi):

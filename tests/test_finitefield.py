@@ -1,13 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from redchar.chartable import find_table_prime
 from redchar.cyclotomic import zeta
 from redchar.finitefield import (
+    _poly_divmod,
     discrete_log,
     embedding_maps,
     finite_field,
     multiplicative_embedding,
+    poly_gcd,
+    poly_roots,
 )
 
 
@@ -120,3 +125,109 @@ def test_multiplicative_embedding_homomorphism_q7_q9():
                 assert multiplicative_embedding(a * b, e) == (
                     multiplicative_embedding(a, e) * multiplicative_embedding(b, e)
                 )
+
+
+# -- the F_p polynomial toolkit, against schoolbook oracles ---------------------
+
+# table primes ell = 1 (mod e), ell > 2|G|, of GL2(2), SL2(3), GL2(3), GL2(5),
+# GL3(3) and GL2(13)
+TABLE_PRIMES = [
+    find_table_prime(e, order)
+    for e, order in [(6, 6), (12, 24), (24, 48), (120, 480), (312, 11232), (2184, 26208)]
+]
+
+
+def _trimmed(a, p):
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out, p)
+
+
+def _plus(a, b, p):
+    n = max(len(a), len(b))
+    return _trimmed([x + y for x, y in zip(a + [0] * n, b + [0] * n)], p)
+
+
+coefficients = st.lists(st.integers(-(10**6), 10**6), max_size=10)
+
+
+def nonzero(p, max_size=6):
+    return st.lists(st.integers(0, p - 1), min_size=1, max_size=max_size).filter(
+        lambda a: a[-1] % p
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(TABLE_PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), coefficients, nonzero(p))
+    )
+)
+def test_poly_divmod_is_division_with_remainder(case):
+    p, a, b = case
+    quotient, remainder = _poly_divmod(a, b, p)
+    assert _plus(_times(quotient, b, p), remainder, p) == _trimmed(a, p)
+    assert len(remainder) < len(b)
+    assert quotient == _trimmed(quotient, p) and remainder == _trimmed(remainder, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(TABLE_PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), nonzero(p, 4), coefficients, coefficients)
+    )
+)
+def test_poly_gcd_is_monic_common_divisor_and_greatest(case):
+    p, common, u, v = case
+    a, b = _times(common, u, p), _times(common, v, p)
+    g = poly_gcd(a, b, p)
+    if not (a or b):
+        assert g == []
+        return
+    assert g[-1] == 1
+    assert _poly_divmod(a, g, p)[1] == [] and _poly_divmod(b, g, p)[1] == []
+    assert _poly_divmod(g, common, p)[1] == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(TABLE_PRIMES).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.dictionaries(st.integers(0, p - 1), st.integers(1, 3), min_size=1, max_size=6),
+            st.integers(1, p - 1),
+        )
+    )
+)
+def test_poly_roots_of_split_products(case):
+    p, multiplicities, lead = case
+    f = [lead]
+    for root, m in multiplicities.items():
+        for _ in range(m):
+            f = _times(f, [-root, 1], p)
+    assert poly_roots(f, p) == sorted(multiplicities)
+
+
+def test_poly_roots_repeated_roots_and_zero():
+    p = 13
+    f = [1]
+    for root in (0, 0, 0, 5, 5, 12):
+        f = _times(f, [-root, 1], p)
+    assert poly_roots(f, p) == [0, 5, 12]
+    assert poly_roots([3], p) == []
+    assert poly_roots([0, 0, 4], p) == [0]
+
+
+def test_poly_roots_refuses_a_factor_without_roots():
+    # -1 is not a square mod 7, so x^2 + 1 is irreducible over F_7
+    with pytest.raises(ValueError, match="does not split"):
+        poly_roots(_times([1, 0, 1], [-2, 1], 7), 7)

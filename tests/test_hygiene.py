@@ -9,6 +9,8 @@
   that starts with an underscore.
 - No `assert` statement in the package: `python -O` removes them, so every
   internal check raises explicitly.
+- Polynomial arithmetic over F_p has one home: a function named `_poly*` or
+  `poly_*` is defined only in `finitefield.py`.
 """
 
 import ast
@@ -96,3 +98,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == [], f"assert statements vanish under python -O: {offenders}"
+
+
+def test_polynomial_toolkit_lives_only_in_finitefield():
+    offenders = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "finitefield.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith(("_poly", "poly_"))
+    ]
+    assert offenders == [], f"F_p polynomial helpers outside finitefield: {offenders}"
