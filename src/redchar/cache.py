@@ -2,7 +2,10 @@
 
 Entries are JSON files keyed by the digest of {kind, group spec, algorithm
 version}; each stores the digest of its own payload, so corruption is
-detected and repaired by recomputation.
+detected and repaired by recomputation.  An entry is written as compact
+canonical JSON (sorted keys, no whitespace), which the C encoder produces in
+one pass.  The digest covers the payload only, so entries in any JSON
+layout, such as the earlier indented one, still read as hits.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class TableCache:
             "sha256": hashlib.sha256(payload_bytes).hexdigest(),
             "payload": payload,
         }
-        path.write_text(json.dumps(entry, sort_keys=True, indent=1) + "\n")
+        path.write_bytes(_canonical_bytes(entry) + b"\n")
         return payload
 
     def read_bytes(self, kind: str, spec: str) -> bytes | None:

@@ -257,7 +257,9 @@ def root_sum_function(group: GroupRealization, classes, exponents=0, weights=1, 
     ctx = _packed_context(group)
     keys = np.asarray(classes, dtype=np.int64) * ctx.e + np.asarray(exponents, dtype=np.int64) % ctx.e
     order = np.argsort(keys, kind="stable")  # np.unique would import numpy.ma (~40 ms)
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape)[order]
+    weights = np.broadcast_to(np.asarray(weights), keys.shape)[order]
+    # every partial sum of reduceat is bounded by the absolute sum
+    weights = weights.astype(np.int64 if _absmax(weights) * len(weights) < _INT64_GUARD else object)
     distinct = np.flatnonzero(np.diff(keys[order], prepend=-1))
     totals = np.add.reduceat(weights, distinct)
     cls, powers = np.divmod(keys[order][distinct], ctx.e)
@@ -503,17 +505,28 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.irreducibles)
 
+    @staticmethod
+    def _fingerprint(f: ClassFunction) -> tuple:
+        """(denominator, per-class coefficient sums): cheap to hash, but not
+        injective, so `index_of` confirms a match on the whole matrix."""
+        return f.den, f.mat.sum(axis=1).tobytes()
+
     @cached_property
     def _row_index(self) -> dict:
-        """(denominator, matrix bytes) -> irreducible index."""
-        return {(chi.den, chi.mat.tobytes()): i for i, chi in enumerate(self.irreducibles)}
+        """Fingerprint -> indices of the irreducibles that have it."""
+        index: dict[tuple, list[int]] = {}
+        for i, chi in enumerate(self.irreducibles):
+            index.setdefault(self._fingerprint(chi), []).append(i)
+        return index
 
     def index_of(self, f: ClassFunction) -> int:
-        """Index of the irreducible equal to f (dict lookup on its bytes)."""
-        index = None if f.mat.dtype == object else self._row_index.get((f.den, f.mat.tobytes()))
-        if index is None:
-            raise KeyError("class function is not an irreducible of this table")
-        return index
+        """Index of the irreducible equal to f: a dict lookup on its
+        fingerprint, confirmed by comparing the matrices."""
+        if f.mat.dtype != object:
+            for i in self._row_index.get(self._fingerprint(f), ()):
+                if np.array_equal(self.irreducibles[i].mat, f.mat):
+                    return i
+        raise KeyError("class function is not an irreducible of this table")
 
     def verify_degree_sum(self) -> None:
         if sum(d * d for d in self.degrees) != self.group.order:

@@ -15,16 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .cache import TableCache
-from .chartable import CharacterTable, table_of, twisted_fs_indicators
-from .dl import (
-    dl_context,
-    lusztig_series,
-    restrict_series,
-    verify_dl_invariants,
-    verify_torus_lemma,
-)
+from .chartable import CharacterTable, _packed_context, table_of, twisted_fs_indicators
 from .groups import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -37,17 +30,12 @@ from .groups import (
     identity_automorphism,
     partitions_of,
 )
-from .jordan import (
-    disconnected_jordan,
-    spec_datum,
-    two_h1_predicate,
-    verify_automorphism_equivariance,
-    verify_dual_equivariance,
-    verify_duality_biconditional,
-)
-from .gelfandgraev import verify_generic_duality, whittaker_data
 from .reports import CheckReport, emit_report
-from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius
+
+# the cache and the dl, jordan, gelfandgraev and rootdatum modules are
+# imported where they are used, so that a `table` job loads only the table path
+if TYPE_CHECKING:
+    from .cache import TableCache
 
 EXIT_FAILURES = 1
 EXIT_UNKNOWN_CHECK = 2
@@ -71,6 +59,8 @@ def _group_for(spec_text: str, budget: int, cache: TableCache | None):
 
 
 def _ctx_for(group, budget, cache):
+    from .dl import dl_context
+
     if group.spec.family == "SL":
         group = _group_for(f"GL{group.n}({group.q})", budget, cache)
     return dl_context(group.spec, budget)
@@ -86,8 +76,6 @@ def _pair_budget(ctx) -> bool:
     products that certificate replaced; it is kept as the tier rule because
     the tier decides which report items exist.
     """
-    from .chartable import _packed_context
-
     total = 0
     for parts in partitions_of(ctx.n):
         count = 1
@@ -100,8 +88,6 @@ def _pair_budget(ctx) -> bool:
 
 
 def check_table(group, ctx, budget, cache):
-    from .chartable import _packed_context
-
     table = table_of(group)
     rows = [
         {
@@ -127,10 +113,14 @@ def check_table(group, ctx, budget, cache):
 
 
 def check_dualizing(group, ctx, budget, cache):
+    from .jordan import verify_duality_biconditional
+
     return verify_duality_biconditional(group, ctx)
 
 
 def check_generic(group, ctx, budget, cache):
+    from .gelfandgraev import verify_generic_duality, whittaker_data
+
     rows = []
     for psi in whittaker_data(group):
         for row in verify_generic_duality(ctx, group, psi):
@@ -141,9 +131,10 @@ def check_generic(group, ctx, budget, cache):
 
 
 def check_jordan_dual(group, ctx, budget, cache):
-    if group.spec.family == "SL":
-        from .jordan import verify_dual_equivariance_sl
+    from .dl import lusztig_series
+    from .jordan import verify_dual_equivariance, verify_dual_equivariance_sl
 
+    if group.spec.family == "SL":
         return verify_dual_equivariance_sl(ctx, group)
     rows = []
     for s in lusztig_series(ctx):
@@ -155,6 +146,9 @@ def check_jordan_dual(group, ctx, budget, cache):
 
 
 def check_jordan_auto(group, ctx, budget, cache):
+    from .dl import lusztig_series
+    from .jordan import verify_automorphism_equivariance
+
     if group.spec.family != "GL":
         raise UnsupportedSpec("jordan-auto runs on the GL side")
     autos = [
@@ -176,6 +170,8 @@ def check_jordan_auto(group, ctx, budget, cache):
 
 
 def check_disconnected_jordan(group, ctx, budget, cache):
+    from .jordan import disconnected_jordan
+
     if group.spec.family != "SL":
         raise UnsupportedSpec("disconnected-jordan runs on the SL side")
     rows = []
@@ -188,6 +184,8 @@ def check_disconnected_jordan(group, ctx, budget, cache):
 
 
 def check_series_partition(group, ctx, budget, cache):
+    from .dl import lusztig_series, restrict_series
+
     if group.spec.family == "GL":
         series = lusztig_series(ctx)
     else:
@@ -217,18 +215,24 @@ def check_series_partition(group, ctx, budget, cache):
 
 
 def check_dl_orthogonality(group, ctx, budget, cache):
+    from .dl import verify_dl_invariants
+
     if group.spec.family != "GL":
         raise UnsupportedSpec("dl-orthogonality runs on the GL side")
     return verify_dl_invariants(ctx, exhaustive=_pair_budget(ctx))
 
 
 def check_torus_lemma(group, ctx, budget, cache):
+    from .dl import verify_torus_lemma
+
     if group.spec.family != "GL":
         raise UnsupportedSpec("torus-lemma runs on the GL side")
     return verify_torus_lemma(ctx, exhaustive=_pair_budget(ctx))
 
 
 def check_fs_indicator(group, ctx, budget, cache):
+    from .jordan import two_h1_predicate
+
     table = table_of(group)
     iota = duality_involution(group)
     # epsilon in {1, -1} is asserted exactly where the involution is
@@ -252,6 +256,9 @@ def check_fs_indicator(group, ctx, budget, cache):
 
 
 def check_center_h1(spec):
+    from .jordan import spec_datum
+    from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius
+
     z = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
     h1, vanishes = h1_frobenius(z)
     return [
@@ -308,6 +315,8 @@ def run_check(name: str, spec_text: str, budget: int = DEFAULT_BUDGET,
 
 
 def _suite_for(spec_text: str) -> list[str]:
+    from .jordan import two_h1_predicate
+
     family = GroupSpec.parse(spec_text).family
     names = ["center-h1", "table", "series-partition", "fs-indicator", "generic"]
     if family == "GL":
@@ -335,6 +344,8 @@ def main(argv=None) -> int:
 
     cache = None
     if args.cache_dir and not args.no_cache:
+        from .cache import TableCache
+
         cache = TableCache(args.cache_dir)
 
     if args.check != "all" and args.check not in CHECKS:

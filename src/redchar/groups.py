@@ -37,7 +37,6 @@ import numpy as np
 
 from .cyclotomic import prime_factors
 from .finitefield import FiniteField, finite_field
-from .intlinalg import IntegerMatrix, cokernel_invariants
 
 DEFAULT_BUDGET = 10**6
 
@@ -517,46 +516,23 @@ def partitions_of(n: int):
 
 
 def _sl_torus_invariants(parts, q: int) -> list:
-    """Invariant factors of the determinant-one subgroup of prod F_{q^d}^x."""
+    """Invariant factors of the determinant-one subgroup of prod F_{q^d}^x.
+
+    With N_i = q^(d_i) - 1 it is L / (N_i e_i) for the lattice
+    L = {x in Z^r : sum x_i = 0 mod (q-1)}.  L has the basis e_k - e_(k+1)
+    (k < r-1), (q-1) e_(r-1), in which N_i e_i has coordinate N_i at each
+    k = i, ..., r-2 and N_i / (q-1) last: column i of the relation matrix.
+    """
+    from .intlinalg import IntegerMatrix, cokernel_invariants
+
     mods = [q**d - 1 for d in parts]
-    # kernel of (x_i) -> sum x_i mod (q-1); present by generators and relations
     r = len(mods)
-    # lattice L = {x in Z^r : sum x_i = 0 mod (q-1)} has basis rows:
-    basis = []
-    for i in range(r - 1):
-        row = [0] * r
-        row[i], row[i + 1] = 1, -1
-        basis.append(row)
-    row = [0] * r
-    row[r - 1] = q - 1
-    basis.append(row)
-    # subgroup K = L / (N_i e_i): relations matrix in basis coordinates:
-    # solve N_i e_i in terms of the basis; the basis matrix B (rows) is
-    # square and unimodular on the sublattice, so use exact solving
-    b = IntegerMatrix([list(r_) for r_ in basis]).transpose()  # columns are basis vectors
-    rel_cols = []
-    for i in range(r):
-        target = [mods[i] if j == i else 0 for j in range(r)]
-        rel_cols.append(_solve_integer(b, target))
-    rel = IntegerMatrix([[col[i] for col in rel_cols] for i in range(r)])
-    inv = cokernel_invariants(rel)
+    rel = [[mods[i] if i <= k else 0 for i in range(r)] for k in range(r - 1)]
+    rel.append([m // (q - 1) for m in mods])
+    inv = cokernel_invariants(IntegerMatrix(rel))
     if 0 in inv:
         raise RuntimeError("the determinant-one torus came out infinite")
     return sorted(inv)
-
-
-def _solve_integer(mat: IntegerMatrix, target) -> list[int]:
-    """Solve mat @ x = target exactly over Z (mat square, invertible over Q)."""
-    n = mat.nrows
-    det = mat.det()
-    out = []
-    for i in range(n):
-        cols = [[target[r] if c == i else mat[r, c] for c in range(n)] for r in range(n)]
-        num = IntegerMatrix(cols).det()
-        if num % det:
-            raise ArithmeticError("no integral solution")
-        out.append(num // det)
-    return out
 
 
 def maximal_tori(group: GroupRealization) -> list[TorusClass]:

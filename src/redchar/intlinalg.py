@@ -53,9 +53,6 @@ class IntegerMatrix:
     def __neg__(self) -> "IntegerMatrix":
         return IntegerMatrix([[-a for a in r] for r in self.rows])
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix([list(col) for col in zip(*self.rows)]) if self.rows else self
-
     def apply(self, vec):
         return [sum(a * v for a, v in zip(row, vec)) for row in self.rows]
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from redchar import cyclotomic
 from redchar.chartable import (
+    CharacterTable,
     ClassFunction,
     _packed_context,
     class_fusion,
@@ -177,6 +178,42 @@ def test_root_sum_function_reduces():
     r = g.conjugacy().n_classes
     f = root_sum_function(g, [0, 0, 0, 1, 1, 2, 2, 2], [0, 8, 16, 3, 15, 3, 15, 6], [1, 1, 1, 2, 2, 1, 1, 1])
     assert _agrees(f, [0, 0, zeta(4)] + [0] * (r - 3))
+
+
+def test_index_of_tells_apart_rows_that_share_a_fingerprint():
+    # psi moves one coefficient of chi at a non-identity class from zeta^0 to
+    # zeta^1: every per-class coefficient sum, so the fingerprint, is unchanged
+    g = cached_group("GL2(3)")
+    full = table_of(g)
+    chi = full.irreducibles[-1]
+    k = (_packed_context(g).identity_class + 1) % g.conjugacy().n_classes
+    moved = chi.mat.copy()
+    moved[k, :2] += [-1, 1]
+    psi = ClassFunction.from_mat(g, moved)
+    stray = chi.mat.copy()
+    stray[k, :3] += [-1, 0, 1]
+    table = CharacterTable(g, [chi, psi], full.modular)
+    assert table._fingerprint(psi) == table._fingerprint(chi) and len(table._row_index) == 1
+    assert table.index_of(chi) == 0 and table.index_of(psi) == 1
+    with pytest.raises(KeyError):
+        table.index_of(ClassFunction.from_mat(g, stray))
+
+
+def test_root_sum_function_weights_past_int64_match_cyclotomic_sums():
+    # int64 weights whose sum wraps, and weights that fit no int64 at all
+    g = cached_group("GL2(3)")
+    e = _packed_context(g).e
+    r = g.conjugacy().n_classes
+    cases = [
+        ([1, 1, 1, 2], [0, 0, 0, 3], [1 << 62, 1 << 62, 1 << 62, 5]),
+        ([0, 1, 1, 1, 2], [1, 0, 0, 5, 3], [3, (1 << 63) + 1, -(1 << 62), 1 << 62, -(1 << 64)]),
+    ]
+    for classes, exponents, weights in cases:
+        f = root_sum_function(g, classes, exponents, weights)
+        oracle = [CyclotomicNumber.zero() for _ in range(r)]
+        for k, x, w in zip(classes, exponents, weights):
+            oracle[k] = oracle[k] + zeta(e, x) * w
+        assert f.mat.dtype == object and _agrees(f, oracle)
 
 
 def test_index_of_twists_and_duals_builds_no_cyclotomic_number(monkeypatch):

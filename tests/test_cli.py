@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redchar.cache import TableCache, cache_key
+from redchar.cache import ALGORITHM_VERSION, TableCache, _canonical_bytes, cache_key
 from redchar.chartable import CharacterTable, table_of
 from redchar.cli import (
     EXIT_BUDGET,
@@ -18,6 +19,13 @@ from redchar.cli import (
 )
 from redchar.groups import cached_group
 from redchar.reports import CheckReport, emit_report, parse_report
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _subprocess_env() -> dict:
+    paths = [SRC, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def test_run_check_dualizing(capsys):
@@ -95,6 +103,102 @@ def test_cache_roundtrip(tmp_path):
         a == b
         for a, b in zip(rebuilt.irreducibles, table_of(group).irreducibles)
     )
+
+
+def test_cache_reads_an_indented_entry_as_a_hit(tmp_path):
+    # entries were once written with indent=1; the digest covers the payload
+    # only, so they stay hits under the compact layout
+    cache = TableCache(tmp_path)
+    payload = table_of(cached_group("SL2(3)")).to_json()
+    entry = {
+        "key": {"kind": "character-table", "spec": "SL2(3)", "version": ALGORITHM_VERSION},
+        "sha256": hashlib.sha256(_canonical_bytes(payload)).hexdigest(),
+        "payload": payload,
+    }
+    path = cache._path(cache_key("character-table", "SL2(3)"))
+    path.write_text(json.dumps(entry, sort_keys=True, indent=1) + "\n")
+
+    def producer():
+        raise AssertionError("a hit must not recompute")
+
+    assert cache.get_or_compute("character-table", "SL2(3)", producer) == payload
+
+
+# payload digests recorded while entries were still written with indent=1
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("GL2(4)", "8d1902711efbed3173a3fffaa43b667ba71f4de4ecee0f990c7dd1083e249713"),
+        ("GL2(5)", "f8cdec8446ee66ac41d7ecb7a0f517405100041f1712d9c7e4d0ce8f2d7dd13a"),
+        ("GL2(7)", "a69206e6c2540d067333d553cb7259972376531365bfdb66da8352bd49a5e956"),
+        ("SL2(7)", "c473747590bac73a3b301d19f10697d88ecf76dae30aaf38251b7bcc1cfb8a68"),
+    ],
+)
+def test_cache_entry_is_compact_canonical_json_with_the_recorded_digest(tmp_path, spec, digest):
+    cache = TableCache(tmp_path)
+    cache.get_or_compute("character-table", spec, lambda: table_of(cached_group(spec)).to_json())
+    raw = cache.read_bytes("character-table", spec)
+    entry = json.loads(raw)
+    assert raw == _canonical_bytes(entry) + b"\n"
+    assert entry["sha256"] == digest
+
+
+@pytest.mark.parametrize("spec", ["GL2(5)", "SL2(7)"])
+def test_cold_and_warm_cache_runs_print_the_same_report(tmp_path, spec):
+    command = [sys.executable, "-m", "redchar.cli", "table", "--group", spec,
+               "--cache-dir", str(tmp_path), "--format", "json"]
+    cold = subprocess.run(command, env=_subprocess_env(), capture_output=True, check=True)
+    (entry,) = tmp_path.glob("*.json")
+    written = entry.stat().st_mtime_ns
+    warm = subprocess.run(command, env=_subprocess_env(), capture_output=True, check=True)
+    assert entry.stat().st_mtime_ns == written  # a hit, not a rewrite
+    assert cold.stdout and warm.stdout == cold.stdout and warm.stderr == b""
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "redchar" or m.startswith("redchar."))
+
+import redchar
+package = loaded()
+import redchar.cli
+cli = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = redchar.cli.main(
+        ["table", "--group", "GL2(5)", "--cache-dir", sys.argv[1], "--format", "json"]
+    )
+print(json.dumps([package, cli, loaded(), code, redchar.rootdatum.__name__]))
+"""
+
+
+def test_a_table_job_loads_only_the_table_path(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+        env=_subprocess_env(), capture_output=True, check=True,
+    )
+    package, cli, table_job, code, submodule = json.loads(out.stdout)
+    assert package == ["redchar"]
+    table_path = ["chartable", "cli", "cyclotomic", "finitefield", "groups", "reports"]
+    assert cli == ["redchar"] + [f"redchar.{m}" for m in table_path]
+    assert table_job == sorted(cli + ["redchar.cache"])
+    assert code == 0
+    assert submodule == "redchar.rootdatum"  # loaded on first access
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    import redchar
+
+    # the 65 names the package exported when it imported them eagerly
+    assert len(set(redchar.__all__)) == len(redchar.__all__) == 65
+    for name in redchar.__all__:
+        module = importlib.import_module(f"redchar.{redchar._MODULE_OF[name]}")
+        obj = getattr(redchar, name)
+        assert obj is getattr(module, name) and obj.__module__ == module.__name__
+    assert set(redchar.__all__) <= set(dir(redchar))
+    with pytest.raises(AttributeError):
+        redchar.no_such_name
 
 
 def test_cache_corruption_recovers(tmp_path, capsys):
@@ -221,12 +325,11 @@ def test_spec_without_a_root_datum_is_refused():
 def test_optimized_interpreter_keeps_the_checks_and_the_report():
     # `python -O` strips assert statements; the package raises explicitly,
     # so the optimized run prints the same bytes
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     command = ["-m", "redchar.cli", "all", "--group", "GL2(3)", "--format", "json"]
     plain, optimized = (
-        subprocess.run([sys.executable, *flags, *command], env=env, capture_output=True, check=True)
+        subprocess.run(
+            [sys.executable, *flags, *command], env=_subprocess_env(), capture_output=True, check=True
+        )
         for flags in ([], ["-O"])
     )
     assert plain.stdout and optimized.stdout == plain.stdout
