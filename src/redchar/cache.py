@@ -3,9 +3,10 @@
 Entries are JSON files keyed by the digest of {kind, group spec, algorithm
 version}; each stores the digest of its own payload, so corruption is
 detected and repaired by recomputation.  An entry is written as compact
-canonical JSON (sorted keys, no whitespace), which the C encoder produces in
-one pass.  The digest covers the payload only, so entries in any JSON
-layout, such as the earlier indented one, still read as hits.
+canonical JSON (sorted keys, no whitespace); the payload is encoded once, for
+its digest, and the entry's bytes are assembled around it.  The digest covers
+the payload only, so entries in any JSON layout, such as the earlier indented
+one, still read as hits.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ def cache_key(kind: str, spec: str) -> str:
 
 
 class TableCache:
-    def __init__(self, directory, enabled: bool = True):
+    def __init__(self, directory):
         self.directory = Path(directory)
-        self.enabled = enabled
-        if enabled:
-            self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -45,8 +44,6 @@ class TableCache:
         against the stored payload digest; corrupt entries are discarded and
         recomputed with a warning.
         """
-        if not self.enabled:
-            return producer()
         key = cache_key(kind, spec)
         path = self._path(key)
         if path.exists():
@@ -64,12 +61,14 @@ class TableCache:
                 path.unlink(missing_ok=True)
         payload = producer()
         payload_bytes = _canonical_bytes(payload)
-        entry = {
-            "key": {"kind": kind, "spec": spec, "version": ALGORITHM_VERSION},
-            "sha256": hashlib.sha256(payload_bytes).hexdigest(),
-            "payload": payload,
-        }
-        path.write_bytes(_canonical_bytes(entry) + b"\n")
+        digest = hashlib.sha256(payload_bytes).hexdigest()
+        key_bytes = _canonical_bytes({"kind": kind, "spec": spec, "version": ALGORITHM_VERSION})
+        # _canonical_bytes of {"key", "payload", "sha256"}, written around the
+        # payload bytes already encoded for the digest
+        path.write_bytes(
+            b'{"key":' + key_bytes + b',"payload":' + payload_bytes
+            + b',"sha256":"' + digest.encode() + b'"}\n'
+        )
         return payload
 
     def read_bytes(self, kind: str, spec: str) -> bytes | None:

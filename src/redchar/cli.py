@@ -47,7 +47,7 @@ _EXACT_OP_BUDGET = 2 * 10**9  # int64 operation budget for exact bulk checks
 
 def _group_for(spec_text: str, budget: int, cache: TableCache | None):
     group = cached_group(spec_text, budget)
-    if cache is not None and cache.enabled:
+    if cache is not None:
         payload = cache.get_or_compute(
             "character-table", str(group.spec), lambda: table_of(group).to_json()
         )
@@ -231,7 +231,7 @@ def check_torus_lemma(group, ctx, budget, cache):
 
 
 def check_fs_indicator(group, ctx, budget, cache):
-    from .jordan import two_h1_predicate
+    from .rootdatum import two_h1_predicate
 
     table = table_of(group)
     iota = duality_involution(group)
@@ -256,8 +256,7 @@ def check_fs_indicator(group, ctx, budget, cache):
 
 
 def check_center_h1(spec):
-    from .jordan import spec_datum
-    from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius
+    from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius, spec_datum
 
     z = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
     h1, vanishes = h1_frobenius(z)
@@ -315,7 +314,7 @@ def run_check(name: str, spec_text: str, budget: int = DEFAULT_BUDGET,
 
 
 def _suite_for(spec_text: str) -> list[str]:
-    from .jordan import two_h1_predicate
+    from .rootdatum import two_h1_predicate
 
     family = GroupSpec.parse(spec_text).family
     names = ["center-h1", "table", "series-partition", "fs-indicator", "generic"]

@@ -10,6 +10,12 @@ and in general the character formula
 whose Green factors Q are themselves theta = 1 values of smaller general
 linear groups, obtained recursively.  Every output is validated against the
 exclusion-theorem inner products and the degree identity.
+
+Classes are labelled by construction.  A class of GL_n(q) is a semisimple
+label s with one partition of each eigenvalue orbit's multiplicity (Green
+1955), the index of the pairs (s, Uch(C(s))); `class_ss_data` builds each
+pair's matrix in rational canonical form, looks it up, and requires the pairs
+to meet every class exactly once.
 """
 
 from __future__ import annotations
@@ -190,13 +196,6 @@ class FieldTower:
         d, j = key
         return self.orbit_key(d, (-j) % (self.q**d - 1))
 
-    def embed_code(self, d_small: int, d_big: int, code: int) -> int:
-        """Embed a field-element code from F_{q^d_small} into F_{q^d_big}."""
-        if code == 0:
-            return 0
-        small, big = self.fields[d_small], self.fields[d_big]
-        return big.exp[self.embed_exponent(d_small, d_big, small.log[code])]
-
 
 @lru_cache(maxsize=None)
 def field_tower(p: int, k0: int) -> FieldTower:
@@ -214,10 +213,6 @@ class SemisimpleClassLabel:
     def __post_init__(self):
         if tuple(sorted(self.orbits)) != self.orbits:
             raise ValueError("orbits must be a sorted tuple")
-
-    @property
-    def n(self) -> int:
-        return sum(d * m for (d, _), m in self.orbits)
 
     def is_central(self) -> bool:
         return len(self.orbits) == 1 and self.orbits[0][0][0] == 1
@@ -248,159 +243,79 @@ class ClassSSData:
     partitions: dict  # orbit key -> partition of its multiplicity
 
 
-def _char_poly_coeffs(group: GroupRealization, idx: int, det: int) -> list[int]:
-    """Characteristic polynomial codes of an element, constant term first,
-    given its determinant code: x^n - tr x^(n-1) + m2 x - ... + (-1)^n det."""
-    fld = group.field
-    a = group.elements[idx].tolist()
-    mul, add, sub, neg = fld.mul_codes, fld.add_codes, fld.sub_codes, fld.neg_code
-    tr = 0
-    for i in range(group.n):
-        tr = add(tr, a[i][i])
-    if group.n == 1:
-        return [neg(det), 1]
-    if group.n == 2:
-        return [det, neg(tr), 1]
-    minors = 0  # m2, the sum of the principal 2 x 2 minors
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        minors = add(minors, sub(mul(a[i][i], a[j][j]), mul(a[i][j], a[j][i])))
-    return [neg(det), minors, neg(tr), 1]
+def _jordan_block(lam: int, size: int) -> np.ndarray:
+    """The code matrix lam I + N of one Jordan block (N the superdiagonal)."""
+    block = np.eye(size, k=1, dtype=np.uint8)
+    np.fill_diagonal(block, lam)
+    return block
 
 
-def _eval_poly(fld, coeffs_embedded, x):
-    acc = 0
-    for c in reversed(coeffs_embedded):
-        acc = fld.add_codes(fld.mul_codes(acc, x), c)
-    return acc
+def _orbit_blocks(tower: FieldTower, key: tuple[int, int], pi: tuple) -> list[np.ndarray]:
+    """Rational canonical blocks over F_q for one eigenvalue orbit whose
+    multiplicity has Jordan partition pi.
 
-
-def _matrix_rank(fld, rows) -> int:
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = fld.inv_code(m[rank][c])
-        m[rank] = [fld.mul_codes(inv, x) for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [fld.sub_codes(x, fld.mul_codes(f, y)) for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def class_ss_data(group: GroupRealization) -> list[ClassSSData]:
-    """Semisimple label and per-orbit Jordan partitions for every class."""
-    if group.spec.family != "GL":
-        raise ValueError("semisimple labels are computed on the GL side")
-    tower = field_tower(group.p, group.field.k)
-    data = group.conjugacy()
-    dets = group._det(group._rows[data.reps]).tolist()
-    out = []
-    for ci in range(data.n_classes):
-        idx = int(data.reps[ci])
-        coeffs = _char_poly_coeffs(group, idx, dets[ci])
-        factors = _factor_over_base(group, tower, coeffs)
-        orbit_mults: dict[tuple[int, int], int] = {}
-        partitions: dict[tuple[int, int], tuple] = {}
-        for key, mult in factors.items():
-            orbit_mults[key] = mult
-            partitions[key] = _jordan_partition(group, tower, idx, key, mult)
-        label = SemisimpleClassLabel(
-            group.q, tuple(sorted((k, m) for k, m in orbit_mults.items()))
-        )
-        out.append(ClassSSData(label=label, partitions=partitions))
-    return out
-
-
-def _factor_over_base(group, tower: FieldTower, coeffs) -> dict:
-    """Factor a monic char poly (degree <= 3) into eigenvalue orbits."""
-    fld = group.field
-    q = group.q
-    work = list(coeffs)
-    orbits: dict[tuple[int, int], int] = {}
-    # strip roots in F_q first, then the remaining factor is irreducible
-    # (degree 2 or 3 with no roots)
-    changed = True
-    while len(work) > 2 and changed:
-        changed = False
-        for root in range(1, q):
-            if _eval_poly(fld, work, root) == 0:
-                key = tower.orbit_key(1, fld.log[root])
-                orbits[key] = orbits.get(key, 0) + 1
-                work = _deflate(fld, work, root)
-                changed = True
-                break
-    deg = len(work) - 1
-    if deg >= 1:
-        if deg == 1:
-            root = fld.neg_code(work[0])
-            key = tower.orbit_key(1, fld.log[root])
-            orbits[key] = orbits.get(key, 0) + 1
-        else:
-            big = tower.fields[deg]
-            emb = [tower.embed_exponent(1, deg, fld.log[c]) if c else None for c in work]
-            emb_codes = [0 if c is None else big.exp[c] for c in emb]
-            root = next(
-                x for x in range(1, big.q) if _eval_poly(big, emb_codes, x) == 0
-            )
-            key = tower.orbit_key(deg, big.log[root])
-            if key[0] != deg:  # irreducible factor: minimal field matches
-                raise RuntimeError(f"a degree-{deg} factor has a root of degree {key[0]}")
-            orbits[key] = orbits.get(key, 0) + 1
-    return orbits
-
-
-def _deflate(fld, coeffs, root):
-    """Divide a monic polynomial by (x - root) over the base field."""
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = fld.add_codes(fld.mul_codes(acc, root), coeffs[k])
-        out[k - 1] = acc
-    return out
-
-
-def _jordan_partition(group, tower: FieldTower, idx, key, mult) -> tuple:
-    """Jordan type of the generalized eigenspace for one eigenvalue orbit."""
-    if mult == 1:
-        return (1,)
+    A degree-1 orbit {lam} gives one Jordan block per part of pi.  A larger
+    orbit has multiplicity 1 (d m <= 3, so pi = (1,)) and gives the companion
+    matrix of prod (x - mu) over the orbit, computed in F_{q^d} and read back
+    in F_q.
+    """
     d, j = key
+    field = tower.fields[1]
+    if d == 1:
+        return [_jordan_block(field.exp[j], size) for size in pi]
     big = tower.fields[d]
-    lam = big.exp[j % (big.q - 1)]
-    n = group.n
-    m = group.elements[idx]
-    a_mat = [[tower.embed_code(1, d, int(m[r, c])) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        a_mat[r][r] = big.sub_codes(a_mat[r][r], lam)
-    ranks = [n]
-    cur = a_mat
-    for _ in range(mult):
-        ranks.append(_matrix_rank(big, cur))
-        cur = _mat_mul_field(big, cur, a_mat)
-    blocks = []
-    for k in range(1, mult + 1):
-        count = (ranks[k - 1] - ranks[k]) - (ranks[k] - ranks[k + 1] if k < mult else 0)
-        blocks.extend([k] * count)
-    partition = tuple(sorted(blocks, reverse=True))
-    if sum(partition) != mult:
-        raise RuntimeError(f"Jordan blocks {partition} do not add up to multiplicity {mult}")
-    return partition
+    coeffs = [1]  # constant term first
+    for a in tower.orbit_elements(key):
+        mu = big.exp[a]
+        coeffs = [
+            big.sub_codes(lower, big.mul_codes(mu, c))
+            for lower, c in zip([0] + coeffs, coeffs + [0])
+        ]
+    block = np.eye(d, k=-1, dtype=np.uint8)
+    for i, c in enumerate(coeffs[:d]):
+        if c:
+            d0, j0 = tower.canonical_tag(d, big.log[c])
+            if d0 != 1:
+                raise RuntimeError(f"orbit {key}: a coefficient of degree {d0} is not in F_q")
+            c = field.exp[j0]
+        block[i, d - 1] = field.neg_code(c)
+    return [block]
 
 
-def _mat_mul_field(fld, a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = fld.add_codes(acc, fld.mul_codes(a[i][k], b[k][j]))
-            out[i][j] = acc
+def class_ss_data(ctx: DLContext) -> list[ClassSSData]:
+    """Semisimple label and per-orbit Jordan partitions for every class.
+
+    Each (label, partition tuple) pair is built as the block-diagonal matrix
+    of its `_orbit_blocks` and looked up in the group.  The pairs must meet
+    every class exactly once, which proves the classification on the
+    realized group; a class met twice or never raises.
+    """
+    group = ctx.group
+    pairs = [
+        (label, pi_tuple)
+        for label in all_labels(ctx)
+        for pi_tuple in centralizer_torus_types(label)
+    ]
+    mats = np.zeros((len(pairs), ctx.n, ctx.n), dtype=np.uint8)
+    for mat, (_label, pi_tuple) in zip(mats, pairs):
+        at = 0
+        for key, pi in pi_tuple:
+            for block in _orbit_blocks(ctx.tower, key, pi):
+                size = len(block)
+                mat[at : at + size, at : at + size] = block
+                at += size
+    data = group.conjugacy()
+    out: list[ClassSSData | None] = [None] * data.n_classes
+    for ci, (label, pi_tuple) in zip(data.cls[group.lookup(mats)].tolist(), pairs):
+        if out[ci] is not None:
+            raise RuntimeError(
+                f"{group.spec}: {label} {pi_tuple} and {out[ci].label} "
+                f"{out[ci].partitions} lie in one class"
+            )
+        out[ci] = ClassSSData(label=label, partitions=dict(pi_tuple))
+    missing = [ci for ci, ssd in enumerate(out) if ssd is None]
+    if missing:
+        raise RuntimeError(f"{group.spec}: classes {missing} have no label")
     return out
 
 
@@ -421,7 +336,8 @@ class DLContext:
         self.q = group.q
         self.table = table_of(group)
         self.tower = field_tower(group.p, group.field.k)
-        self.ss = class_ss_data(group)
+        # class index -> its semisimple label and per-orbit Jordan partitions
+        self.ss = class_ss_data(self)
         self.e = group.conjugacy().exponent
         self._unipotent = None
         self._green = None

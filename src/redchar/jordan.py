@@ -28,6 +28,7 @@ from .dl import (
     DLContext,
     SemisimpleClassLabel,
     SYM_CHARS,
+    centralizer_torus_types,
     dl_character,
     dl_context,
     epsilon_group,
@@ -41,9 +42,8 @@ from .groups import (
     UnsupportedSpec,
     adjoint_action_representatives,
     duality_involution,
-    partitions_of,
 )
-from .rootdatum import BasedRootDatum, FrobeniusDatum, center_component_group, h1_frobenius, named_datum
+from .rootdatum import two_h1_predicate
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +80,9 @@ def dual_centralizer(ctx: DLContext, label: SemisimpleClassLabel, sl_side: bool 
 
 
 def unipotent_tuples(label: SemisimpleClassLabel):
-    """Uch of the dual centralizer: one partition per eigenvalue orbit."""
-    out = [[]]
-    for _key, m in label.orbits:
-        out = [prefix + [lam] for prefix in out for lam in partitions_of(m)]
-    return [tuple(x) for x in out]
+    """Uch of the dual centralizer: one partition per eigenvalue orbit, in the
+    order of `centralizer_torus_types`."""
+    return [tuple(pi for _key, pi in types) for types in centralizer_torus_types(label)]
 
 
 def uch_multiplicity(label, pi_tuple, lam_tuple) -> int:
@@ -482,19 +480,6 @@ def _verify_sum_identity(ctx, sl_group, sl_table, s, lift, fibers) -> list[dict]
 # ---------------------------------------------------------------------------
 # the main biconditional
 # ---------------------------------------------------------------------------
-
-
-def spec_datum(spec) -> BasedRootDatum:
-    """The based root datum of the spec's family and rank (none for SL1)."""
-    try:
-        return named_datum(f"{spec.family}{spec.n}")
-    except ValueError as exc:
-        raise UnsupportedSpec(str(exc)) from None
-
-
-def two_h1_predicate(spec) -> bool:
-    center = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
-    return h1_frobenius(center)[1]
 
 
 def verify_dualizing(group: GroupRealization) -> list[dict]:

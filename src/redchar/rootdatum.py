@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import prime_factors
+from .groups import UnsupportedSpec
 from .intlinalg import (
     FiniteAbelianGroup,
     IntegerMatrix,
@@ -373,3 +374,17 @@ def h1_frobenius(center: CenterComponentGroup):
     """
     group = quotient_by_endomorphism(center.group, center.action)
     return group, group.exponent <= 2
+
+
+def spec_datum(spec) -> BasedRootDatum:
+    """The based root datum of the spec's family and rank (none for SL1)."""
+    try:
+        return named_datum(f"{spec.family}{spec.n}")
+    except ValueError as exc:
+        raise UnsupportedSpec(str(exc)) from None
+
+
+def two_h1_predicate(spec) -> bool:
+    """`h1_frobenius`'s 2H^1 = 0 predicate for the spec's center component group."""
+    center = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
+    return h1_frobenius(center)[1]

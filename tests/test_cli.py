@@ -124,6 +124,19 @@ def test_cache_reads_an_indented_entry_as_a_hit(tmp_path):
     assert cache.get_or_compute("character-table", "SL2(3)", producer) == payload
 
 
+def test_cache_entry_bytes_are_the_canonical_entry(tmp_path):
+    # the entry is assembled around the payload bytes encoded for its digest
+    cache = TableCache(tmp_path)
+    payload = table_of(cached_group("GL2(3)")).to_json()
+    cache.get_or_compute("character-table", "GL2(3)", lambda: payload)
+    entry = {
+        "key": {"kind": "character-table", "spec": "GL2(3)", "version": ALGORITHM_VERSION},
+        "payload": payload,
+        "sha256": hashlib.sha256(_canonical_bytes(payload)).hexdigest(),
+    }
+    assert cache.read_bytes("character-table", "GL2(3)") == _canonical_bytes(entry) + b"\n"
+
+
 # payload digests recorded while entries were still written with indent=1
 @pytest.mark.parametrize(
     "spec, digest",
@@ -166,25 +179,39 @@ package = loaded()
 import redchar.cli
 cli = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = redchar.cli.main(
-        ["table", "--group", "GL2(5)", "--cache-dir", sys.argv[1], "--format", "json"]
-    )
+    code = redchar.cli.main(json.loads(sys.argv[1]))
 print(json.dumps([package, cli, loaded(), code, redchar.rootdatum.__name__]))
 """
 
 
-def test_a_table_job_loads_only_the_table_path(tmp_path):
+def _import_probe(argv: list[str]):
+    """Modules loaded by `import redchar`, then `import redchar.cli`, then
+    `main(argv)`, in a fresh process; with main's exit status."""
     out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
         env=_subprocess_env(), capture_output=True, check=True,
     )
-    package, cli, table_job, code, submodule = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_a_table_job_loads_only_the_table_path(tmp_path):
+    package, cli, table_job, code, submodule = _import_probe(
+        ["table", "--group", "GL2(5)", "--cache-dir", str(tmp_path), "--format", "json"]
+    )
     assert package == ["redchar"]
     table_path = ["chartable", "cli", "cyclotomic", "finitefield", "groups", "reports"]
     assert cli == ["redchar"] + [f"redchar.{m}" for m in table_path]
     assert table_job == sorted(cli + ["redchar.cache"])
     assert code == 0
     assert submodule == "redchar.rootdatum"  # loaded on first access
+
+
+@pytest.mark.parametrize("check", ["fs-indicator", "center-h1"])
+def test_spec_level_checks_load_neither_dl_nor_jordan(check):
+    # both read the 2H^1 predicate from the root datum of the spec
+    _package, cli, job, code, _submodule = _import_probe([check, "--group", "GL2(5)"])
+    assert code == 0
+    assert job == sorted(cli + ["redchar.intlinalg", "redchar.rootdatum"])
 
 
 def test_package_exports_resolve_to_their_defining_modules():
@@ -215,19 +242,6 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     out = cache.get_or_compute("character-table", "GL1(2)", producer)
     assert out == {"x": 1} and len(calls) == 2
     assert "corrupt" in capsys.readouterr().err
-
-
-def test_cache_disabled(tmp_path):
-    cache = TableCache(tmp_path, enabled=False)
-    calls = []
-
-    def producer():
-        calls.append(1)
-        return {"x": 1}
-
-    cache.get_or_compute("k", "s", producer)
-    cache.get_or_compute("k", "s", producer)
-    assert len(calls) == 2
 
 
 def test_cli_with_cache_dir(tmp_path):
@@ -285,6 +299,12 @@ REPORT_DIGESTS = {
     ("dl-orthogonality", "GL2(5)"): "b00e53fb8df33fc813106974413304cb1f196bf853057de19b65614ad92caf89",
     ("torus-lemma", "GL3(2)"): "fe1474b0ab73cc47e0c4ab696bdde003048dc62e05e1f30bc3a30c285d7232b1",
     ("fs-indicator", "GL3(3)"): "6cef36f7ad7256c8d93708adb3a9cdb1f2b3f0aea0a48396986e829bfd8522e9",
+    # recorded while class labels still came from characteristic polynomials
+    ("series-partition", "GL2(9)"): "40a449b7abe6b5e8e6ba46f162489d6bb67371ad2460a79899cdcc917b103e36",
+    ("jordan-dual", "GL2(9)"): "fff2da794b906ca5c83e908630f3b90e1ba7ae5982135fcd3db14e6ddb7182c0",
+    ("series-partition", "GL3(4)"): "e5ae1f789d0971248997eca9e956b30c48c300fb0ed162aa7922e0521ce355dc",
+    ("jordan-dual", "GL3(4)"): "0037343aadd58068ac7b59440824795219d82bf2d903cce4fa26dfd0fa45290a",
+    ("disconnected-jordan", "SL2(9)"): "a9184c689c0285df886bf140317988b203f2aede57d6898448aea670e9b83c6d",
 }
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,6 +282,48 @@ def test_dl_character_is_built_once_per_context():
     assert dl_character(ctx, [2], [1]) is r
 
 
+def _labelling_context(spec):
+    """The parts of a DLContext that `class_ss_data` reads, without the table."""
+    g = cached_group(spec)
+    return SimpleNamespace(group=g, n=g.n, q=g.q, tower=dl.field_tower(g.p, g.field.k))
+
+
+# SHA-256 of the JSON list, in class order, of [label.canonical_string(),
+# sorted(partitions.items())]: recorded while the labels still came from
+# characteristic polynomials, roots over F_{q^d} and ranks of (g - lambda)^k
+CLASS_LABEL_DIGESTS = {
+    "GL2(4)": "60a45c2db4eb19b7ae3a43dc860052b94bea6de77c92f1bddabce25d8687e999",
+    "GL2(9)": "f4378ad1bb513c641cdf8119a7ab3594e8a1d352d767082a97050f8f32f7c687",
+    "GL3(2)": "1e1eedc8edb1ae75075b1d4c23f2a537d3fbb9ccae987ae07b62912da80e8ac2",
+    "GL3(4)": "965516d0fe8971726ad0f8a0de0bba4baaae2d803516fb4b3465ef890afdaf43",
+    "GL2(13)": "f40cb73b2670edef76ecd5ec81de7ba59065d9931884c3a8f9605eaee5ec0787",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLASS_LABEL_DIGESTS))
+def test_class_labels_unchanged(spec):
+    rows = [
+        [ssd.label.canonical_string(), sorted(ssd.partitions.items())]
+        for ssd in dl.class_ss_data(_labelling_context(spec))
+    ]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CLASS_LABEL_DIGESTS[spec]
+
+
+def test_class_ss_data_refuses_two_pairs_in_one_class(monkeypatch):
+    # without its superdiagonal a Jordan block is scalar, so the partitions
+    # (2) and (1, 1) of a central label build matrices of one class
+    monkeypatch.setattr(dl, "_jordan_block", lambda lam, size: lam * np.eye(size, dtype=np.uint8))
+    with pytest.raises(RuntimeError, match="lie in one class"):
+        dl.class_ss_data(_labelling_context("GL2(3)"))
+
+
+def test_class_ss_data_refuses_a_class_without_a_label(monkeypatch):
+    types = dl.centralizer_torus_types
+    monkeypatch.setattr(dl, "centralizer_torus_types", lambda label: types(label)[:1])
+    with pytest.raises(RuntimeError, match="have no label"):
+        dl.class_ss_data(_labelling_context("GL2(3)"))
+
+
 def test_classify_pair():
     ctx = dl_context("GL2(3)")
     lab = classify_pair(ctx, (1, 1), (0, 0))
@@ -461,7 +506,7 @@ def test_theta_point_pairing_is_norm_compatible():
                 pre = next(
                     x
                     for x in range(1, q)
-                    if tower.embed_code(1, d, x) == norm_code
+                    if big.exp[tower.embed_exponent(1, d, small.log[x])] == norm_code
                 )
                 rhs = zeta(q - 1, j0 * small.log[pre]) if q > 2 else zeta(1, 0)
                 assert lhs == rhs, (p, k0, d, j0, ylog)

@@ -469,3 +469,25 @@ def test_batched_powers_match_element_order(name):
         assert np.array_equal(data.power_classes[:, t], data.cls[g.lookup(power)])
         power = _bmm(g.tables, power, g.elements[data.reps])
     assert data.power_classes.shape[1] == max(data.orders)
+
+
+def _closed_form_class_count(spec: GroupSpec) -> int:
+    q = spec.q
+    if spec.family == "GL":
+        return {1: q - 1, 2: q**2 - 1, 3: q**3 - q}[spec.n]
+    if spec.n == 2:
+        return q + 4 if q % 2 else q + 1
+    return q**2 + q + (8 if (q - 1) % 3 == 0 else 0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["GL1(2)", "GL1(7)", "GL2(2)", "GL2(4)", "GL2(5)", "GL2(9)", "GL3(2)", "GL3(3)",
+     "GL3(4)", "SL2(3)", "SL2(4)", "SL2(7)", "SL2(8)", "SL2(9)", "SL3(2)", "SL3(3)",
+     "SL3(4)", "SL3(5)"],
+)
+def test_class_counts_match_their_closed_forms(spec):
+    # GL_n: q - 1, q^2 - 1, q^3 - q; SL_2: q + 4 (q odd), q + 1 (q even);
+    # SL_3: q^2 + q, plus 8 when 3 | q - 1
+    s = GroupSpec.parse(spec)
+    assert cached_group(s, budget=s.order).conjugacy().n_classes == _closed_form_class_count(s)
