@@ -19,6 +19,13 @@ space then stays whole, with no characteristic polynomial.  Otherwise the
 piece for a root is V K, K the kernel basis of A - root I, whose pivot rows
 are P at K's free columns, where K is the identity.
 
+So a class matrix M_i is read only on the pivot rows P of the spaces still
+to split, and only those rows are computed.  Counting the triples x y = z
+in C_i x C_j x C_k by z and by y gives s_k M_i[j, k] = s_j M_i'[k, j], C_i'
+the class of the inverses of C_i: row j of M_i is column j of M_i' scaled
+by s_j / s_k, and a column costs |C_i| row-table products, so M_i[P] costs
+|C_i| |P| products instead of |C_i| r (Schneider 1990).
+
 A class function is an integer matrix over the power basis of Z[zeta_e]
 (one row per class) and a denominator; the lift writes sum_j c_j
 zeta_e^(j e/m) into it directly and records the conductor
@@ -754,21 +761,25 @@ def _char_poly_mod(a: np.ndarray, ell: int) -> list[int]:
 # -- Dixon-Schneider splitting ------------------------------------------------
 
 
-def _class_matrix(group: GroupRealization, i: int) -> np.ndarray:
-    """M_i[j, k] = #{(x, y) in C_i x C_j : x y = g_k}.
+def _class_matrix(group: GroupRealization, i: int, cols) -> np.ndarray:
+    """M_i[j, k] = #{(x, y) in C_i x C_j : x y = g_k}, for the columns k in
+    `cols`.
 
     Equivalently, column k counts the classes of x^-1 g_k over x in C_i: a
     row-table product by the fixed representative g_k
-    (`GroupRealization.right_mul`), with no per-pair matrix products.  The
-    representatives go in blocks of at most _CLASS_MATRIX_PAIRS products.
+    (`GroupRealization.right_mul`), with no per-pair matrix products.  A
+    column costs |C_i| products, and the representatives go in blocks of at
+    most _CLASS_MATRIX_PAIRS products.  The rows M_i[P] are the columns P of
+    M_i' rescaled, by s_k M_i[j, k] = s_j M_i'[k, j] (`_class_matrix_rows`),
+    so they cost |C_i| |P| products, not the |C_i| r of the whole matrix.
     """
     data = group.conjugacy()
     r = data.n_classes
     x_inv = group.inv_perm[data.members(i)]
-    mat = np.zeros((r, r), dtype=np.int64)
+    mat = np.zeros((r, len(cols)), dtype=np.int64)
     step = max(1, _CLASS_MATRIX_PAIRS // len(x_inv))
-    for start in range(0, r, step):
-        reps = data.reps[start : start + step]
+    for start in range(0, len(cols), step):
+        reps = data.reps[cols[start : start + step]]
         classes = data.cls[group.right_mul(group.elements[reps], x_inv)]
         # one bincount for the block: representative b counts into [b r, (b + 1) r)
         offsets = r * np.arange(len(reps))[:, None]
@@ -777,11 +788,25 @@ def _class_matrix(group: GroupRealization, i: int) -> np.ndarray:
     return mat
 
 
+def _class_matrix_rows(group: GroupRealization, i: int, rows) -> np.ndarray:
+    """The rows M_i[rows] of a class matrix, from |C_i| |rows| products: row
+    j is column j of M_i' scaled by s_j / s_k (the module docstring).  The
+    division is exact, and a remainder raises; s_j M_i'[k, j] <= |G|^2 fits
+    in int64."""
+    data = group.conjugacy()
+    scaled = _class_matrix(group, int(data.inverse_class[i]), rows).T * data.sizes[rows, None]
+    out, rem = np.divmod(scaled, data.sizes)
+    if rem.any():
+        raise RuntimeError(f"class matrix {i}: s_j M_i'[k, j] is not divisible by s_k")
+    return out
+
+
 def _central_characters_mod(group: GroupRealization, ell: int) -> np.ndarray:
     """All central character vectors (omega(K_k))_k as rows, mod ell.
 
     Each common eigenspace is a column basis V with pivot rows P, V[P] = I
-    (the echelon invariant of the module docstring).
+    (the echelon invariant of the module docstring).  Only the rows of M_i
+    at the pivots of the spaces still to split are computed.
     """
     data = group.conjugacy()
     r = data.n_classes
@@ -789,11 +814,16 @@ def _central_characters_mod(group: GroupRealization, ell: int) -> np.ndarray:
     spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
     class_order = sorted(range(r), key=lambda i: int(data.sizes[i]))
     for i in class_order:
-        if all(v.shape[1] == 1 for v, _ in spaces):
+        open_pivots = [pivots for v, pivots in spaces if v.shape[1] > 1]
+        if not open_pivots:
             break
         if i == ident:
             continue
-        m = _class_matrix(group, i) % ell
+        need = np.zeros(r, dtype=bool)  # a mask: np.unique imports numpy.ma (+1 MB)
+        need[np.concatenate(open_pivots)] = True
+        need = np.flatnonzero(need)
+        m = np.zeros((r, r), dtype=np.int64)
+        m[need] = _class_matrix_rows(group, i, need) % ell
         new_spaces = []
         for v, pivots in spaces:
             if v.shape[1] == 1:

@@ -363,6 +363,12 @@ class GroupRealization:
 
     def generators(self) -> list[int]:
         """A small verified generating set."""
+        return self._generating_set()[0]
+
+    def _generating_set(self) -> tuple[list[int], list[np.ndarray]]:
+        """The generators and their left-multiplication permutations L_g,
+        which prove that they generate: the orbits of the L_g are the cosets
+        H x of the subgroup H they generate, so one orbit means H = G."""
         gens: list[int] = []
         n, q = self.n, self.q
         basis_codes = [self.field.p**i for i in range(self.field.k)]
@@ -379,22 +385,14 @@ class GroupRealization:
         uniq = [x for x in gens if not (x in seen or seen.add(x))]
         if not uniq:
             uniq = [self.identity_idx]
-        self._assert_generates(uniq)
-        return uniq
-
-    def _assert_generates(self, gens: list[int]) -> None:
-        reached = np.full(self.order, -1, dtype=np.int64)
-        _label_orbit([self._left_mul_perm(g) for g in gens], reached, self.identity_idx, 0)
-        if (reached < 0).any():
+        lefts = [self._left_mul_perm(g) for g in uniq]
+        if (_orbit_minima(lefts, self.order) != 0).any():
             raise RuntimeError("generating set failed to generate the group")
+        return uniq, lefts
 
     def _left_mul_perm(self, g: int) -> np.ndarray:
         """The permutation x -> g x: (g x)^T = x^T g^T, and transposes stay in the group."""
         return self.transpose_perm[self._find(self._row_table(self.elements[g].T)[self._rows_t])]
-
-    def conj_perm(self, g: int) -> np.ndarray:
-        """The permutation x -> g x g^-1 as an index array."""
-        return self.conjugation_perm(self.elements[g])
 
     def conjugation_perm(self, m: np.ndarray) -> np.ndarray:
         """The permutation x -> m x m^-1 for an invertible code matrix m.
@@ -416,27 +414,42 @@ class GroupRealization:
         return self._conjugacy
 
     def _compute_conjugacy(self) -> ConjugacyData:
-        gens = self.generators()
-        perms = [self.conj_perm(g) for g in gens]
-        cls = np.full(self.order, -1, dtype=np.int64)
-        reps = []
-        start = 0  # the least unlabelled element: its class's minimal member
-        while start < self.order:
-            _label_orbit(perms, cls, start, len(reps))
-            reps.append(start)
-            rest = np.flatnonzero(cls[start:] < 0)
-            start += int(rest[0]) if len(rest) else self.order
-        reps_arr = np.array(reps, dtype=np.int64)
+        """Classes are the orbits of conjugation by the generators.
+
+        Conjugation by g is L_g after right multiplication by g^-1: each
+        left-multiplication permutation L_g that proved generation becomes
+        x -> g x g^-1 through one row-table product, replacing L_g in its
+        list, and the list is dropped once the orbits are known.
+
+        The orbits come from min-label propagation (`_orbit_minima`): with
+        labels = arange, set labels = min(labels, labels[pi]) for every
+        conjugation pi and jump labels = labels[labels] until nothing
+        changes.  Each step keeps labels[x] <= x and inside the class of x.
+        At the fixed point labels[x] <= labels[pi(x)] for every pi, and going
+        once round a cycle of pi returns to x, so labels are constant on
+        each class; its least member m has labels[m] <= m, so the label is
+        m.  The representatives are these least members, and a class's index
+        is the rank of its representative, so classes are ordered by their
+        least elements.
+        """
+        gens, perms = self._generating_set()
+        for t, g in enumerate(gens):
+            perms[t] = perms[t][self.right_mul(self.elements[self.inv_perm[g]])]
+        minima = _orbit_minima(perms, self.order)
+        del perms
+        is_rep = minima == np.arange(self.order)
+        reps = np.flatnonzero(is_rep)
+        cls = (np.cumsum(is_rep) - 1)[minima]
         sizes = np.bincount(cls, minlength=len(reps))
-        orders, power_classes = self._powers(reps_arr, cls)
-        inverse_class = cls[self.inv_perm[reps_arr]]
+        orders, power_classes = self._powers(reps, cls)
+        inverse_class = cls[self.inv_perm[reps]]
         exponent = 1
         for o in orders:
             exponent = exponent * o // gcd(exponent, o)
         return ConjugacyData(
             n_classes=len(reps),
             cls=cls,
-            reps=reps_arr,
+            reps=reps,
             sizes=sizes,
             orders=orders,
             power_classes=power_classes,
@@ -462,20 +475,26 @@ class GroupRealization:
         return f"GroupRealization({self.spec}, order={self.order})"
 
 
-def _label_orbit(perms: list[np.ndarray], labels: np.ndarray, start: int, label: int) -> None:
-    """Set labels[x] = label on the orbit of `start` under the permutations,
-    breadth first; -1 marks an unlabelled element.  Permutations are
-    injective, so each frontier holds distinct elements without a sort."""
-    labels[start] = label
-    frontier = np.array([start], dtype=np.int64)
-    while len(frontier):
-        new = []
+def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
+    """labels[x] = the least point of the orbit of x under the permutations,
+    by min-label propagation with pointer jumping (the argument is in
+    `GroupRealization._compute_conjugacy`).  Labels only decrease, so an
+    unchanged sum (below size^2, no overflow) means an unchanged array."""
+    labels = np.arange(size)
+    settled = labels.sum()
+    while True:
         for perm in perms:
-            img = perm[frontier]
-            fresh = img[labels[img] < 0]
-            labels[fresh] = label
-            new.append(fresh)
-        frontier = np.concatenate(new)
+            np.minimum(labels, labels[perm], out=labels)
+        moved = labels.sum()
+        while True:
+            labels = labels[labels]
+            jumped = labels.sum()
+            if jumped == moved:
+                break
+            moved = jumped
+        if moved == settled:
+            return labels
+        settled = moved
 
 
 def cached_group(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> GroupRealization:

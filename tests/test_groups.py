@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from redchar import chartable
+from redchar import chartable, groups
 from redchar.dl import dl_context, lusztig_series
 from redchar.groups import (
     BudgetExceeded,
@@ -274,7 +274,7 @@ def test_root_subgroup_torus_relations():
                 alpha_t = fld.mul_codes(diag[i], fld.inv_code(diag[i + 1]))
                 for c in range(1, g.q):
                     x = g.root_subgroup_element(i, c)
-                    lhs = g.conj_perm(int(t_idx))[x]
+                    lhs = g.conjugation_perm(g.elements[t_idx])[x]
                     rhs = g.root_subgroup_element(i, fld.mul_codes(alpha_t, c))
                     assert int(lhs) == rhs
 
@@ -328,7 +328,7 @@ def test_row_table_products_match_matrix_products(name):
         hm = elems[h][None]
         assert np.array_equal(g.right_mul(elems[h]), g.lookup(_bmm(tab, elems, hm)))
         assert np.array_equal(g._left_mul_perm(h), g.lookup(_bmm(tab, hm, elems)))
-        assert np.array_equal(g.conj_perm(h), _reference_conjugation(g, elems[h]))
+        assert np.array_equal(g.conjugation_perm(elems[h]), _reference_conjugation(g, elems[h]))
     subset = np.arange(0, g.order, 7)
     h = g.generators()[0]
     assert np.array_equal(g.right_mul(elems[h], subset), g.right_mul(elems[h])[subset])
@@ -375,11 +375,40 @@ def test_class_matrices_match_a_direct_count(name, monkeypatch):
             for k in range(r):
                 ys = g.lookup(_bmm(g.tables, x_inv, reps[k][None]))
                 expected[:, k] = np.bincount(data.cls[ys], minlength=r)
-        assert np.array_equal(chartable._class_matrix(g, i), expected), i
+        cols = np.arange(r)[1::3][::-1]  # a subset, out of order
+        assert np.array_equal(chartable._class_matrix(g, i, np.arange(r)), expected), i
+        assert np.array_equal(chartable._class_matrix(g, i, cols), expected[:, cols]), i
         with monkeypatch.context() as m:
             # several blocks of representatives per class matrix
             m.setattr(chartable, "_CLASS_MATRIX_PAIRS", 100)
-            assert np.array_equal(chartable._class_matrix(g, i), expected), i
+            assert np.array_equal(chartable._class_matrix(g, i, np.arange(r)), expected), i
+            assert np.array_equal(chartable._class_matrix(g, i, cols), expected[:, cols]), i
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "GL2(5)", "SL3(3)"])
+def test_class_matrix_rows_come_from_the_inverse_class_columns(name):
+    # s_k M_i[j, k] = s_j M_i'[k, j], C_i' the inverses of C_i: both sides
+    # count the triples x y = z in C_i x C_j x C_k
+    g = cached_group(name)
+    data = g.conjugacy()
+    r = data.n_classes
+    sizes = data.sizes
+    assert any(data.inverse_class[i] != i for i in range(r))
+    subset = np.arange(0, r, 2)
+    for i in range(r):
+        full = chartable._class_matrix(g, i, np.arange(r))
+        dual = chartable._class_matrix(g, int(data.inverse_class[i]), np.arange(r))
+        assert np.array_equal(full * sizes[None, :], dual.T * sizes[:, None]), i
+        assert np.array_equal(chartable._class_matrix_rows(g, i, np.arange(r)), full), i
+        assert np.array_equal(chartable._class_matrix_rows(g, i, subset), full[subset]), i
+
+
+def test_class_matrix_rows_refuse_an_inexact_division(monkeypatch):
+    g = cached_group("GL2(4)")
+    real = chartable._class_matrix
+    monkeypatch.setattr(chartable, "_class_matrix", lambda *args: real(*args) + 1)
+    with pytest.raises(RuntimeError, match="not divisible"):
+        chartable._class_matrix_rows(g, 1, np.arange(g.conjugacy().n_classes))
 
 
 def test_verify_homomorphism_rejects_a_swap():
@@ -491,3 +520,100 @@ def test_class_counts_match_their_closed_forms(spec):
     # SL_3: q^2 + q, plus 8 when 3 | q - 1
     s = GroupSpec.parse(spec)
     assert cached_group(s, budget=s.order).conjugacy().n_classes == _closed_form_class_count(s)
+
+
+# -- conjugacy by min-label propagation against the per-class search ---------
+
+
+def _label_orbit(perms, labels, start, label):
+    """Breadth-first search: labels[x] = label on the orbit of `start`."""
+    labels[start] = label
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier):
+        new = []
+        for perm in perms:
+            img = perm[frontier]
+            fresh = img[labels[img] < 0]
+            labels[fresh] = label
+            new.append(fresh)
+        frontier = np.concatenate(new)
+
+
+def _bfs_conjugacy(g):
+    """The per-class search: one breadth-first search from each least
+    unlabelled element, by the conjugation permutations of the generators."""
+    perms = [g.conjugation_perm(g.elements[h]) for h in g.generators()]
+    cls = np.full(g.order, -1, dtype=np.int64)
+    reps = []
+    for start in range(g.order):
+        if cls[start] < 0:
+            _label_orbit(perms, cls, start, len(reps))
+            reps.append(start)
+    reps = np.array(reps, dtype=np.int64)
+    orders, power_classes = g._powers(reps, cls)
+    sizes = np.bincount(cls, minlength=len(reps))
+    return cls, reps, sizes, orders, power_classes, cls[g.inv_perm[reps]]
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(2)", "GL3(3)", "SL3(3)", "SL3(4)"])
+def test_conjugacy_matches_the_per_class_search(name):
+    g = cached_group(name)
+    data = g.conjugacy()
+    cls, reps, sizes, orders, power_classes, inverse_class = _bfs_conjugacy(g)
+    assert data.n_classes == len(reps)
+    assert np.array_equal(data.cls, cls)
+    assert np.array_equal(data.reps, reps)
+    assert np.array_equal(data.sizes, sizes)
+    assert data.orders == orders
+    assert np.array_equal(data.power_classes, power_classes)
+    assert np.array_equal(data.inverse_class, inverse_class)
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("GL3(4)", "77c238ebd5b4a1b410290e3f0e89ed86986ba1ffaf4ccb1d0488b2cafec06e07"),
+        ("SL3(5)", "b2d9475885db7d9d5e1ff2e0c26f9fbf3f6f65a24a53eb6ec7ef529d9625e487"),
+    ],
+)
+def test_class_labels_of_every_element_unchanged(name, digest):
+    # SHA-256 of the int64 class index of every element, in element order
+    import hashlib
+
+    cls = cached_group(name).conjugacy().cls
+    assert cls.dtype == np.int64
+    assert hashlib.sha256(cls.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "SL3(3)"])
+def test_left_multiplication_after_inverse_is_conjugation(name):
+    g = cached_group(name)
+    gens, lefts = g._generating_set()
+    for h, left in zip(gens, lefts):
+        assert np.array_equal(left, g._left_mul_perm(h))
+        conj = left[g.right_mul(g.elements[g.inv_perm[h]])]
+        assert np.array_equal(conj, g.conjugation_perm(g.elements[h]))
+
+
+def test_orbit_minima_label_each_orbit_by_its_least_point():
+    rng = np.random.default_rng(7)
+    size = 300
+    blocks = np.split(rng.permutation(size), [5, 6, 40, 41, 42, 120, 200])
+    expected = np.empty(size, dtype=np.int64)
+    perms = [np.empty(size, dtype=np.int64) for _ in range(2)]
+    for block in blocks:
+        expected[block] = block.min()
+        cycle = rng.permutation(block)
+        perms[0][cycle] = np.roll(cycle, 1)  # one cycle: the block is an orbit
+        perms[1][block] = rng.permutation(block)
+    assert np.array_equal(groups._orbit_minima(perms, size), expected)
+    # a long cycle needs the jumps: 30 orbits of 10, each a rotation
+    cycles = [np.roll(np.arange(size).reshape(-1, 10), 1, axis=1).ravel()]
+    assert np.array_equal(groups._orbit_minima(cycles, size), np.arange(size) // 10 * 10)
+
+
+def test_generating_set_refuses_a_proper_subgroup(monkeypatch):
+    g = cached_group("GL2(3)")
+    monkeypatch.setattr(g, "_left_mul_perm", lambda h: np.arange(g.order))
+    with pytest.raises(RuntimeError, match="failed to generate"):
+        g._generating_set()
