@@ -26,29 +26,47 @@ the class of the inverses of C_i: row j of M_i is column j of M_i' scaled
 by s_j / s_k, and a column costs |C_i| row-table products, so M_i[P] costs
 |C_i| |P| products instead of |C_i| r (Schneider 1990).
 
-A class function is an integer matrix over the power basis of Z[zeta_e]
-(one row per class) and a denominator; the lift writes sum_j c_j
-zeta_e^(j e/m) into it directly and records the conductor
-m / gcd(m, support of c) at which the JSON form writes each value.
+A class function holds one integer block per class order m, of shape
+(classes of order m) x phi(m): row k holds the value at class k over the
+power basis of Z[zeta_m], and one denominator serves every block.  A
+virtual character's value at g is a sum of eigenvalues of g, so it lies in
+Z[zeta_m] for m the order of g, and phi(m) coordinates hold it where the
+power basis of Z[zeta_e] would need phi(e).  Automorphisms, inversion and
+the inclusion of a subgroup keep element orders, so a twist, the dual and a
+restriction send each class to a class of the same order: they are row
+gathers inside a block, and a restricted value lies in the subgroup's field
+by construction, with no membership test.  The blocks lie side by side in
+one flat integer array, so sums, scalings, comparisons and gathers are single
+array operations; a pointwise product convolves the rows of each block and
+reduces them through the powers of zeta_m.  The lift writes
+sum_j c_j zeta_m^j into the row of a class of order m and records the
+conductor m / gcd(m, support of c) at which the JSON form writes each value.
 
-Orthogonality is certified exactly from those integer arrays: at a prime
-p = 1 (mod e) the cyclotomic polynomial splits into distinct linear factors
-mod p, so evaluating at all phi(e) embeddings zeta_e -> w^u mod p is
-injective on Z[zeta_e]/p.  Agreement of a Gram matrix with an integer
-target at every embedding therefore puts each difference in p Z[zeta_e]; an
-explicit bound B on the power-basis coefficients of the Gram, with enough
-primes that their product exceeds 2(B + max|target|), forces the difference
-to be zero.  One routine (`gram_certificate`) runs this for the table's row
-and column Grams (targets |G| I and diag(|G| / s_k)) and for the Gram of
-any list of integer-valued class functions, such as the Deligne-Lusztig
-characters against |G| times their exclusion-theorem counts.  Nothing is
-sampled and nothing is floating point.
+Orthogonality is certified exactly from those blocks.  At a prime
+p = 1 (mod e) the cyclotomic polynomial Phi_e splits into distinct linear
+factors mod p, and the embeddings zeta_e -> w^u mod p (w of order e mod p,
+u a unit mod e) are the reductions of Z[zeta_e] modulo the phi(e) primes
+above p; block m is evaluated at zeta_m -> w^(u e/m).  A Gram entry D whose
+reductions all equal those of an integer target T at the primes p_1, ...,
+p_s therefore has D - T in P Z[zeta_e], P the product of the p_i.  Each
+power of a root of unity has absolute value 1, so every complex conjugate
+of D is at most B = sum_k s_k |x_ik|_1 |x_jk|_1 in absolute value, |x|_1 the
+l1 norm of a value's coordinates.  With P > B + |T| every conjugate of the
+algebraic integer (D - T) / P lies inside the unit disc, so its norm, a
+rational integer, is 0, and D = T.  One routine (`gram_certificate`) runs
+this for the table's row and column Grams (targets |G| I and
+diag(|G| / s_k)) and for the Gram of any list of integer-valued class
+functions, such as the Deligne-Lusztig characters against |G| times their
+exclusion-theorem counts.  Nothing is sampled, and the one float64 kernel
+(`_matmul_mod`, the lift's Fourier sums) holds only integers below 2^53,
+which float64 represents exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import groupby
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -96,44 +114,65 @@ def _root_powers(root: int, count: int, p: int) -> np.ndarray:
     return out
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residues in [0, p).  While (p - 1)^2 times the inner
+    dimension is below 2^53, every partial sum is an integer that float64
+    holds exactly, in any order of summation, so the product runs as a
+    float64 (BLAS) matmul; beyond that, as the guarded integer matmul."""
+    if (p - 1) ** 2 * a.shape[-1] < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    return _exact_matmul(a, b) % p
+
+
 def _evaluate_mod(mat: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
     """Packed values (..., phi) at the root of unity with these powers, mod p."""
     return (_exact_matmul(mat, powers) % p).astype(np.int64)
 
 
 class _PackedContext:
-    """Per-group data for class functions over the power basis of Z[zeta_e]."""
+    """Per-group layout of class functions: the classes grouped by order.
+
+    A function's integers lie in one flat array: block b (the classes of
+    order orders[b], in index order) is flat[bounds[b]:bounds[b + 1]], read as
+    (classes, phi(m)).  Block 0 is the identity class, the only class of
+    order 1, so flat[0] is the degree.
+    """
 
     def __init__(self, group: GroupRealization):
         data = group.conjugacy()
         self.e = data.exponent
-        self.pow_np = power_matrix(self.e)
-        self.phi = self.pow_np.shape[1]
-        # conjugation zeta^i -> zeta^(e-i) as a matrix on coefficient vectors
-        self.conj_np = self.pow_np[(self.e - np.arange(self.phi)) % self.e]
+        self.phi = euler_phi(self.e)
         self.sizes = data.sizes.astype(np.int64)
         self.n_classes = data.n_classes
-        self.identity_class = int(data.cls[group.identity_idx])
-        self._descents: dict[int, np.ndarray] = {}
+        self.class_orders = np.array(data.orders, dtype=np.int64)
+        self.orders = sorted(set(data.orders))
+        self.block_classes = [np.flatnonzero(self.class_orders == m) for m in self.orders]
+        self.pows = [power_matrix(m) for m in self.orders]
+        # conjugation zeta_m^i -> zeta_m^(m-i) as a matrix on coordinate vectors
+        self.conjs = [pw[(m - np.arange(pw.shape[1])) % m] for m, pw in zip(self.orders, self.pows)]
+        phis = [pw.shape[1] for pw in self.pows]
+        self.bounds = np.cumsum([0] + [len(c) * phi for c, phi in zip(self.block_classes, phis)]).tolist()
+        self.size = self.bounds[-1]
+        # the rows in flat order: their classes, lengths and starts
+        self.flat_classes = np.concatenate(self.block_classes)
+        self.flat_lens = np.repeat(phis, [len(c) for c in self.block_classes])
+        self.flat_starts = np.cumsum(self.flat_lens) - self.flat_lens
+        self.flat_row, self.flat_offset = _segments(self.flat_lens)  # per flat entry
+        self.unblock = np.argsort(self.flat_classes)  # class -> row in flat order
+        self.row_start = self.flat_starts[self.unblock]  # per class
+        self.row_len = self.flat_lens[self.unblock]
+        # every power matrix in one flat array, and where the one of each
+        # class's order starts
+        self.pow_flat = np.concatenate([pw.ravel() for pw in self.pows])
+        pow_bounds = np.cumsum([0] + [pw.size for pw in self.pows])
+        self.pow_start = pow_bounds[np.searchsorted(self.orders, self.class_orders)]
 
-    def descent(self, c: int) -> np.ndarray:
-        """The (phi(e), phi(c)) matrix taking coordinates over zeta_e of an
-        element of Q(zeta_c), c | e, to its coordinates over zeta_c.
-
-        With e = e0 t, t the part of e prime to c, and u t + v e0 = 1:
-        zeta_e^k = zeta_e0^(k u) zeta_t^(k v), the products zeta_e0^a zeta_t^b
-        are a basis in which Q(zeta_e0) has only b = 0 terms, and zeta_c^i
-        is zeta_e0^(i e0 / c) in the power basis of zeta_e0 (same primes).
-        """
-        if c not in self._descents:
-            e0 = gcd(self.e, c ** self.e.bit_length())
-            t = self.e // e0
-            u = pow(t, -1, e0)
-            k = np.arange(self.phi)
-            low = power_matrix(e0)[k * u % e0][:, :: e0 // c]
-            high = power_matrix(t)[k * ((1 - u * t) // e0) % t, 0]
-            self._descents[c] = low * high[:, None]
-        return self._descents[c]
+    def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The blocks of flat arrays (..., size) as views (..., classes, phi(m))."""
+        return [
+            flat[..., a:b].reshape(*flat.shape[:-1], len(c), -1)
+            for a, b, c in zip(self.bounds, self.bounds[1:], self.block_classes)
+        ]
 
 
 def _packed_context(group: GroupRealization) -> _PackedContext:
@@ -142,49 +181,92 @@ def _packed_context(group: GroupRealization) -> _PackedContext:
     return group._packed_ctx
 
 
-class ClassFunction:
-    """An exact class function: the value at class k is
-    sum_i mat[k, i] zeta_e^i / den, e the group exponent.
+@lru_cache(maxsize=None)
+def _descent(e: int, c: int) -> np.ndarray:
+    """The (phi(e), phi(c)) matrix taking coordinates over zeta_e of an
+    element of Q(zeta_c), c | e, to its coordinates over zeta_c.
 
-    (mat, den) is reduced, gcd(den, mat) = 1, and `mat` is int64 while its
-    entries are below 2^62 (object beyond), so (den, mat.tobytes()) names
-    the function.  Gathers, sums and products act on `mat`; CyclotomicNumbers
-    appear only in the values constructor, `values`, `degree` and the JSON
-    form, at `conductors` per class when recorded and at e otherwise.
+    With e = e0 t, t the part of e prime to c, and u t + v e0 = 1:
+    zeta_e^k = zeta_e0^(k u) zeta_t^(k v), the products zeta_e0^a zeta_t^b
+    are a basis in which Q(zeta_e0) has only b = 0 terms, and zeta_c^i
+    is zeta_e0^(i e0 / c) in the power basis of zeta_e0 (same primes).
+    """
+    e0 = gcd(e, c ** e.bit_length())
+    t = e // e0
+    u = pow(t, -1, e0)
+    k = np.arange(euler_phi(e))
+    low = power_matrix(e0)[k * u % e0][:, :: e0 // c]
+    high = power_matrix(t)[k * ((1 - u * t) // e0) % t, 0]
+    out = low * high[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _coordinates(v: CyclotomicNumber, m: int) -> list[int]:
+    """v's numerator over the power basis of zeta_m; a ValueError when v does
+    not lie in Q(zeta_m)."""
+    if m % v.conductor == 0:
+        return list(v.lift(m).num)
+    big = lcm(m, v.conductor)
+    num = (np.array([v.lift(big).num], dtype=object) @ _descent(big, m))[0].tolist()
+    if CyclotomicNumber(m, num, v.den) != v:
+        raise ValueError(f"the value {v} does not lie in Q(zeta_{m})")
+    return num
+
+
+class ClassFunction:
+    """An exact class function in the per-order layout of the module
+    docstring: block b holds, at the row of a class of order m = orders[b],
+    the numerator of its value over the power basis of Z[zeta_m], and `den`
+    divides every value (`_PackedContext` lays the blocks out in `flat`).
+
+    (flat, den) is reduced, gcd(den, flat) = 1, and `flat` is int64 while its
+    entries are below 2^62 (object beyond), so (den, flat.tobytes()) names
+    the function.  Gathers, sums and products act on the integers;
+    CyclotomicNumbers appear only in the values constructor, `values`,
+    `degree` and the JSON form, at `conductors` per class when recorded and
+    at the class order otherwise.
     """
 
     def __init__(self, group: GroupRealization, values):
-        """From values (CyclotomicNumbers or rationals), one per class."""
-        if len(values) != group.conjugacy().n_classes:
+        """From values (CyclotomicNumbers or rationals), one per class; the
+        value at a class of order m must lie in Q(zeta_m) (ValueError)."""
+        ctx = _packed_context(group)
+        if len(values) != ctx.n_classes:
             raise ValueError("one value per conjugacy class required")
         values = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v) for v in values]
-        lifted = [v.lift(_packed_context(group).e) for v in values]
-        den = lcm(*(v.den for v in lifted))
-        mat = np.array([[c * (den // v.den) for c in v.num] for v in lifted], dtype=object)
-        self._assign(group, mat, den, np.array([v.conductor for v in values]))
+        den = lcm(*(v.den for v in values))
+        orders = ctx.class_orders.tolist()
+        flat = [
+            c * (den // values[k].den)
+            for k in ctx.flat_classes.tolist()
+            for c in _coordinates(values[k], orders[k])
+        ]
+        conductors = [v.conductor if m % v.conductor == 0 else m for v, m in zip(values, orders)]
+        self._assign(group, np.array(flat, dtype=object), den, np.array(conductors))
 
     @classmethod
-    def from_mat(cls, group, mat: np.ndarray, den: int = 1, conductors=None) -> "ClassFunction":
+    def from_flat(cls, group, flat: np.ndarray, den: int = 1, conductors=None) -> "ClassFunction":
         out = cls.__new__(cls)
-        out._assign(group, mat, den, conductors)
+        out._assign(group, flat, den, conductors)
         return out
 
-    def _assign(self, group, mat, den, conductors) -> None:
+    def _assign(self, group, flat, den, conductors) -> None:
         if den != 1:
-            g = gcd(den, *mat.ravel().tolist())
-            mat, den = mat // g, den // g
-        if (mat.dtype == object) != (_absmax(mat) >= _INT64_GUARD):
-            mat = mat.astype(np.int64 if mat.dtype == object else object)
-        mat.flags.writeable = False
-        self.group, self.mat, self.den, self.conductors = group, mat, den, conductors
+            g = gcd(den, *flat.tolist())
+            flat, den = flat // g, den // g
+        if (flat.dtype == object) != (_absmax(flat) >= _INT64_GUARD):
+            flat = flat.astype(np.int64 if flat.dtype == object else object)
+        flat.flags.writeable = False
+        self.group, self.flat, self.den, self.conductors = group, flat, den, conductors
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        return _packed_context(self.group).blocks(self.flat)
 
     @property
     def degree(self) -> CyclotomicNumber:
-        ctx = _packed_context(self.group)
-        row = self.mat[ctx.identity_class]
-        if row[1:].any():
-            return CyclotomicNumber(ctx.e, row.tolist(), self.den)
-        return CyclotomicNumber.from_rational(Fraction(int(row[0]), self.den))
+        return CyclotomicNumber.from_rational(Fraction(int(self.flat[0]), self.den))
 
     @cached_property
     def values(self) -> list[CyclotomicNumber]:
@@ -195,8 +277,8 @@ class ClassFunction:
             raise ValueError("class functions on different groups")
         den = lcm(self.den, other.den)
         # each term is below 2^62, so the int64 sum cannot wrap
-        terms = [_exact_mul(f.mat, np.asarray(den // f.den)) for f in (self, other)]
-        return ClassFunction.from_mat(self.group, terms[0] + terms[1], den)
+        terms = [_exact_mul(f.flat, np.asarray(den // f.den)) for f in (self, other)]
+        return ClassFunction.from_flat(self.group, terms[0] + terms[1], den)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         return self + other * -1
@@ -206,114 +288,167 @@ class ClassFunction:
         if isinstance(other, ClassFunction):
             return self._pointwise(other)
         s = Fraction(other)
-        mat = _exact_mul(self.mat, np.asarray(s.numerator))
-        return ClassFunction.from_mat(self.group, mat, self.den * s.denominator)
+        flat = _exact_mul(self.flat, np.asarray(s.numerator))
+        return ClassFunction.from_flat(self.group, flat, self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def _pointwise(self, other: "ClassFunction") -> "ClassFunction":
-        """Per class, the convolution of the rows, reduced through zeta_e^t."""
+        """Per class, the convolution of the rows, reduced through zeta_m^t."""
         if other.group is not self.group:
             raise ValueError("class functions on different groups")
-        ctx = _packed_context(self.group)
-        phi = ctx.phi
-        a, b = self.mat, other.mat
-        if _absmax(a) * _absmax(b) * phi >= _INT64_GUARD or object in (a.dtype, b.dtype):
-            a, b = a.astype(object), b.astype(object)
-        conv = np.zeros((len(a), 2 * phi - 1), dtype=a.dtype)
-        for i in range(phi):
-            conv[:, i : i + phi] += a[:, i : i + 1] * b
-        product = _exact_matmul(conv, ctx.pow_np[: 2 * phi - 1])
-        return ClassFunction.from_mat(self.group, product, self.den * other.den)
+        products = []
+        for a, b, pw in zip(self.blocks, other.blocks, _packed_context(self.group).pows):
+            phi = a.shape[1]
+            if _absmax(a) * _absmax(b) * phi >= _INT64_GUARD or object in (a.dtype, b.dtype):
+                a, b = a.astype(object), b.astype(object)
+            conv = np.zeros((len(a), 2 * phi - 1), dtype=a.dtype)
+            for i in range(phi):
+                conv[:, i : i + phi] += a[:, i : i + 1] * b
+            products.append(_exact_matmul(conv, pw[: 2 * phi - 1]).ravel())
+        return ClassFunction.from_flat(self.group, np.concatenate(products), self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClassFunction)
             and other.group is self.group
             and other.den == self.den
-            and np.array_equal(other.mat, self.mat)
+            and np.array_equal(other.flat, self.flat)
         )
 
     def conjugate(self) -> "ClassFunction":
-        ctx = _packed_context(self.group)
-        return ClassFunction.from_mat(self.group, _exact_matmul(self.mat, ctx.conj_np), self.den)
+        conjs = _packed_context(self.group).conjs
+        flat = np.concatenate([_exact_matmul(b, conj).ravel() for b, conj in zip(self.blocks, conjs)])
+        return ClassFunction.from_flat(self.group, flat, self.den)
 
     def __repr__(self) -> str:
         return f"ClassFunction({self.group.spec}, deg={self.degree})"
 
 
+def _stacked_blocks(fs: list[ClassFunction]) -> list[np.ndarray]:
+    """Per block, the functions' blocks stacked: (functions, classes, phi(m))."""
+    return _packed_context(fs[0].group).blocks(np.stack([f.flat for f in fs]))
+
+
 def _descended(fs: list[ClassFunction]) -> list[list[tuple[int, list[int]]]]:
     """Per function of `fs` (one group) and class, the conductor c and the
-    coordinates over zeta_c of den times the value: a matmul per conductor."""
+    coordinates over zeta_c of den times the value: a matmul per class order
+    m and conductor c | m."""
     ctx = _packed_context(fs[0].group)
-    default = np.full(ctx.n_classes, ctx.e)
-    conductors = np.stack([default if f.conductors is None else f.conductors for f in fs])
     out = [[None] * ctx.n_classes for _ in fs]
-    for c in sorted(set(conductors.ravel().tolist())):
-        positions = list(zip(*(w.tolist() for w in np.nonzero(conductors == c))))
-        block = np.stack([fs[i].mat[k] for i, k in positions])
-        for (i, k), num in zip(positions, _exact_matmul(block, ctx.descent(c)).tolist()):
-            out[i][k] = (c, num)
+    for m, classes, stacked in zip(ctx.orders, ctx.block_classes, _stacked_blocks(fs)):
+        default = np.full(len(classes), m)
+        conductors = np.stack([default if f.conductors is None else f.conductors[classes] for f in fs])
+        classes = classes.tolist()
+        for c in sorted(set(conductors.ravel().tolist())):
+            where = np.nonzero(conductors == c)
+            rows = stacked[where]
+            nums = rows if c == m else _exact_matmul(rows, _descent(m, c))
+            for i, j, num in zip(*(w.tolist() for w in where), nums.tolist()):
+                out[i][classes[j]] = (c, num)
     return out
+
+
+def _segments(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive segments of these lengths: each position's segment and
+    its offset inside it."""
+    seg = np.repeat(np.arange(len(lens)), lens)
+    return seg, np.arange(len(seg)) - (np.cumsum(lens) - lens)[seg]
 
 
 def root_sum_function(group: GroupRealization, classes, exponents=0, weights=1, den=1):
     """The class function whose value at class k is the sum of
-    weights[i] zeta_e^exponents[i] / den over the i with classes[i] == k:
-    a power-matrix row per distinct (class, power), added per class."""
+    weights[i] zeta_e^exponents[i] / den over the i with classes[i] == k.
+
+    Each term must be a root of unity whose order divides the order m of its
+    class, zeta_m^(exponents[i] m / e); a ValueError otherwise.  The weights
+    are summed per distinct (class, power), and each sum adds that multiple
+    of the power-matrix row of order m to its class's row.
+    """
     ctx = _packed_context(group)
-    keys = np.asarray(classes, dtype=np.int64) * ctx.e + np.asarray(exponents, dtype=np.int64) % ctx.e
+    e = ctx.e
+    classes = np.asarray(classes, dtype=np.int64)
+    exponents = np.broadcast_to(np.asarray(exponents, dtype=np.int64) % e, classes.shape)
+    if (exponents % (e // ctx.class_orders[classes])).any():
+        raise ValueError("a root of unity whose order does not divide its class's order")
+    keys = classes * e + exponents
     order = np.argsort(keys, kind="stable")  # np.unique would import numpy.ma (~40 ms)
     weights = np.broadcast_to(np.asarray(weights), keys.shape)[order]
     # every partial sum of reduceat is bounded by the absolute sum
     weights = weights.astype(np.int64 if _absmax(weights) * len(weights) < _INT64_GUARD else object)
     distinct = np.flatnonzero(np.diff(keys[order], prepend=-1))
     totals = np.add.reduceat(weights, distinct)
-    cls, powers = np.divmod(keys[order][distinct], ctx.e)
-    terms = _exact_mul(totals[:, None], ctx.pow_np[powers])
+    cls, powers = np.divmod(keys[order][distinct], e)
+    lens = ctx.row_len[cls]
+    term, offset = _segments(lens)
+    rows = ctx.pow_start[cls] + powers * ctx.class_orders[cls] // e * lens  # power-matrix row starts
+    terms = _exact_mul(totals[term], ctx.pow_flat[rows[term] + offset])
     if _absmax(terms) * len(terms) >= _INT64_GUARD:
         terms = terms.astype(object)
-    mat = np.zeros((ctx.n_classes, ctx.phi), dtype=terms.dtype)
-    starts = np.flatnonzero(np.diff(cls, prepend=-1))  # keys are sorted by class
-    mat[cls[starts]] = np.add.reduceat(terms, starts, axis=0)
-    return ClassFunction.from_mat(group, mat, den)
+    flat = np.zeros(ctx.size, dtype=terms.dtype)
+    np.add.at(flat, ctx.row_start[cls][term] + offset, terms)
+    return ClassFunction.from_flat(group, flat, den)
 
 
 def trivial_character(group: GroupRealization) -> ClassFunction:
     return root_sum_function(group, np.arange(group.conjugacy().n_classes))
 
 
+def _order_sum(parts, den: int) -> CyclotomicNumber:
+    """The sum of the elements (m, coordinates over zeta_m), over den: the
+    rational ones add as integers, the others at the lcm of their orders."""
+    rational, total = 0, CyclotomicNumber.zero()
+    for m, num in parts:
+        if any(num[1:]):
+            total = total + CyclotomicNumber(m, num, den)
+        else:
+            rational += int(num[0])
+    return total + Fraction(rational, den)
+
+
+def _weighted_sums(fs: list[ClassFunction], weights: np.ndarray) -> list[list]:
+    """Per function, the parts (m, sum over the classes k of order m of
+    weights[k] times the value at k, over zeta_m) for `_order_sum`."""
+    ctx = _packed_context(fs[0].group)
+    per_block = [
+        _exact_matmul(weights[classes][None, None, :], stacked)[:, 0].tolist()
+        for classes, stacked in zip(ctx.block_classes, _stacked_blocks(fs))
+    ]
+    return [list(zip(ctx.orders, sums)) for sums in zip(*per_block)]
+
+
 def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
-    """<f, g> = (1/|G|) sum over classes of size * f * conj(g), exactly."""
+    """<f, g> = (1/|G|) sum over classes of size * f * conj(g), exactly: the
+    pointwise product, summed per block against the class sizes."""
     if f.group is not g.group:
         raise ValueError("class functions on different groups")
-    ctx = _packed_context(f.group)
-    phi = ctx.phi
-    weighted = _exact_mul(_exact_matmul(g.mat, ctx.conj_np), ctx.sizes[:, None])
-    surface = _exact_matmul(f.mat.T, weighted)  # (phi, phi)
-    # collapse the product surface along antidiagonals, conv[t] = sum_{a+b=t}:
-    # with skew[a, a + b] = surface[a, b], conv is the column sum of skew
-    skew = np.zeros((phi, 2 * phi - 1), dtype=surface.dtype)
-    rows = np.arange(phi)[:, None]
-    skew[rows, rows + np.arange(phi)] = surface
-    conv = _exact_matmul(np.ones((1, phi), dtype=np.int64), skew)
-    vec = _exact_matmul(conv, ctx.pow_np[: 2 * phi - 1])[0]
-    den = f.den * g.den * f.group.order
-    return CyclotomicNumber(ctx.e, [int(x) for x in vec], den)
+    product = f * g.conjugate()
+    parts = _weighted_sums([product], _packed_context(f.group).sizes)[0]
+    return _order_sum(parts, product.den * f.group.order)
+
+
+def _gather(f: ClassFunction, group: GroupRealization, source) -> ClassFunction:
+    """The class function on `group` whose value at class k is f's value at
+    class source[k]; the two classes have one order, so each row of a block
+    is read from f's block of that order."""
+    src, dst = _packed_context(f.group), _packed_context(group)
+    source = np.asarray(source)
+    if not np.array_equal(src.class_orders[source], dst.class_orders):
+        raise ValueError("a gather must send each class to a class of the same order")
+    flat = f.flat[src.row_start[source[dst.flat_classes]][dst.flat_row] + dst.flat_offset]
+    return ClassFunction.from_flat(group, flat, f.den)
 
 
 def dual_character(f: ClassFunction) -> ClassFunction:
     """chi^vee: value at the class of g is the value at the class of g^-1."""
-    inv = f.group.conjugacy().inverse_class
-    return ClassFunction.from_mat(f.group, f.mat[inv], f.den)
+    return _gather(f, f.group, f.group.conjugacy().inverse_class)
 
 
 def twist_by_automorphism(f: ClassFunction, sigma: GroupAutomorphism) -> ClassFunction:
     """f o sigma^(-1), a gather through sigma's inverse class permutation."""
     if sigma.group is not f.group:
         raise ValueError("automorphism of a different group")
-    cp_inv = np.argsort(sigma.class_permutation())
-    return ClassFunction.from_mat(f.group, f.mat[cp_inv], f.den)
+    return _gather(f, f.group, np.argsort(sigma.class_permutation()))
 
 
 def induce_from_subgroup(group: GroupRealization, member_indices, exponents=0) -> ClassFunction:
@@ -329,17 +464,9 @@ def induce_from_subgroup(group: GroupRealization, member_indices, exponents=0) -
 def restrict_between_groups(
     f: ClassFunction, subgroup: GroupRealization
 ) -> ClassFunction:
-    """Restriction along an inclusion of realized matrix groups (same field),
-    rewritten over the subgroup's zeta_e'; a value outside Q(zeta_e') is refused."""
-    ctx, sub_ctx = _packed_context(f.group), _packed_context(subgroup)
-    gathered = f.mat[class_fusion(subgroup, f.group)]
-    if sub_ctx.e == ctx.e:
-        return ClassFunction.from_mat(subgroup, gathered, f.den)
-    mat = _exact_matmul(gathered, ctx.descent(sub_ctx.e))
-    lift = ctx.pow_np[np.arange(sub_ctx.phi) * (ctx.e // sub_ctx.e)]
-    if not np.array_equal(_exact_matmul(mat, lift), gathered):
-        raise ValueError(f"a restricted value does not lie in Q(zeta_{sub_ctx.e})")
-    return ClassFunction.from_mat(subgroup, mat, f.den)
+    """Restriction along an inclusion of realized matrix groups (same field):
+    a gather through the class fusion, which keeps element orders."""
+    return _gather(f, subgroup, class_fusion(subgroup, f.group))
 
 
 def class_fusion(small: GroupRealization, big: GroupRealization) -> np.ndarray:
@@ -368,16 +495,12 @@ def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]
     if not iota.is_involution():
         raise ValueError("twisted indicator needs an involutive automorphism")
     g = iota.group
+    if any(f.group is not g for f in fs):
+        raise ValueError("automorphism of a different group")
     data = g.conjugacy()
     prods = _bmm(g.tables, g.elements, g.elements[iota.perm])
     counts = np.bincount(data.cls[g.lookup(prods)], minlength=data.n_classes)
-    out = []
-    for f in fs:
-        if f.group is not g:
-            raise ValueError("automorphism of a different group")
-        total = _exact_matmul(counts[None, :], f.mat)[0].tolist()
-        out.append(CyclotomicNumber(_packed_context(g).e, total, f.den * g.order))
-    return out
+    return [_order_sum(parts, f.den * g.order) for f, parts in zip(fs, _weighted_sums(fs, counts))]
 
 
 # ---------------------------------------------------------------------------
@@ -425,33 +548,34 @@ def _primitive_root_of_unity(ell: int, e: int) -> int:
     return pow(g, (ell - 1) // e, ell)
 
 
-def gram_certificate(group: GroupRealization, packed, row_target, col_target=None):
+def gram_certificate(group: GroupRealization, functions, row_target, col_target=None):
     """Pairwise verdicts of exact Gram identities over Z[zeta_e].
 
-    `packed` lists power-basis matrices X_i (classes x phi(e)) of integer
-    valued class functions.  The row Gram sum_k s_k X_i(g_k) conj(X_j(g_k))
-    is compared with the integer matrix `row_target` and, when given, the
-    column Gram sum_i X_i(g_k) conj(X_i(g_m)) with `col_target`, at every
-    embedding zeta_e -> w^u mod primes p = 1 (mod e) whose product exceeds
-    2(B + max|target|), B a bound on the Grams' power-basis coefficients.
-    Entry (i, j) of a verdict is True iff entries (i, j) and (j, i) of the
-    Gram equal the target there at every embedding, which is a proof that
-    both identities hold exactly.  Returns (row verdict, column verdict or
-    None, primes).
+    `functions` lists integer-valued class functions X_i.  The row Gram
+    sum_k s_k X_i(g_k) conj(X_j(g_k)) is compared with the integer matrix
+    `row_target` and, when given, the column Gram sum_i X_i(g_k) conj(X_i(g_m))
+    with `col_target`, at every embedding zeta_e -> w^u mod primes p = 1
+    (mod e) whose product exceeds B + max|target|, B the l1 bound of the
+    module docstring on the Grams' complex absolute values.  Block m is
+    evaluated at zeta_m -> w^(u e/m).  Entry (i, j) of a verdict is True iff
+    entries (i, j) and (j, i) of the Gram equal the target there at every
+    embedding, which is a proof that both identities hold exactly.  Returns
+    (row verdict, column verdict or None, primes).
     """
+    if any(f.den != 1 for f in functions):
+        raise ValueError("the Gram certificate needs integer-valued class functions")
     ctx = _packed_context(group)
-    e, phi = ctx.e, ctx.phi
+    e = ctx.e
     targets = [t for t in (row_target, col_target) if t is not None]
-    # a coefficient of x * conj(y) is at most |x|_1 |conj y|_1 max|power_rows|
-    conj_l1 = np.abs(ctx.conj_np).sum(axis=1)
-    weights = np.stack([np.ones_like(conj_l1), conj_l1], axis=1)
-    l1 = np.stack([_exact_matmul(np.abs(mat), weights) for mat in packed])
-    norm, conj_norm = np.moveaxis(l1, -1, 0)
-    bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), conj_norm.T))
+    flat = np.stack([f.flat for f in functions])
+    if _absmax(flat) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
+        flat = flat.astype(object)  # so that no l1 norm of a value wraps
+    stacked = ctx.blocks(flat)
+    norm = np.add.reduceat(np.abs(flat), ctx.flat_starts, axis=1)[:, ctx.unblock]  # |X_i(g_k)|_1
+    bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), norm.T))
     if col_target is not None:
-        bound = max(bound, _absmax(_exact_matmul(norm.T, conj_norm)))
-    bound *= _absmax(ctx.pow_np[: 2 * phi - 1])
-    primes = _certificate_primes(e, 2 * (bound + max(_absmax(t) for t in targets)))
+        bound = max(bound, _absmax(_exact_matmul(norm.T, norm)))
+    primes = _certificate_primes(e, bound + max(_absmax(t) for t in targets))
     verdicts = [np.ones(np.shape(t), dtype=bool) for t in targets]
     # the embedding at -u is the conjugate of the one at u and its Grams
     # are the transposes, so half of the units suffice
@@ -463,9 +587,12 @@ def gram_certificate(group: GroupRealization, packed, row_target, col_target=Non
         for start in range(0, len(units), _EMBEDDING_CHUNK):
             chunk = units[start : start + _EMBEDDING_CHUNK]
             exps = chunk + [-u % e for u in chunk]
-            vander = np.stack([_root_powers(pow(w, v, p), phi, p) for v in exps], axis=1)
-            # one chunk of embeddings at a time: the packed rows are never stacked
-            values = np.stack([_evaluate_mod(mat, vander, p).T for mat in packed], axis=1)
+            blocks = []
+            for m, s in zip(ctx.orders, stacked):
+                roots = [pow(w, v * (e // m), p) for v in exps]
+                vander = np.stack([_root_powers(root, s.shape[2], p) for root in roots], axis=1)
+                blocks.append(_evaluate_mod(s, vander, p))  # (functions, classes, embeddings)
+            values = np.concatenate(blocks, axis=1)[:, ctx.unblock].transpose(2, 0, 1)
             for x, x_bar in zip(values[: len(chunk)], values[len(chunk) :]):
                 grams = [_exact_matmul(_exact_mul(x, sizes) % p, x_bar.T) % p]
                 if col_target is not None:
@@ -485,11 +612,20 @@ class ModularContext:
         self.ell = ell
         self.zeta_mod = zeta_mod  # fixed primitive e-th root of unity mod ell
         self.e = group.conjugacy().exponent
-        self._powers = _root_powers(zeta_mod, euler_phi(self.e), ell)
+        # block m is evaluated at zeta_m -> zeta_mod^(e/m): the powers of that
+        # root at each entry of a flat array
+        ctx = _packed_context(group)
+        self._powers = np.concatenate([
+            np.tile(_root_powers(pow(zeta_mod, self.e // m, ell), euler_phi(m), ell), len(classes))
+            for m, classes in zip(ctx.orders, ctx.block_classes)
+        ])
 
     def reduce_class_function(self, f: ClassFunction) -> np.ndarray:
-        """f's values mod ell, with zeta_e mapped to zeta_mod."""
-        values = _evaluate_mod(f.mat, self._powers, self.ell)
+        """f's values mod ell, with zeta_e mapped to zeta_mod: products of
+        residues below ell < 2^30, summed per row."""
+        ctx = _packed_context(f.group)
+        residues = (f.flat % self.ell).astype(np.int64) * self._powers % self.ell
+        values = np.add.reduceat(residues, ctx.flat_starts)[ctx.unblock] % self.ell
         if f.den == 1:
             return values
         inverse = np.array(pow(f.den, -1, self.ell), dtype=np.int64)
@@ -515,8 +651,8 @@ class CharacterTable:
     @staticmethod
     def _fingerprint(f: ClassFunction) -> tuple:
         """(denominator, per-class coefficient sums): cheap to hash, but not
-        injective, so `index_of` confirms a match on the whole matrix."""
-        return f.den, f.mat.sum(axis=1).tobytes()
+        injective, so `index_of` confirms a match on the whole function."""
+        return f.den, np.add.reduceat(f.flat, _packed_context(f.group).flat_starts).tobytes()
 
     @cached_property
     def _row_index(self) -> dict:
@@ -528,10 +664,10 @@ class CharacterTable:
 
     def index_of(self, f: ClassFunction) -> int:
         """Index of the irreducible equal to f: a dict lookup on its
-        fingerprint, confirmed by comparing the matrices."""
-        if f.mat.dtype != object:
+        fingerprint, confirmed by comparing the blocks."""
+        if f.flat.dtype != object:
             for i in self._row_index.get(self._fingerprint(f), ()):
-                if np.array_equal(self.irreducibles[i].mat, f.mat):
+                if self.irreducibles[i] == f:
                     return i
         raise KeyError("class function is not an irreducible of this table")
 
@@ -549,11 +685,10 @@ class CharacterTable:
         """
         if any(chi.den != 1 for chi in self.irreducibles):
             raise AssertionError("a table value is not a cyclotomic integer")
-        packed = [chi.mat for chi in self.irreducibles]
         order = self.group.order
-        row_target = order * np.eye(len(packed), dtype=np.int64)
+        row_target = order * np.eye(len(self.irreducibles), dtype=np.int64)
         col_target = np.diag(order // self.group.conjugacy().sizes.astype(np.int64))
-        row_ok, col_ok, primes = gram_certificate(self.group, packed, row_target, col_target)
+        row_ok, col_ok, primes = gram_certificate(self.group, self.irreducibles, row_target, col_target)
         for ok, kind in ((row_ok, "row"), (col_ok, "column")):
             bad = np.argwhere(~ok)
             if len(bad):
@@ -607,8 +742,8 @@ class CharacterTable:
             raise AssertionError("virtual characters must have integral values")
         if any(chi.den != 1 for chi in self.irreducibles):
             raise AssertionError("an irreducible's values have a denominator")
-        acc = sum((a * chi.mat for a, chi in zip(coeffs, self.irreducibles) if a), np.zeros_like(f.mat))
-        if not np.array_equal(acc, f.mat):
+        acc = sum((a * chi.flat for a, chi in zip(coeffs, self.irreducibles) if a), np.zeros_like(f.flat))
+        if not np.array_equal(acc, f.flat):
             raise AssertionError("modular decomposition failed exact verification")
 
     def to_json(self) -> dict:
@@ -671,24 +806,44 @@ def character_table(group: GroupRealization) -> CharacterTable:
 
     omegas = _central_characters_mod(group, ell)
     chi_mod, degrees = _character_values_mod(group, omegas, ell)
-    irreducibles = _lift_table(group, chi_mod, degrees, ell, zeta_mod)
-    irreducibles.sort(key=_character_sort_key)
+    irreducibles = _sort_characters(_lift_table(group, chi_mod, degrees, ell, zeta_mod))
     table = CharacterTable(group, irreducibles, modular)
     table.verify_degree_sum()
     table.verify_modular_orthogonality()
     return table
 
 
-def _character_sort_key(chi: ClassFunction):
-    """(degree, entries of mat in row-major order).  An int64 matrix is
-    compared row by row as bytes: flipping the sign bit maps signed order to
-    unsigned order, and big-endian words compare as bytes the way they do as
-    numbers.  One bytes object per row keeps the allocations small (one per
-    matrix raised the peak RSS of the SL3(5) table by 1.6 MB)."""
-    if chi.mat.dtype == object:
-        return chi.degree.as_int(), chi.mat.tolist()
-    flipped = (chi.mat.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
-    return chi.degree.as_int(), tuple(row.tobytes() for row in flipped)
+def _degree(chi: ClassFunction) -> int:
+    return chi.degree.as_int()
+
+
+def _sort_characters(rows: list[ClassFunction]) -> list[ClassFunction]:
+    """The rows in table order: by degree, then by the coefficients of their
+    values over the power basis of Z[zeta_e], class by class in index order.
+
+    Stable sorts refine the runs of rows that still tie, one class at a time,
+    and only the tied rows' values at that class are written over zeta_e,
+    through the rows x^(i e/m) mod Phi_e for the class order m."""
+    ctx = _packed_context(rows[0].group)
+    runs = [list(run) for _, run in groupby(sorted(rows, key=_degree), key=_degree)]
+    lifts = {}
+    for k in range(ctx.n_classes):
+        if all(len(run) == 1 for run in runs):
+            break
+        start, stop = int(ctx.row_start[k]), int(ctx.row_start[k] + ctx.row_len[k])
+        step = ctx.e // int(ctx.class_orders[k])
+        if step not in lifts:
+            lifts[step] = power_matrix(ctx.e, ks=range(0, (stop - start) * step, step))
+        refined = []
+        for run in runs:
+            if len(run) == 1:
+                refined.append(run)
+                continue
+            coords = _exact_matmul(np.stack([chi.flat[start:stop] for chi in run]), lifts[step]).tolist()
+            order = sorted(range(len(run)), key=coords.__getitem__)
+            refined += [[run[i] for i in tie] for _, tie in groupby(order, key=coords.__getitem__)]
+        runs = refined
+    return [chi for run in runs for chi in run]
 
 
 # -- modular linear algebra --------------------------------------------------
@@ -875,14 +1030,15 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
     """Lift mod-ell character values to exact cyclotomics via DFT sums.
 
     The Fourier sums of the module docstring are one Vandermonde matmul mod
-    ell per class, for all rows at once; the multiplicities fill the rows'
-    matrices and give each value's conductor.
+    ell per class, for all rows at once; the multiplicities of a class of
+    order m, times the powers of zeta_m, fill that class's row of every
+    function and give each value's conductor.
     """
     data = group.conjugacy()
     e = data.exponent
     ctx = _packed_context(group)
     n_rows = len(chi_mod)
-    packed = np.zeros((n_rows, data.n_classes, ctx.phi), dtype=np.int64)
+    flat = np.zeros((n_rows, ctx.size), dtype=np.int64)
     conductors = np.empty((n_rows, data.n_classes), dtype=np.int64)
     dft_of_order = {}
     for i, m in enumerate(data.orders):
@@ -894,18 +1050,16 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
             exps = np.outer(np.arange(m), np.arange(m)) % m
             scale = np.array(pow(m, -1, ell), dtype=np.int64)
             dft_of_order[m] = (_exact_mul(powers[exps], scale) % ell).astype(np.int64)
-        mults = _exact_matmul(chi_mod[:, pcs], dft_of_order[m]) % ell  # (rows, m)
+        mults = _matmul_mod(chi_mod[:, pcs], dft_of_order[m], ell)  # (rows, m)
         if (mults > ell // 2).any():
             raise RuntimeError("root-of-unity multiplicity fails to lift")
-        # sum_j c_j zeta_e^(j e/m) over the power basis of Q(zeta_e)
-        block = _exact_matmul(mults, ctx.pow_np[np.arange(m) * (e // m)])
-        if block.dtype == object:
-            packed = packed.astype(object)
-        packed[:, i, :] = block
+        # sum_j c_j zeta_m^j over the power basis of Q(zeta_m)
+        values = _exact_matmul(mults, ctx.pows[ctx.orders.index(m)][:m])
+        if values.dtype == object:
+            flat = flat.astype(object)
+        flat[:, ctx.row_start[i] : ctx.row_start[i] + values.shape[1]] = values
         support = np.gcd.reduce(np.where(mults != 0, np.arange(m), 0), axis=1)
         conductors[:, i] = m // np.gcd(support, m)
-    degree_rows = np.zeros((n_rows, ctx.phi), dtype=np.int64)
-    degree_rows[:, 0] = degrees
-    if not np.array_equal(packed[:, ctx.identity_class], degree_rows):
+    if not np.array_equal(flat[:, 0], degrees):
         raise RuntimeError("lifted degree mismatch")
-    return [ClassFunction.from_mat(group, packed[r], 1, conductors[r]) for r in range(n_rows)]
+    return [ClassFunction.from_flat(group, flat[r], 1, conductors[r]) for r in range(n_rows)]

@@ -7,7 +7,10 @@ Checks: dualizing, generic, jordan-dual, jordan-auto, disconnected-jordan,
 series-partition, dl-orthogonality, fs-indicator, center-h1, torus-lemma,
 table, all.  Exit status 0 iff every item of every report passes; 1 for a
 failed item, 2 for an unknown check, 3 for an InvalidSpec or UnsupportedSpec
-and 4 above the budget.  Other exceptions are internal errors.
+and 4 above the budget.  A certificate that refuses what construction built
+(a RuntimeError or AssertionError while a check builds its group, table,
+series or Jordan data) is a failed item of that check's report.  Other
+exceptions are internal errors.
 """
 
 from __future__ import annotations
@@ -302,9 +305,12 @@ def run_check(name: str, spec_text: str, budget: int = DEFAULT_BUDGET,
     if name in _SPEC_ONLY:
         items = CHECKS[name](spec)
     else:
-        group = _group_for(spec_text, budget, cache)
-        ctx = None if name in _NO_DL_CONTEXT else _ctx_for(group, budget, cache)
-        items = CHECKS[name](group, ctx, budget, cache)
+        try:
+            group = _group_for(spec_text, budget, cache)
+            ctx = None if name in _NO_DL_CONTEXT else _ctx_for(group, budget, cache)
+            items = CHECKS[name](group, ctx, budget, cache)
+        except (RuntimeError, AssertionError) as exc:
+            items = [{"check": "certificate", "ok": False, "detail": f"{type(exc).__name__}: {exc}"}]
     return CheckReport(
         check=name,
         group=str(spec),

@@ -86,25 +86,38 @@ def _absmax(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def power_matrix(e: int, dtype=np.int64) -> np.ndarray:
-    """The (max(e, 2 phi - 1), phi) matrix whose row k is x^k mod Phi_e over
-    the power basis: row k is row k-1 shifted up one degree, minus its top
-    coefficient times Phi_e.
+def power_matrix(e: int, dtype=np.int64, ks=None) -> np.ndarray:
+    """The matrix whose rows are x^k mod Phi_e over the power basis, for the
+    strictly ascending exponents k in `ks` (default 0, ..., max(e, 2 phi - 1)
+    - 1).
 
-    Every step adds at most max|row| * max|Phi_e| to a row, so int64 rows whose
-    entries stay below 2^62 / (max|Phi_e| + 1) were computed exactly; beyond
-    that the rows are recomputed over python ints (dtype object).
+    The coefficients of x^k, highest degree first, are the window
+    buf[k : k + phi] of one buffer, read before step k: multiplying by x moves
+    the window on by one, and the coefficient that leaves it (of x^phi) is
+    replaced by subtracting it times Phi_e in the new window.  A step adds at
+    most |top| max|Phi_e| to an entry, so while 1 plus the sum of those
+    increments stays below 2^62 / (max|Phi_e| + 1) the int64 rows are exact;
+    beyond that they are recomputed over python ints (dtype object).
     """
     poly = cyclotomic_polynomial(e)
     phi = len(poly) - 1
-    low = np.array(poly[:phi], dtype=dtype)
-    rows = np.zeros((max(e, 2 * phi - 1), phi), dtype=dtype)
-    rows[:phi] = np.eye(phi, dtype=dtype)
-    for k in range(phi, len(rows)):
-        rows[k, 1:] = rows[k - 1, :-1]
-        rows[k] -= rows[k - 1, -1] * low
-    if dtype is not object and _absmax(rows) * (_absmax(low) + 1) >= _INT64_GUARD:
-        return power_matrix(e, object)
+    if ks is None:
+        ks = range(max(e, 2 * phi - 1))
+    low = np.array(poly[phi - 1 :: -1], dtype=dtype)  # Phi_e below x^phi, highest degree first
+    step = _absmax(low)
+    rows = np.zeros((len(ks), phi), dtype=dtype)
+    buf = np.zeros((ks[-1] if len(ks) else 0) + phi, dtype=dtype)
+    buf[phi - 1] = 1
+    bound = 1
+    for j, k in enumerate(ks):
+        for i in range(ks[j - 1] if j else 0, k):
+            top = buf[i]
+            if top:
+                buf[i + 1 : i + 1 + phi] -= top * low
+                bound += abs(int(top)) * step
+        rows[j] = buf[k : k + phi][::-1]
+    if dtype is not object and bound * (step + 1) >= _INT64_GUARD:
+        return power_matrix(e, object, ks)
     return rows
 
 

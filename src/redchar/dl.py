@@ -874,8 +874,7 @@ def verify_dl_invariants(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
         )
     functions = [r.class_function for r in chars]
     if exhaustive:
-        packed = [f.mat for f in functions]
-        verdict = gram_certificate(ctx.group, packed, ctx.group.order * counts)[0]
+        verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
     else:
         decompositions = np.array([r.decomposition for r in chars], dtype=np.int64)
         decomposition_gram = decompositions @ decompositions.T

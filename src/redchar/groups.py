@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -193,7 +193,16 @@ class ConjugacyData:
     exponent: int
 
     def members(self, i: int) -> np.ndarray:
-        return np.nonzero(self.cls == i)[0]
+        """The element indices of class i, ascending."""
+        by_class, bounds = self._by_class
+        return by_class[bounds[i] : bounds[i + 1]]
+
+    @cached_property
+    def _by_class(self) -> tuple[np.ndarray, np.ndarray]:
+        """The element indices stably sorted by class, and where each class
+        starts: one sort on first use, after the conjugacy phase has freed
+        its temporaries, makes each class's members one ascending slice."""
+        return np.argsort(self.cls, kind="stable"), np.concatenate(([0], np.cumsum(self.sizes)))
 
 
 @dataclass

@@ -9,12 +9,13 @@ from redchar.chartable import (
     CharacterTable,
     ClassFunction,
     _central_characters_mod,
-    _character_sort_key,
     _character_values_mod,
     _packed_context,
+    _sort_characters,
     character_table,
     dual_character,
     find_table_prime,
+    gram_certificate,
     induce_from_subgroup,
     inner_product,
     restrict_between_groups,
@@ -24,7 +25,7 @@ from redchar.chartable import (
     twisted_fs_indicator,
     twisted_fs_indicators,
 )
-from redchar.cyclotomic import CyclotomicNumber
+from redchar.cyclotomic import CyclotomicNumber, euler_phi
 from redchar.groups import (
     GroupRealization,
     GroupSpec,
@@ -229,9 +230,16 @@ def test_sl3_4_table_runs_and_is_orthogonal():
     assert elapsed < 60
     assert len(t) == 28
     assert sum(d * d for d in t.degrees) == 60480
-    # the coefficient bound of SL3(4)'s Grams (about 2.9e7) exceeds one
-    # prime near 2^24, so the certificate combines two
-    assert len(t.verify_orthogonality()) == 2
+    # the l1 bound of SL3(4)'s Grams (about 5.9e5) is below one prime near
+    # 2^24, so one prime decides them
+    primes = t.verify_orthogonality()
+    assert len(primes) == 1
+    # a target off by that prime agrees with the Gram modulo it; its size
+    # brings in a second prime, which refuses it
+    target = (t.group.order + primes[0]) * np.eye(len(t), dtype=np.int64)
+    verdict, _, more = gram_certificate(t.group, t.irreducibles, target)
+    assert more[0] == primes[0] and len(more) == 2
+    assert not verdict.diagonal().any() and verdict.sum() == len(t) * (len(t) - 1)
 
 
 def test_dual_commutes_with_twist():
@@ -301,6 +309,11 @@ TABLE_DIGESTS = {
     "GL3(3)": "8994e032416e0b92a6103e8dc65de37b48da4fc6fe4e5e59427020c0c17b2e42",
     "GL2(9)": "d7968a053ccc457ccd9ca57724156857b02b5b99e82fe53ff4c12ab35c78aec7",
     "SL3(4)": "5581be37c892400a4122b0a0276f4673f5d29daaea2c8fafbda9e106309b984d",
+    # recorded from the dense layout (phi(e) coordinates per value) that the
+    # per-order blocks replaced; these have the widest gap between e and the
+    # class orders
+    "GL3(4)": "f3582891805268fffc1911f634d02bfcbcd74fba4e6b4b47042031edf1c3c858",
+    "SL3(5)": "bc5bb78b974862fbe5f654964b97f4c445662ad821e35ee329cedfd3e08dc7a8",
 }
 
 
@@ -308,6 +321,25 @@ TABLE_DIGESTS = {
 def test_table_json_digest_unchanged(name):
     payload = json.dumps(table(name).to_json(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["GL2(9)", "GL3(4)", "SL3(5)"])
+def test_exact_orthogonality_where_reports_use_the_modular_shadow(name):
+    # `verify table` certifies these only mod ell; the exact certificate
+    # holds on them too
+    assert table(name).verify_orthogonality()
+
+
+def test_sl3_5_values_take_phi_of_their_class_order():
+    t = table("SL3(5)")
+    data = t.group.conjugacy()
+    assert data.n_classes * euler_phi(data.exponent) == 28_800
+    stored = sum(euler_phi(m) for m in data.orders)
+    assert stored == 388
+    orders = sorted(set(data.orders))
+    shapes = [(data.orders.count(m), euler_phi(m)) for m in orders]
+    for chi in t.irreducibles:
+        assert chi.flat.size == stored and [b.shape for b in chi.blocks] == shapes
 
 
 @pytest.mark.parametrize("name", ["GL2(3)", "GL2(4)", "SL2(5)", "GL3(2)", "GL3(3)", "SL3(3)"])
@@ -334,9 +366,14 @@ def test_split_rows_are_the_central_characters_of_the_table(name):
 @pytest.mark.parametrize("name", ["GL2(5)", "SL3(3)"])
 def test_sort_key_orders_as_degree_then_nested_lists(name):
     rows = list(table(name).irreducibles)
-    by_lists = sorted(rows, key=lambda chi: (chi.degree.as_int(), chi.mat.tolist()))
-    assert any((chi.mat < 0).any() for chi in rows)
-    assert sorted(reversed(rows), key=_character_sort_key) == by_lists
+    e = rows[0].group.conjugacy().exponent
+
+    def nested(chi):  # the coefficients over zeta_e, class by class
+        return [v.lift(e).num for v in chi.values]
+
+    by_lists = sorted(rows, key=lambda chi: (chi.degree.as_int(), nested(chi)))
+    assert any(c < 0 for chi in rows for num in nested(chi) for c in num)
+    assert _sort_characters(rows[::-1]) == by_lists
 
 
 def _with_row(t, i, chi):
@@ -413,4 +450,4 @@ def test_lift_packs_the_values_it_returns():
     for name in ["GL2(5)", "SL3(3)"]:
         for chi in table(name).irreducibles:
             ref = ClassFunction(chi.group, chi.values)
-            assert chi.den == ref.den == 1 and (chi.mat == ref.mat).all()
+            assert chi.den == ref.den == 1 and chi == ref

@@ -14,6 +14,7 @@ from redchar import cyclotomic
 from redchar.chartable import (
     CharacterTable,
     ClassFunction,
+    _descent,
     _packed_context,
     class_fusion,
     dual_character,
@@ -41,16 +42,17 @@ def _automorphisms(g):
 
 @st.composite
 def class_value_lists(draw, group):
-    """One value per class: a short sum of roots of unity of the group
-    exponent with small integer coefficients, over a small denominator."""
+    """One value per class: a short sum of roots of unity zeta_e^t with small
+    integer coefficients, over a small denominator, where (e / m) | t for the
+    class order m, so that the value lies in Q(zeta_m)."""
     e = _packed_context(group).e
     values = []
-    for _ in range(group.conjugacy().n_classes):
-        terms = draw(st.lists(st.tuples(st.integers(0, e - 1), st.integers(-3, 3)), max_size=3))
+    for m in group.conjugacy().orders:
+        terms = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-3, 3)), max_size=3))
         den = draw(st.integers(1, 4))
         acc = CyclotomicNumber.zero()
         for k, c in terms:
-            acc = acc + zeta(e, k) * c
+            acc = acc + zeta(e, k * (e // m)) * c
         values.append(acc * Fraction(1, den))
     return values
 
@@ -92,10 +94,7 @@ def test_gathers_match_the_value_lists(data):
         assert _agrees(twist_by_automorphism(f, sigma), [a[int(k)] for k in cp_inv])
     sub = cached_group(SUBGROUPS[name])
     fusion = class_fusion(sub, g)
-    # a restricted value must lie in the subgroup's cyclotomic field, so
-    # restrict a character (the test values above need not)
-    chi = table_of(g).irreducibles[data.draw(st.integers(0, len(table_of(g)) - 1))]
-    assert _agrees(restrict_between_groups(chi, sub), [chi.values[int(k)] for k in fusion])
+    assert _agrees(restrict_between_groups(f, sub), [a[int(k)] for k in fusion])
 
 
 def test_twist_gathers_through_the_inverse_class_permutation():
@@ -113,13 +112,22 @@ def test_twist_gathers_through_the_inverse_class_permutation():
         assert _agrees(twist_by_automorphism(chi, sigma), [chi.values[int(k)] for k in cp_inv])
 
 
-def test_restriction_refuses_a_value_outside_the_subgroup_field():
-    # SL2(3) has exponent 12 inside GL2(3)'s 24: zeta_24 is no value there
-    g, sub = cached_group("GL2(3)"), cached_group("SL2(3)")
-    assert (_packed_context(g).e, _packed_context(sub).e) == (24, 12)
-    f = ClassFunction(g, [zeta(24)] * g.conjugacy().n_classes)
+def test_a_value_outside_the_field_of_its_class_order_is_refused():
+    # GL2(3) has exponent 24, but a value at its identity class lies in Q
+    g = cached_group("GL2(3)")
+    data = g.conjugacy()
+    assert _packed_context(g).e == 24
+    ident = int(data.cls[g.identity_idx])
+    values = [0] * data.n_classes
+    values[ident] = zeta(24)
     with pytest.raises(ValueError, match="does not lie in"):
-        restrict_between_groups(f, sub)
+        ClassFunction(g, values)
+    # a rational value stored at conductor 24 descends to the identity class
+    values[ident] = zeta(24) * 0 + 2
+    assert ClassFunction(g, values) == root_sum_function(g, [ident], weights=2)
+    # zeta_3 is no term at a class of order 2
+    with pytest.raises(ValueError, match="order does not divide"):
+        root_sum_function(g, [data.orders.index(2)], [8])
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +140,7 @@ def test_equality_matches_the_value_lists(data):
     b[k] = b[k] + data.draw(st.sampled_from([Fraction(1, 2), 1, -1]))
     f = ClassFunction(g, a)
     assert f == ClassFunction(g, list(a)) and f != ClassFunction(g, b)
-    assert f.degree == a[_packed_context(g).identity_class]
+    assert f.degree == a[int(g.conjugacy().cls[g.identity_idx])]
     # equal matrices over different denominators
     r = len(a)
     assert ClassFunction(g, [1] * r) != ClassFunction(g, [Fraction(1, 2)] * r)
@@ -151,9 +159,9 @@ def test_index_of_matches_a_search_of_the_value_lists(name):
                 assert [table.index_of(image)] == expected
     chi = table.irreducibles[-1]
     half = chi * Fraction(1, 2)
-    assert half.den == 2 and np.array_equal(half.mat, chi.mat)
+    assert half.den == 2 and np.array_equal(half.flat, chi.flat)
     huge = chi * (1 << 62)
-    assert huge.mat.dtype == object
+    assert huge.flat.dtype == object
     for f in (chi * 2, half, huge):
         with pytest.raises(KeyError):
             table.index_of(f)
@@ -167,36 +175,41 @@ def test_descent_inverts_the_lift_to_the_exponent(data):
     c = data.draw(st.sampled_from([d for d in range(1, ctx.e + 1) if ctx.e % d == 0]))
     num = data.draw(st.lists(st.integers(-9, 9), min_size=euler_phi(c), max_size=euler_phi(c)))
     lifted = CyclotomicNumber(c, num).lift(ctx.e)
-    assert (np.array([lifted.num]) @ ctx.descent(c)).tolist() == [num]
+    assert (np.array([lifted.num]) @ _descent(ctx.e, c)).tolist() == [num]
 
 
 def test_root_sum_function_reduces():
-    # on GL2(3), e = 24: 1 + z3 + z3^2 = 0 and 2 z8 + 2 z8^5 = 0, while
-    # z8 + z8^5 + z4 = z4 is not
+    # on GL2(3), e = 24: 1 + z3 + z3^2 = 0 at class 5 (order 3) and
+    # 2 z8 + 2 z8^5 = 0 at class 1 (order 8), while z8 + z8^5 + z4 = z4 at
+    # class 2 (order 8) is not
     g = cached_group("GL2(3)")
     assert _packed_context(g).e == 24
+    assert [g.conjugacy().orders[k] for k in (5, 1, 2)] == [3, 8, 8]
     r = g.conjugacy().n_classes
-    f = root_sum_function(g, [0, 0, 0, 1, 1, 2, 2, 2], [0, 8, 16, 3, 15, 3, 15, 6], [1, 1, 1, 2, 2, 1, 1, 1])
+    f = root_sum_function(g, [5, 5, 5, 1, 1, 2, 2, 2], [0, 8, 16, 3, 15, 3, 15, 6], [1, 1, 1, 2, 2, 1, 1, 1])
     assert _agrees(f, [0, 0, zeta(4)] + [0] * (r - 3))
 
 
 def test_index_of_tells_apart_rows_that_share_a_fingerprint():
-    # psi moves one coefficient of chi at a non-identity class from zeta^0 to
+    # psi moves one coefficient of chi at a class of order 8 from zeta^0 to
     # zeta^1: every per-class coefficient sum, so the fingerprint, is unchanged
     g = cached_group("GL2(3)")
     full = table_of(g)
     chi = full.irreducibles[-1]
-    k = (_packed_context(g).identity_class + 1) % g.conjugacy().n_classes
-    moved = chi.mat.copy()
-    moved[k, :2] += [-1, 1]
-    psi = ClassFunction.from_mat(g, moved)
-    stray = chi.mat.copy()
-    stray[k, :3] += [-1, 0, 1]
+    k = g.conjugacy().orders.index(8)  # phi(8) = 4 coordinates
+    start = _packed_context(g).row_start[k]
+
+    def shifted(delta):
+        flat = chi.flat.copy()
+        flat[start : start + len(delta)] += delta
+        return ClassFunction.from_flat(g, flat)
+
+    psi = shifted([-1, 1])
     table = CharacterTable(g, [chi, psi], full.modular)
     assert table._fingerprint(psi) == table._fingerprint(chi) and len(table._row_index) == 1
     assert table.index_of(chi) == 0 and table.index_of(psi) == 1
     with pytest.raises(KeyError):
-        table.index_of(ClassFunction.from_mat(g, stray))
+        table.index_of(shifted([-1, 0, 1]))
 
 
 def test_root_sum_function_weights_past_int64_match_cyclotomic_sums():
@@ -206,14 +219,14 @@ def test_root_sum_function_weights_past_int64_match_cyclotomic_sums():
     r = g.conjugacy().n_classes
     cases = [
         ([1, 1, 1, 2], [0, 0, 0, 3], [1 << 62, 1 << 62, 1 << 62, 5]),
-        ([0, 1, 1, 1, 2], [1, 0, 0, 5, 3], [3, (1 << 63) + 1, -(1 << 62), 1 << 62, -(1 << 64)]),
+        ([0, 1, 1, 1, 2], [12, 0, 0, 15, 3], [3, (1 << 63) + 1, -(1 << 62), 1 << 62, -(1 << 64)]),
     ]
     for classes, exponents, weights in cases:
         f = root_sum_function(g, classes, exponents, weights)
         oracle = [CyclotomicNumber.zero() for _ in range(r)]
         for k, x, w in zip(classes, exponents, weights):
             oracle[k] = oracle[k] + zeta(e, x) * w
-        assert f.mat.dtype == object and _agrees(f, oracle)
+        assert f.flat.dtype == object and _agrees(f, oracle)
 
 
 def test_index_of_twists_and_duals_builds_no_cyclotomic_number(monkeypatch):
@@ -237,11 +250,10 @@ def test_index_of_twists_and_duals_builds_no_cyclotomic_number(monkeypatch):
 
 def test_pointwise_product_past_int64_falls_back_to_python_ints():
     g = cached_group("GL2(3)")
-    e = _packed_context(g).e
-    big = [zeta(e, 1) * (1 << 31) + (1 << 40)] * g.conjugacy().n_classes
+    big = [zeta(m) * (1 << 31) + (1 << 40) for m in g.conjugacy().orders]
     f = ClassFunction(g, big)
-    assert f.mat.dtype == np.int64
+    assert f.flat.dtype == np.int64
     product = f * f
-    assert product.mat.dtype == object
+    assert product.flat.dtype == object
     assert _agrees(product, [x * x for x in big])
     assert (f * f * f).values[0] == big[0] * big[0] * big[0]

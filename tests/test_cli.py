@@ -48,6 +48,32 @@ def test_cli_exit_codes(tmp_path):
     assert main(["jordan-auto", "--group", "SL2(3)"]) == EXIT_UNSUPPORTED_SPEC
 
 
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+def test_a_refused_certificate_is_a_failed_item(error, monkeypatch, capsys):
+    from redchar import chartable
+
+    def refuse(*args):
+        raise error("lifted degree mismatch")
+
+    g = cached_group("GL2(3)")
+    monkeypatch.setattr(g, "_table", None)
+    monkeypatch.setattr(chartable, "_lift_table", refuse)
+    assert main(["table", "--group", "GL2(3)", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert report["items"] == [
+        {"check": "certificate", "ok": False, "detail": f"{error.__name__}: lifted degree mismatch"}
+    ]
+
+    def crash(*args):
+        raise ValueError("an internal error")
+
+    # any other exception still escapes as an internal error
+    monkeypatch.setattr(chartable, "_lift_table", crash)
+    with pytest.raises(ValueError, match="an internal error"):
+        main(["table", "--group", "GL2(3)"])
+
+
 def test_report_roundtrip():
     report = run_check("center-h1", "SL3(4)")
     text = emit_report(report, "json")

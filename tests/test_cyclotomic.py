@@ -81,6 +81,8 @@ def test_power_matrix_rows_are_reduced_powers():
             assert rows[k].tolist() == [int(f) for f in oracle], (e, k)
     # the python-int recurrence (the int64 overflow fallback) gives the same rows
     assert np.array_equal(power_matrix(105, object), power_matrix(105))
+    # streaming only some exponents keeps exactly those rows
+    assert np.array_equal(power_matrix(105, ks=range(3, 105, 7)), power_matrix(105)[3::7])
 
 
 def test_i_squared_is_minus_one():

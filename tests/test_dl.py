@@ -11,6 +11,7 @@ from redchar.chartable import (
     dual_character,
     gram_certificate,
     inner_product,
+    root_sum_function,
     twist_by_automorphism,
 )
 from redchar.dl import (
@@ -151,17 +152,17 @@ def test_exclusion_theorem_gl3_2_exhaustive():
 
 
 def _dl_gram(name):
-    """Context, DL characters of every pair, their packed matrices and the
+    """Context, DL characters of every pair, their class functions and the
     oracle's twisted identification counts."""
     ctx = dl_context(name)
     pairs = all_pairs(ctx)
     chars = [dl_character(ctx, *p) for p in pairs]
-    packed = [r.class_function.mat for r in chars]
+    functions = [r.class_function for r in chars]
     counts = np.array(
         [[twisted_identifications_oracle(ctx.q, *p1, *p2) for p2 in pairs] for p1 in pairs],
         dtype=np.int64,
     )
-    return ctx, chars, packed, counts
+    return ctx, chars, functions, counts
 
 
 def _pairwise_verdicts(chars, target):
@@ -179,9 +180,9 @@ def _pairwise_verdicts(chars, target):
 
 @pytest.mark.parametrize("name", ["GL2(3)", "GL2(4)", "GL3(2)"])
 def test_dl_gram_certificate_matches_pairwise_inner_products(name):
-    ctx, chars, packed, counts = _dl_gram(name)
+    ctx, chars, functions, counts = _dl_gram(name)
     order = ctx.group.order
-    verdict, col_verdict, primes = gram_certificate(ctx.group, packed, order * counts)
+    verdict, col_verdict, primes = gram_certificate(ctx.group, functions, order * counts)
     assert col_verdict is None and primes
     assert verdict.all()
     assert (verdict == _pairwise_verdicts(chars, counts)).all()
@@ -190,7 +191,7 @@ def test_dl_gram_certificate_matches_pairwise_inner_products(name):
     for i, j in [(0, 0), (1, 5), (3, 2)]:
         wrong[i, j] += 1
         wrong[j, i] = wrong[i, j]
-    verdict = gram_certificate(ctx.group, packed, order * wrong)[0]
+    verdict = gram_certificate(ctx.group, functions, order * wrong)[0]
     assert (verdict == _pairwise_verdicts(chars, wrong)).all()
     assert set(map(tuple, np.argwhere(~verdict).tolist())) == {
         (0, 0), (1, 5), (5, 1), (2, 3), (3, 2)
@@ -198,22 +199,20 @@ def test_dl_gram_certificate_matches_pairwise_inner_products(name):
 
 
 def test_dl_gram_certificate_flags_a_perturbed_target_entry():
-    ctx, _chars, packed, counts = _dl_gram("GL2(3)")
+    ctx, _chars, functions, counts = _dl_gram("GL2(3)")
     target = ctx.group.order * counts
     target[2, 7] += 1  # one entry, not its transpose
-    verdict = gram_certificate(ctx.group, packed, target)[0]
+    verdict = gram_certificate(ctx.group, functions, target)[0]
     assert set(map(tuple, np.argwhere(~verdict).tolist())) == {(2, 7), (7, 2)}
 
 
 def test_dl_gram_certificate_flags_a_perturbed_character():
-    ctx, _chars, packed, counts = _dl_gram("GL2(3)")
+    ctx, _chars, functions, counts = _dl_gram("GL2(3)")
     ident = int(ctx.group.conjugacy().cls[ctx.group.identity_idx])
     i = 5
-    packed = list(packed)
-    packed[i] = packed[i].copy()
     # R_i(1) + 1: every R_j(1) is a nonzero degree, so every pair with i moves
-    packed[i][ident, 0] += 1
-    verdict = gram_certificate(ctx.group, packed, ctx.group.order * counts)[0]
+    functions[i] = functions[i] + root_sum_function(ctx.group, [ident])
+    verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
     bad = np.zeros_like(verdict)
     bad[i, :] = bad[:, i] = True
     assert (verdict == ~bad).all()

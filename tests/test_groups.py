@@ -354,6 +354,13 @@ def test_lookup_rejects_matrices_off_the_group():
         g.right_mul(np.array([[2, 0], [0, 1]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("name", ["GL2(3)", "SL3(3)"])
+def test_members_are_the_class_in_ascending_order(name):
+    data = cached_group(name).conjugacy()
+    for i in range(data.n_classes):
+        assert np.array_equal(data.members(i), np.flatnonzero(data.cls == i))
+
+
 @pytest.mark.parametrize("name", ["GL2(4)", "SL3(3)"])
 def test_class_matrices_match_a_direct_count(name, monkeypatch):
     g = cached_group(name)
