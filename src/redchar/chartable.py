@@ -166,6 +166,8 @@ class _PackedContext:
         self.pow_flat = np.concatenate([pw.ravel() for pw in self.pows])
         pow_bounds = np.cumsum([0] + [pw.size for pw in self.pows])
         self.pow_start = pow_bounds[np.searchsorted(self.orders, self.class_orders)]
+        # (source context, class map bytes) -> flat gather index (`_gather`)
+        self.gathers: dict[tuple, np.ndarray] = {}
 
     def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
         """The blocks of flat arrays (..., size) as views (..., classes, phi(m))."""
@@ -430,13 +432,18 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
 def _gather(f: ClassFunction, group: GroupRealization, source) -> ClassFunction:
     """The class function on `group` whose value at class k is f's value at
     class source[k]; the two classes have one order, so each row of a block
-    is read from f's block of that order."""
+    is read from f's block of that order.  The flat index of each (source
+    group, class map) is built once and kept on `group`'s context."""
     src, dst = _packed_context(f.group), _packed_context(group)
-    source = np.asarray(source)
-    if not np.array_equal(src.class_orders[source], dst.class_orders):
-        raise ValueError("a gather must send each class to a class of the same order")
-    flat = f.flat[src.row_start[source[dst.flat_classes]][dst.flat_row] + dst.flat_offset]
-    return ClassFunction.from_flat(group, flat, f.den)
+    source = np.asarray(source, dtype=np.int64)
+    key = (src, source.tobytes())
+    index = dst.gathers.get(key)
+    if index is None:
+        if not np.array_equal(src.class_orders[source], dst.class_orders):
+            raise ValueError("a gather must send each class to a class of the same order")
+        index = src.row_start[source[dst.flat_classes]][dst.flat_row] + dst.flat_offset
+        dst.gathers[key] = index
+    return ClassFunction.from_flat(group, f.flat[index], f.den)
 
 
 def dual_character(f: ClassFunction) -> ClassFunction:
@@ -850,42 +857,47 @@ def _sort_characters(rows: list[ClassFunction]) -> list[ClassFunction]:
 
 
 def _mod_rref(mat: np.ndarray, ell: int):
-    """Row-reduce mod ell; returns (rref, pivot column list)."""
+    """Row-reduce mod ell; returns (rref, pivot column list).
+
+    Each pivot column is cleared by one outer-product update of the rows
+    that are nonzero there, on the columns from the pivot on (the earlier
+    ones are zero in the pivot row).  Entries stay in [0, ell) with
+    ell < 10^9 (`find_table_prime`), so the products are below
+    ell^2 < 2^63 and the int64 update is exact.
+    """
     m = mat % ell
     rows, cols = m.shape
     pivots = []
-    rank = 0
     for c in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i, c] % ell:
-                pivot = i
-                break
-        if pivot is None:
+        rank = len(pivots)
+        nonzero = np.flatnonzero(m[rank:, c])
+        if not len(nonzero):
             continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = m[rank] * pow(int(m[rank, c]), -1, ell) % ell
-        for i in range(rows):
-            if i != rank and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[rank]) % ell
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), -1, ell) % ell
+        rest = np.flatnonzero(m[:, c])
+        rest = rest[rest != rank]  # the rows to clear
+        m[rest, c:] = (m[rest, c:] - np.outer(m[rest, c], m[rank, c:])) % ell
         pivots.append(c)
-        rank += 1
-        if rank == rows:
+        if len(pivots) == rows:
             break
     return m, pivots
 
 
-def _mod_nullspace(a: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
+def _mod_nullspace(a: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns K spanning the kernel of a mod ell, and the free columns of
-    a's echelon form: K restricted to the rows `free` is the identity."""
-    rows, cols = a.shape
-    red, pivots = _mod_rref(a.copy(), ell)
-    free = [c for c in range(cols) if c not in pivots]
+    a's echelon form: K restricted to the rows `free` is the identity, and
+    its rows at the pivots are minus the echelon form's free columns."""
+    cols = a.shape[1]
+    red, pivots = _mod_rref(a, ell)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-red[i, fc]) % ell
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -red[: len(pivots), free] % ell
     return basis, free
 
 
@@ -922,15 +934,17 @@ def _class_matrix(group: GroupRealization, i: int, cols) -> np.ndarray:
 
     Equivalently, column k counts the classes of x^-1 g_k over x in C_i: a
     row-table product by the fixed representative g_k
-    (`GroupRealization.right_mul`), with no per-pair matrix products.  A
-    column costs |C_i| products, and the representatives go in blocks of at
-    most _CLASS_MATRIX_PAIRS products.  The rows M_i[P] are the columns P of
+    (`GroupRealization.right_mul`), with no per-pair matrix products.  The
+    inverses x^-1 run over C_i', the class of the inverses, so its members
+    are read as they are: a count does not depend on their order.  A column
+    costs |C_i| products, and the representatives go in blocks of at most
+    _CLASS_MATRIX_PAIRS products.  The rows M_i[P] are the columns P of
     M_i' rescaled, by s_k M_i[j, k] = s_j M_i'[k, j] (`_class_matrix_rows`),
     so they cost |C_i| |P| products, not the |C_i| r of the whole matrix.
     """
     data = group.conjugacy()
     r = data.n_classes
-    x_inv = group.inv_perm[data.members(i)]
+    x_inv = data.members(int(data.inverse_class[i]))
     mat = np.zeros((r, len(cols)), dtype=np.int64)
     step = max(1, _CLASS_MATRIX_PAIRS // len(x_inv))
     for start in range(0, len(cols), step):

@@ -250,7 +250,7 @@ class FiniteField:
     def generator(self) -> "FiniteFieldElement":
         return self.element(self.generator_code)
 
-    def elements(self):
+    def elements(self) -> list[FiniteFieldElement]:
         return [self.element(c) for c in range(self.q)]
 
     def __repr__(self) -> str:

@@ -15,7 +15,11 @@ gather D[C] is therefore the determinant of every key in key order, and its
 kept positions are the group's keys.  Row j of (x^-1)^T is the cofactor row
 of the other rows times +-det(x)^-1, read through a scale table, and the row
 codes of x^T are sums of n per-position tables, so inverses and transposes
-are table gathers over the group's row codes.
+are table gathers over the group's row codes.  The transpose map is built
+with the group; inverses are found for the elements asked for (generators,
+class representatives), and the whole inverse map only on first read: the
+character table reads the inverse of a class from its representative, and
+{x^-1 : x in C} is the inverse class itself, so it never needs the map.
 
 A dense int32 map over all q^(n^2) keys gives each element's index (-1 off
 the group).  Multiplying many elements by one fixed matrix h is the group's
@@ -193,16 +197,23 @@ class ConjugacyData:
     exponent: int
 
     def members(self, i: int) -> np.ndarray:
-        """The element indices of class i, ascending."""
+        """The element indices of class i, ascending.
+
+        They are one slice of a stable sort of the element indices by class,
+        made on first use.  The keys are the class indices narrowed to the
+        smallest unsigned type that holds them (uint8 up to 255 classes), on
+        which numpy's stable sort is a radix sort: a few passes over the
+        group instead of a comparison sort of int64 keys, in the same order.
+        """
         by_class, bounds = self._by_class
         return by_class[bounds[i] : bounds[i + 1]]
 
     @cached_property
     def _by_class(self) -> tuple[np.ndarray, np.ndarray]:
         """The element indices stably sorted by class, and where each class
-        starts: one sort on first use, after the conjugacy phase has freed
-        its temporaries, makes each class's members one ascending slice."""
-        return np.argsort(self.cls, kind="stable"), np.concatenate(([0], np.cumsum(self.sizes)))
+        starts; sorted after the conjugacy phase has freed its temporaries."""
+        keys = self.cls.astype(np.min_scalar_type(self.n_classes))
+        return np.argsort(keys, kind="stable"), np.concatenate(([0], np.cumsum(self.sizes)))
 
 
 @dataclass
@@ -233,7 +244,6 @@ class GroupRealization:
         self.field = finite_field(p, k)
         self.tables = _Tables(self.field)
         self._enumerate()
-        self._find_subgroups()
         self._conjugacy: ConjugacyData | None = None
         # memos filled by chartable: the character table and its packed context
         self._table = None
@@ -267,7 +277,18 @@ class GroupRealization:
         self.identity_idx = int(self.lookup(ident[None])[0])
         self._rows_t = self._transposed_rows(self._rows)  # row codes of every x^T
         self.transpose_perm = self._find(self._rows_t)
-        self.inv_perm = self.transpose_perm[self._find(self._inverse_transposed_rows(self._rows))]
+
+    @cached_property
+    def inv_perm(self) -> np.ndarray:
+        """The permutation x -> x^-1, built on first use: the table reads
+        inverse classes, and only automorphisms and tests read this map."""
+        return self.inverses()
+
+    def inverses(self, idx: np.ndarray | None = None) -> np.ndarray:
+        """Indices of x^-1 for the elements x at `idx` (default: all): the
+        row codes of (x^-1)^T from the cofactor table, transposed back."""
+        rows = self._rows if idx is None else np.take(self._rows, idx, axis=0)
+        return self.transpose_perm[self._find(self._inverse_transposed_rows(rows))]
 
     def _det(self, rows: np.ndarray) -> np.ndarray:
         """Field codes of det x for the matrices x with these row codes (shape (..., n))."""
@@ -334,7 +355,10 @@ class GroupRealization:
 
     # -- distinguished subgroups ------------------------------------------
 
-    def _find_subgroups(self) -> None:
+    @cached_property
+    def _subgroups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The standard Borel B (lower triangular), its diagonal torus T and
+        unipotent radical U, found on first read with the check B = T U."""
         e = self.elements
         n = self.n
         lower = np.ones(self.order, dtype=bool)
@@ -348,11 +372,24 @@ class GroupRealization:
         diag_one = np.ones(self.order, dtype=bool)
         for i in range(n):
             diag_one &= e[:, i, i] == 1
-        self.borel_indices = np.nonzero(lower)[0]
-        self.torus_indices = np.nonzero(lower & strict_upper_zero)[0]
-        self.unipotent_indices = np.nonzero(lower & diag_one)[0]
-        if len(self.borel_indices) != len(self.torus_indices) * len(self.unipotent_indices):
+        borel = np.nonzero(lower)[0]
+        torus = np.nonzero(lower & strict_upper_zero)[0]
+        unipotent = np.nonzero(lower & diag_one)[0]
+        if len(borel) != len(torus) * len(unipotent):
             raise RuntimeError(f"{self.spec}: the Borel subgroup is not T U")
+        return borel, torus, unipotent
+
+    @property
+    def borel_indices(self) -> np.ndarray:
+        return self._subgroups[0]
+
+    @property
+    def torus_indices(self) -> np.ndarray:
+        return self._subgroups[1]
+
+    @property
+    def unipotent_indices(self) -> np.ndarray:
+        return self._subgroups[2]
 
     def root_subgroup_element(self, i: int, c: int) -> int:
         """Index of x_{alpha_i}(c) = I + c E_{i,i+1} (simple root subgroups)."""
@@ -442,8 +479,8 @@ class GroupRealization:
         least elements.
         """
         gens, perms = self._generating_set()
-        for t, g in enumerate(gens):
-            perms[t] = perms[t][self.right_mul(self.elements[self.inv_perm[g]])]
+        for t, g_inv in enumerate(self.inverses(gens)):
+            perms[t] = perms[t][self.right_mul(self.elements[g_inv])]
         minima = _orbit_minima(perms, self.order)
         del perms
         is_rep = minima == np.arange(self.order)
@@ -451,7 +488,7 @@ class GroupRealization:
         cls = (np.cumsum(is_rep) - 1)[minima]
         sizes = np.bincount(cls, minlength=len(reps))
         orders, power_classes = self._powers(reps, cls)
-        inverse_class = cls[self.inv_perm[reps]]
+        inverse_class = cls[self.inverses(reps)]
         exponent = 1
         for o in orders:
             exponent = exponent * o // gcd(exponent, o)

@@ -16,10 +16,6 @@ class IntegerMatrix:
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntegerMatrix":
-        return IntegerMatrix([[0] * ncols for _ in range(nrows)])
-
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
@@ -52,9 +48,6 @@ class IntegerMatrix:
 
     def __neg__(self) -> "IntegerMatrix":
         return IntegerMatrix([[-a for a in r] for r in self.rows])
-
-    def apply(self, vec):
-        return [sum(a * v for a, v in zip(row, vec)) for row in self.rows]
 
     def det(self) -> int:
         """Determinant by fraction-free Gaussian elimination (Bareiss)."""
@@ -197,12 +190,6 @@ class FiniteAbelianGroup:
     @property
     def exponent(self) -> int:
         return self.divisors[-1] if self.divisors else 1
-
-    def elements(self):
-        out = [()]
-        for d in self.divisors:
-            out = [e + (x,) for e in out for x in range(d)]
-        return out
 
     def is_trivial(self) -> bool:
         return not self.divisors

@@ -94,15 +94,6 @@ class BasedRootDatum:
             tuple((1 if r == c else 0) - alpha[r] * cov[c] for c in range(n)) for r in range(n)
         )
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "rank": self.rank,
-            "roots": [list(r) for r in self.roots],
-            "coroots": [list(c) for c in self.coroots],
-            "simples": list(self.simples),
-        }
-
 
 @dataclass(frozen=True)
 class PinnedAutomorphism:

@@ -10,6 +10,9 @@ from redchar.chartable import (
     ClassFunction,
     _central_characters_mod,
     _character_values_mod,
+    _class_matrix,
+    _mod_nullspace,
+    _mod_rref,
     _packed_context,
     _sort_characters,
     character_table,
@@ -451,3 +454,98 @@ def test_lift_packs_the_values_it_returns():
         for chi in table(name).irreducibles:
             ref = ClassFunction(chi.group, chi.values)
             assert chi.den == ref.den == 1 and chi == ref
+
+
+@pytest.mark.parametrize("name", ["SL3(3)", "GL2(7)", "SL3(5)"])
+def test_a_table_builds_neither_the_inverse_map_nor_the_borel(name):
+    spec = GroupSpec.parse(name)
+    g = GroupRealization(spec)
+    table_of(g)
+    assert "inv_perm" not in vars(g)
+    assert "_subgroups" not in vars(g)
+
+
+def _class_matrix_through_the_inverse_map(g, i):
+    """M_i with every column, from x^-1 = inv_perm[x] over the members x of C_i."""
+    data = g.conjugacy()
+    x_inv = g.inv_perm[data.members(i)]
+    classes = data.cls[g.right_mul(g.elements[data.reps], x_inv)]  # (classes k, x)
+    return np.stack([np.bincount(row, minlength=data.n_classes) for row in classes], axis=1)
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL3(3)"])
+def test_class_matrices_from_inverse_class_members_match_the_inverse_map(name):
+    g = cached_group(name)
+    r = g.conjugacy().n_classes
+    for i in range(r):
+        assert np.array_equal(_class_matrix(g, i, np.arange(r)), _class_matrix_through_the_inverse_map(g, i))
+
+
+def _loop_rref(mat, ell):
+    """Row reduction mod ell one row at a time: the oracle for `_mod_rref`."""
+    m = mat % ell
+    rows, cols = m.shape
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(rank, rows):
+            if m[i, c] % ell:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, c]), -1, ell) % ell
+        for i in range(rows):
+            if i != rank and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[rank]) % ell
+        pivots.append(c)
+        rank += 1
+        if rank == rows:
+            break
+    return m, pivots
+
+
+def _loop_nullspace(a, ell):
+    rows, cols = a.shape
+    red, pivots = _loop_rref(a.copy(), ell)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = (-red[i, fc]) % ell
+    return basis, free
+
+
+def _elimination_cases(ell):
+    rng = np.random.default_rng(ell)
+    cases = [
+        np.zeros((4, 5), dtype=np.int64),  # no pivot at all
+        np.array([[0, 0, 3], [0, 2, 1], [5, 0, 0]], dtype=np.int64),  # every pivot needs a row swap
+        np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1]], dtype=np.int64) * 7 - 3,  # rank 2 of 3
+        rng.integers(-ell, ell, size=(3, 7)),  # full row rank: the rank == rows exit
+    ]
+    for rows, cols, rank in [(6, 6, 6), (8, 8, 5), (5, 9, 3), (9, 4, 2), (12, 12, 11)]:
+        left = rng.integers(0, ell, size=(rows, rank))
+        right = rng.integers(0, ell, size=(rank, cols))
+        product = (left[:, :, None] * right[None, :, :] % ell).sum(axis=1) % ell
+        product[:, rng.permutation(cols)[: cols // 3]] = 0  # zero columns: skipped pivots
+        cases.append(product[rng.permutation(rows)])
+    return cases
+
+
+@pytest.mark.parametrize("ell", [421, 766321])
+def test_array_elimination_matches_the_row_loop(ell):
+    for mat in _elimination_cases(ell):
+        red, pivots = _mod_rref(mat.copy(), ell)
+        want_red, want_pivots = _loop_rref(mat.copy(), ell)
+        assert pivots == want_pivots
+        assert np.array_equal(red, want_red)
+        basis, free = _mod_nullspace(mat, ell)
+        want_basis, want_free = _loop_nullspace(mat, ell)
+        assert list(free) == want_free
+        assert np.array_equal(basis, want_basis)
+        assert not (mat @ basis % ell).any()
+

@@ -25,6 +25,8 @@ from redchar.chartable import (
 )
 from redchar.cyclotomic import CyclotomicNumber, euler_phi, zeta
 from redchar.groups import (
+    GroupRealization,
+    GroupSpec,
     adjoint_action_representatives,
     cached_group,
     duality_involution,
@@ -95,6 +97,29 @@ def test_gathers_match_the_value_lists(data):
     sub = cached_group(SUBGROUPS[name])
     fusion = class_fusion(sub, g)
     assert _agrees(restrict_between_groups(f, sub), [a[int(k)] for k in fusion])
+
+
+def test_gathers_build_one_index_per_class_map():
+    g = GroupRealization(GroupSpec.parse("GL2(5)"))
+    ctx = _packed_context(g)
+    chis = table_of(g).irreducibles
+    inv = g.conjugacy().inverse_class
+    duals = [dual_character(chi) for chi in chis]
+    (key, index), = ctx.gathers.items()
+    assert key[0] is ctx and key[1] == inv.tobytes()
+    # on GL_n the duality involution sends each class to its inverse class,
+    # so its twist reads the same index
+    twisted = twist_by_automorphism(chis[1], duality_involution(g))
+    assert list(ctx.gathers.values()) == [index] and ctx.gathers[key] is index
+    assert twisted == duals[1]
+    for chi, dual in zip(chis, duals):
+        assert _agrees(dual, [chi.values[int(k)] for k in inv])
+    sub = cached_group("SL2(5)")
+    restricted = [restrict_between_groups(chi, sub) for chi in chis[:3]]
+    assert len([k for k in _packed_context(sub).gathers if k[0] is ctx]) == 1
+    fusion = class_fusion(sub, g)
+    for chi, res in zip(chis, restricted):
+        assert _agrees(res, [chi.values[int(k)] for k in fusion])
 
 
 def test_twist_gathers_through_the_inverse_class_permutation():

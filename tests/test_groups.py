@@ -122,6 +122,22 @@ def test_build_small_groups():
     assert gl1.order == 1
 
 
+def test_borel_is_checked_on_first_read():
+    g = GroupRealization(GroupSpec.parse("GL2(3)"))
+    assert "_subgroups" not in vars(g)
+    assert len(g.unipotent_indices) == 3
+    assert "_subgroups" in vars(g)
+    broken = GroupRealization(GroupSpec.parse("GL2(3)"))
+    lower = broken.elements[broken.borel_indices]
+    off_torus = broken.borel_indices[(lower[:, 1, 0] == 0) & (lower[:, 0, 1] != 0)][0]
+    del broken._subgroups
+    broken.elements = broken.elements.copy()
+    broken.elements[off_torus, 0, 1] = 0  # B loses an element that is in neither T nor U
+    broken.elements[off_torus, 1, 0] = 1
+    with pytest.raises(RuntimeError, match="Borel subgroup is not T U"):
+        broken.torus_indices
+
+
 def test_conjugacy_class_counts():
     assert cached_group("GL2(3)").conjugacy().n_classes == 8
     assert cached_group("SL2(3)").conjugacy().n_classes == 7
@@ -354,8 +370,9 @@ def test_lookup_rejects_matrices_off_the_group():
         g.right_mul(np.array([[2, 0], [0, 1]], dtype=np.uint8))
 
 
-@pytest.mark.parametrize("name", ["GL2(3)", "SL3(3)"])
+@pytest.mark.parametrize("name", ["GL2(3)", "SL3(3)", "GL2(17)"])
 def test_members_are_the_class_in_ascending_order(name):
+    # GL2(17) has 288 classes, so its members are sorted on uint16 keys
     data = cached_group(name).conjugacy()
     for i in range(data.n_classes):
         assert np.array_equal(data.members(i), np.flatnonzero(data.cls == i))
@@ -600,6 +617,16 @@ def test_left_multiplication_after_inverse_is_conjugation(name):
         assert np.array_equal(left, g._left_mul_perm(h))
         conj = left[g.right_mul(g.elements[g.inv_perm[h]])]
         assert np.array_equal(conj, g.conjugation_perm(g.elements[h]))
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(3)", "SL3(3)", "SL3(5)"])
+def test_inverses_and_inverse_classes_match_the_inverse_map(name):
+    g = cached_group(name)
+    data = g.conjugacy()
+    assert np.array_equal(data.inverse_class, data.cls[g.inv_perm[data.reps]])
+    sample = np.random.default_rng(3).integers(0, g.order, size=50)
+    assert np.array_equal(g.inverses(sample), g.inv_perm[sample])
+    assert np.array_equal(g.inv_perm[g.inv_perm], np.arange(g.order))
 
 
 def test_orbit_minima_label_each_orbit_by_its_least_point():
