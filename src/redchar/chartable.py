@@ -42,24 +42,24 @@ reduces them through the powers of zeta_m.  The lift writes
 sum_j c_j zeta_m^j into the row of a class of order m and records the
 conductor m / gcd(m, support of c) at which the JSON form writes each value.
 
-Orthogonality is certified exactly from those blocks.  At a prime
-p = 1 (mod e) the cyclotomic polynomial Phi_e splits into distinct linear
-factors mod p, and the embeddings zeta_e -> w^u mod p (w of order e mod p,
-u a unit mod e) are the reductions of Z[zeta_e] modulo the phi(e) primes
-above p; block m is evaluated at zeta_m -> w^(u e/m).  A Gram entry D whose
-reductions all equal those of an integer target T at the primes p_1, ...,
-p_s therefore has D - T in P Z[zeta_e], P the product of the p_i.  Each
-power of a root of unity has absolute value 1, so every complex conjugate
-of D is at most B = sum_k s_k |x_ik|_1 |x_jk|_1 in absolute value, |x|_1 the
-l1 norm of a value's coordinates.  With P > B + |T| every conjugate of the
-algebraic integer (D - T) / P lies inside the unit disc, so its norm, a
-rational integer, is 0, and D = T.  One routine (`gram_certificate`) runs
-this for the table's row and column Grams (targets |G| I and
-diag(|G| / s_k)) and for the Gram of any list of integer-valued class
-functions, such as the Deligne-Lusztig characters against |G| times their
-exclusion-theorem counts.  Nothing is sampled, and the one float64 kernel
-(`_matmul_mod`, the lift's Fourier sums) holds only integers below 2^53,
-which float64 represents exactly.
+Orthogonality is certified exactly from those blocks.  For u prime to e,
+sigma_u sends zeta_e to zeta_e^u and pi_u sends class k to the class of
+g_k^u (`power_classes[k, u mod m_k]`).  A virtual character X has
+sigma_u(X(g_k)) = X(g_pi_u(k)); this is checked exactly for generators u
+of (Z/e)^x (block m times the rows i u mod m of power_matrix(m), against a
+row gather), and pi_u pi_v = pi_uv extends it to every unit, with
+conj X(g) = X(g^-1) at u = -1.  If each pi_u keeps class sizes, a Gram
+entry D = sum_k s_k X_i(g_k) X_j(g_k^-1) is fixed by the Galois group, so
+it is a rational integer, and one embedding zeta_e -> w mod a prime
+p = 1 (mod e), block m at zeta_m -> w^(e/m), reduces it mod p.  As
+|D| <= B = sum_k s_k |x_ik|_1 |x_jk|_1 (|x|_1 the l1 norm of a value's
+coordinates), D equals an integer T once they agree modulo primes whose
+product exceeds B + |T|.  `gram_certificate` runs this for the table's rows
+against |G| I and for the Deligne-Lusztig characters against |G| times
+their exclusion-theorem counts.  A square table needs no column Gram:
+X S X* = |G| I makes X invertible, with X* X = |G| S^-1.  The one float64
+kernel, a tier of `_exact_matmul`, runs only while every partial sum is an
+integer below 2^53, which float64 holds exactly.
 """
 
 from __future__ import annotations
@@ -85,15 +85,23 @@ from .cyclotomic import (
 from .finitefield import poly_roots
 from .groups import GroupAutomorphism, GroupRealization, _bmm
 
-_EMBEDDING_CHUNK = 8  # conjugate pairs of embeddings evaluated per matmul
 _CLASS_MATRIX_PAIRS = 1 << 18  # products per block of a class matrix (~13 MB of temporaries)
+_FLOAT_MATMUL_MIN = 1 << 20  # multiply-adds from which an exact matmul runs in float64
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matmul that never overflows: falls back to python ints."""
-    bound = _absmax(a) * _absmax(b) * max(a.shape[-1], 1)
-    if bound < _INT64_GUARD and a.dtype != object and b.dtype != object:
-        return a @ b
+    """Integer matmul that never overflows: float64 (BLAS) while every
+    partial sum is an integer below 2^53, which float64 holds exactly in any
+    order; int64 below 2^62; python ints beyond.  Below _FLOAT_MATMUL_MIN
+    multiply-adds the int64 loop takes at most ~1.5 ms, and it starts no
+    BLAS thread (the first one keeps ~0.3 MB of a process resident)."""
+    if a.dtype != object and b.dtype != object:
+        k = max(a.shape[-1], 1)
+        bound = _absmax(a) * _absmax(b) * k
+        if bound < 1 << 53 and a.size * b.size >= _FLOAT_MATMUL_MIN * k:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        if bound < _INT64_GUARD:
+            return a @ b
     return a.astype(object) @ b.astype(object)
 
 
@@ -106,27 +114,7 @@ def _exact_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _root_powers(root: int, count: int, p: int) -> np.ndarray:
     """root^0, ..., root^(count-1) mod p: one column of a Vandermonde matrix."""
-    out = np.empty(count, dtype=np.int64)
-    acc = 1
-    for c in range(count):
-        out[c] = acc
-        acc = acc * root % p
-    return out
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residues in [0, p).  While (p - 1)^2 times the inner
-    dimension is below 2^53, every partial sum is an integer that float64
-    holds exactly, in any order of summation, so the product runs as a
-    float64 (BLAS) matmul; beyond that, as the guarded integer matmul."""
-    if (p - 1) ** 2 * a.shape[-1] < 1 << 53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    return _exact_matmul(a, b) % p
-
-
-def _evaluate_mod(mat: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
-    """Packed values (..., phi) at the root of unity with these powers, mod p."""
-    return (_exact_matmul(mat, powers) % p).astype(np.int64)
+    return np.array([pow(root, c, p) for c in range(count)], dtype=np.int64)
 
 
 class _PackedContext:
@@ -148,8 +136,6 @@ class _PackedContext:
         self.orders = sorted(set(data.orders))
         self.block_classes = [np.flatnonzero(self.class_orders == m) for m in self.orders]
         self.pows = [power_matrix(m) for m in self.orders]
-        # conjugation zeta_m^i -> zeta_m^(m-i) as a matrix on coordinate vectors
-        self.conjs = [pw[(m - np.arange(pw.shape[1])) % m] for m, pw in zip(self.orders, self.pows)]
         phis = [pw.shape[1] for pw in self.pows]
         self.bounds = np.cumsum([0] + [len(c) * phi for c, phi in zip(self.block_classes, phis)]).tolist()
         self.size = self.bounds[-1]
@@ -175,6 +161,28 @@ class _PackedContext:
             flat[..., a:b].reshape(*flat.shape[:-1], len(c), -1)
             for a, b, c in zip(self.bounds, self.bounds[1:], self.block_classes)
         ]
+
+    def galois(self, flat: np.ndarray, u: int) -> np.ndarray:
+        """sigma_u, zeta_m -> zeta_m^u, on flat arrays (..., size): per block a
+        matmul with the rows i u mod m of power_matrix(m)."""
+        lead = flat.shape[:-1]
+        return np.concatenate([
+            _exact_matmul(b.reshape(-1, b.shape[-1]), pw[np.arange(b.shape[-1]) * u % m]).reshape(*lead, -1)
+            for m, pw, b in zip(self.orders, self.pows, self.blocks(flat))
+        ], axis=-1)
+
+    def gather_index(self, src: _PackedContext, source: np.ndarray) -> np.ndarray:
+        """The flat index that reads, at each class k, src's row of class
+        source[k], of the same order; built once per (src, source)."""
+        source = np.asarray(source, dtype=np.int64)
+        key = (src, source.tobytes())
+        index = self.gathers.get(key)
+        if index is None:
+            if not np.array_equal(src.class_orders[source], self.class_orders):
+                raise ValueError("a gather must send each class to a class of the same order")
+            index = src.row_start[source[self.flat_classes]][self.flat_row] + self.flat_offset
+            self.gathers[key] = index
+        return index
 
 
 def _packed_context(group: GroupRealization) -> _PackedContext:
@@ -318,10 +326,12 @@ class ClassFunction:
             and np.array_equal(other.flat, self.flat)
         )
 
+    def galois(self, u: int) -> "ClassFunction":
+        """Image under zeta_e -> zeta_e^u, u prime to e, value by value."""
+        return ClassFunction.from_flat(self.group, _packed_context(self.group).galois(self.flat, u), self.den)
+
     def conjugate(self) -> "ClassFunction":
-        conjs = _packed_context(self.group).conjs
-        flat = np.concatenate([_exact_matmul(b, conj).ravel() for b, conj in zip(self.blocks, conjs)])
-        return ClassFunction.from_flat(self.group, flat, self.den)
+        return self.galois(-1)
 
     def __repr__(self) -> str:
         return f"ClassFunction({self.group.spec}, deg={self.degree})"
@@ -432,17 +442,8 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
 def _gather(f: ClassFunction, group: GroupRealization, source) -> ClassFunction:
     """The class function on `group` whose value at class k is f's value at
     class source[k]; the two classes have one order, so each row of a block
-    is read from f's block of that order.  The flat index of each (source
-    group, class map) is built once and kept on `group`'s context."""
-    src, dst = _packed_context(f.group), _packed_context(group)
-    source = np.asarray(source, dtype=np.int64)
-    key = (src, source.tobytes())
-    index = dst.gathers.get(key)
-    if index is None:
-        if not np.array_equal(src.class_orders[source], dst.class_orders):
-            raise ValueError("a gather must send each class to a class of the same order")
-        index = src.row_start[source[dst.flat_classes]][dst.flat_row] + dst.flat_offset
-        dst.gathers[key] = index
+    is read from f's block of that order (`_PackedContext.gather_index`)."""
+    index = _packed_context(group).gather_index(_packed_context(f.group), source)
     return ClassFunction.from_flat(group, f.flat[index], f.den)
 
 
@@ -544,71 +545,30 @@ def _certificate_primes(exponent: int, bound: int) -> list[int]:
     return primes
 
 
+def _generator(n: int, order: int) -> int:
+    """The smallest generator of (Z/n)^x, a cyclic group of this order."""
+    factors = prime_factors(order)
+    return next(g for g in range(2, n) if gcd(g, n) == 1 and all(pow(g, order // r, n) != 1 for r in factors))
+
+
 def _primitive_root_of_unity(ell: int, e: int) -> int:
     """A fixed element of order e in F_ell^x (smallest generator's power)."""
-    factors = prime_factors(ell - 1)
-    g = 2
-    while True:
-        if all(pow(g, (ell - 1) // p, ell) != 1 for p in factors):
-            break
-        g += 1
-    return pow(g, (ell - 1) // e, ell)
+    return pow(_generator(ell, ell - 1), (ell - 1) // e, ell)
 
 
-def gram_certificate(group: GroupRealization, functions, row_target, col_target=None):
-    """Pairwise verdicts of exact Gram identities over Z[zeta_e].
-
-    `functions` lists integer-valued class functions X_i.  The row Gram
-    sum_k s_k X_i(g_k) conj(X_j(g_k)) is compared with the integer matrix
-    `row_target` and, when given, the column Gram sum_i X_i(g_k) conj(X_i(g_m))
-    with `col_target`, at every embedding zeta_e -> w^u mod primes p = 1
-    (mod e) whose product exceeds B + max|target|, B the l1 bound of the
-    module docstring on the Grams' complex absolute values.  Block m is
-    evaluated at zeta_m -> w^(u e/m).  Entry (i, j) of a verdict is True iff
-    entries (i, j) and (j, i) of the Gram equal the target there at every
-    embedding, which is a proof that both identities hold exactly.  Returns
-    (row verdict, column verdict or None, primes).
-    """
-    if any(f.den != 1 for f in functions):
-        raise ValueError("the Gram certificate needs integer-valued class functions")
-    ctx = _packed_context(group)
-    e = ctx.e
-    targets = [t for t in (row_target, col_target) if t is not None]
-    flat = np.stack([f.flat for f in functions])
-    if _absmax(flat) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
-        flat = flat.astype(object)  # so that no l1 norm of a value wraps
-    stacked = ctx.blocks(flat)
-    norm = np.add.reduceat(np.abs(flat), ctx.flat_starts, axis=1)[:, ctx.unblock]  # |X_i(g_k)|_1
-    bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), norm.T))
-    if col_target is not None:
-        bound = max(bound, _absmax(_exact_matmul(norm.T, norm)))
-    primes = _certificate_primes(e, bound + max(_absmax(t) for t in targets))
-    verdicts = [np.ones(np.shape(t), dtype=bool) for t in targets]
-    # the embedding at -u is the conjugate of the one at u and its Grams
-    # are the transposes, so half of the units suffice
-    units = [u for u in range(e) if gcd(u, e) == 1 and u <= -u % e]
-    for p in primes:
-        w = _primitive_root_of_unity(p, e)
-        sizes = ctx.sizes % p
-        residues = [np.asarray(t % p, dtype=np.int64) for t in targets]
-        for start in range(0, len(units), _EMBEDDING_CHUNK):
-            chunk = units[start : start + _EMBEDDING_CHUNK]
-            exps = chunk + [-u % e for u in chunk]
-            blocks = []
-            for m, s in zip(ctx.orders, stacked):
-                roots = [pow(w, v * (e // m), p) for v in exps]
-                vander = np.stack([_root_powers(root, s.shape[2], p) for root in roots], axis=1)
-                blocks.append(_evaluate_mod(s, vander, p))  # (functions, classes, embeddings)
-            values = np.concatenate(blocks, axis=1)[:, ctx.unblock].transpose(2, 0, 1)
-            for x, x_bar in zip(values[: len(chunk)], values[len(chunk) :]):
-                grams = [_exact_matmul(_exact_mul(x, sizes) % p, x_bar.T) % p]
-                if col_target is not None:
-                    grams.append(_exact_matmul(x.T, x_bar) % p)
-                for ok, gram, target in zip(verdicts, grams, residues):
-                    ok &= (gram == target) & (gram.T == target)
-    row_ok = verdicts[0] & verdicts[0].T
-    col_ok = None if col_target is None else verdicts[1] & verdicts[1].T
-    return row_ok, col_ok, primes
+@lru_cache(maxsize=None)
+def _unit_generators(e: int) -> tuple[int, ...]:
+    """Generators of (Z/e)^x, one per cyclic factor of the Chinese remainder
+    decomposition: the smallest generator mod each odd prime power q || e,
+    and -1 (with 5 from 2^3 on) mod the power of 2, each lifted to 1 modulo
+    e / q."""
+    out = []
+    for p in prime_factors(e):
+        q = gcd(e, p ** e.bit_length())
+        local = [-1, 5][: q.bit_length() - 2] if p == 2 else [_generator(q, q // p * (p - 1))]
+        rest = e // q
+        out += [(1 + (a - 1) * rest * pow(rest, -1, q)) % e for a in local]
+    return tuple(out)
 
 
 class ModularContext:
@@ -635,8 +595,57 @@ class ModularContext:
         values = np.add.reduceat(residues, ctx.flat_starts)[ctx.unblock] % self.ell
         if f.den == 1:
             return values
-        inverse = np.array(pow(f.den, -1, self.ell), dtype=np.int64)
-        return (_exact_mul(values, inverse) % self.ell).astype(np.int64)
+        return values * pow(f.den, -1, self.ell) % self.ell
+
+    def rows(self, fs) -> tuple[np.ndarray, np.ndarray]:
+        """The rows f_i(g_k) mod ell of the class functions fs, and the right
+        factor s_k f_i(g_k^-1) mod ell of their Gram (ell < 2^30: int64)."""
+        data = self.group.conjugacy()
+        x = np.stack([self.reduce_class_function(f) for f in fs])
+        return x, x[:, data.inverse_class] * (data.sizes.astype(np.int64) % self.ell) % self.ell
+
+
+def _galois_equivariant(group: GroupRealization, flat: np.ndarray) -> np.ndarray:
+    """Per row X of flat (functions, size): whether sigma_u(X(g_k)) =
+    X(g_pi_u(k)) for every class k and u in `_unit_generators(e)`; an
+    AssertionError when a pi_u does not permute the classes keeping sizes."""
+    data, ctx = group.conjugacy(), _packed_context(group)
+    ok = np.ones(len(flat), dtype=bool)
+    for u in _unit_generators(ctx.e):
+        image = data.power_classes[np.arange(ctx.n_classes), u % ctx.class_orders]
+        kept = (data.sizes[image] == data.sizes) & (ctx.class_orders[image] == ctx.class_orders)
+        if not (kept.all() and np.array_equal(np.sort(image), np.arange(ctx.n_classes))):
+            raise AssertionError(f"g -> g^{u} does not permute the classes keeping their sizes")
+        ok &= (ctx.galois(flat, u) == flat[:, ctx.gather_index(ctx, image)]).all(axis=1)
+    return ok
+
+
+def gram_certificate(group: GroupRealization, functions, target):
+    """Verdicts of sum_k s_k X_i(g_k) conj(X_j(g_k)) = target[i, j] for
+    integer-valued class functions X_i, by the module docstring's argument:
+    (i, j) is True iff X_i and X_j are Galois-equivariant and the Gram
+    X S X(g^-1)^T equals `target` at (i, j) and (j, i) modulo primes
+    p = 1 (mod e), one embedding each, whose product exceeds
+    B + max|target|.  Returns (verdict, primes).
+    """
+    if any(f.den != 1 for f in functions):
+        raise ValueError("the Gram certificate needs integer-valued class functions")
+    ctx = _packed_context(group)
+    flat = np.stack([f.flat for f in functions])
+    equivariant = _galois_equivariant(group, flat)
+    if _absmax(flat) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
+        flat = flat.astype(object)  # so that no l1 norm of a value wraps
+    norm = np.add.reduceat(np.abs(flat), ctx.flat_starts, axis=1)[:, ctx.unblock]  # |X_i(g_k)|_1
+    bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), norm.T))
+    primes = _certificate_primes(ctx.e, bound + _absmax(target))
+    verdict = equivariant[:, None] & equivariant[None, :]
+    for p in primes:
+        modular = ModularContext(group, p, _primitive_root_of_unity(p, ctx.e))
+        x, dual = modular.rows(functions)
+        gram = _exact_matmul(x, dual.T) % p
+        residue = np.asarray(target % p, dtype=np.int64)
+        verdict &= (gram == residue) & (gram.T == residue.T)
+    return verdict, primes
 
 
 # ---------------------------------------------------------------------------
@@ -685,46 +694,34 @@ class CharacterTable:
     def verify_orthogonality(self) -> list[int]:
         """Exact row and column orthogonality for the whole table.
 
-        Both Gram identities, sum_k s_k X_ik conj(X_jk) = |G| delta_ij and
-        sum_i X_ik conj(X_im) = (|G| / s_k) delta_km, are certified by
-        `gram_certificate`; the module docstring says why that is a proof.
+        The rows' Gram identity sum_k s_k X_ik conj(X_jk) = |G| delta_ij is
+        certified by `gram_certificate` (the module docstring says why that
+        is a proof), and for a square table it implies the columns'.
         Returns the primes used.
         """
         if any(chi.den != 1 for chi in self.irreducibles):
             raise AssertionError("a table value is not a cyclotomic integer")
-        order = self.group.order
-        row_target = order * np.eye(len(self.irreducibles), dtype=np.int64)
-        col_target = np.diag(order // self.group.conjugacy().sizes.astype(np.int64))
-        row_ok, col_ok, primes = gram_certificate(self.group, self.irreducibles, row_target, col_target)
-        for ok, kind in ((row_ok, "row"), (col_ok, "column")):
-            bad = np.argwhere(~ok)
-            if len(bad):
-                i, j = (int(x) for x in bad[0])
-                raise AssertionError(f"{kind} orthogonality fails at ({i}, {j})")
+        if len(self.irreducibles) != self.group.conjugacy().n_classes:
+            raise AssertionError("the table is not square")
+        target = self.group.order * np.eye(len(self.irreducibles), dtype=np.int64)
+        ok, primes = gram_certificate(self.group, self.irreducibles, target)
+        bad = np.argwhere(~ok)
+        if len(bad):
+            i, j = (int(x) for x in bad[0])
+            raise AssertionError(f"row orthogonality fails at ({i}, {j})")
         return primes
 
     def verify_modular_orthogonality(self) -> None:
         """Orthogonality of the mod-ell shadow (fast sanity for big tables)."""
-        ell = self.modular.ell
-        gram = _exact_matmul(self._rows_mod(), self._dual_rows_mod.T) % ell
-        expected = (self.group.order % ell) * np.eye(len(self.irreducibles), dtype=np.int64)
-        if not np.array_equal(gram, expected):
+        x, dual = self.modular.rows(self.irreducibles)
+        expected = (self.group.order % self.modular.ell) * np.eye(len(self.irreducibles), dtype=np.int64)
+        if not np.array_equal(_exact_matmul(x, dual.T) % self.modular.ell, expected):
             raise AssertionError("modular orthogonality failed")
-
-    def _rows_mod(self) -> np.ndarray:
-        return np.array(
-            [self.modular.reduce_class_function(chi) for chi in self.irreducibles],
-            dtype=np.int64,
-        )
 
     @cached_property
     def _dual_rows_mod(self) -> np.ndarray:
         """Row i holds s_k * chi_i(g_k^-1) mod ell, the right factor of the Gram."""
-        ell = self.modular.ell
-        data = self.group.conjugacy()
-        sizes = (data.sizes % ell).astype(np.int64)
-        dual = _exact_mul(self._rows_mod()[:, data.inverse_class], sizes) % ell
-        return dual.astype(np.int64)
+        return self.modular.rows(self.irreducibles)[1]
 
     def decompose_integers(self, f: ClassFunction) -> list[int]:
         """Multiplicities of f over Irr, found mod ell and verified exactly.
@@ -788,7 +785,7 @@ class CharacterTable:
         if table.degrees != data["degrees"]:
             raise ValueError("serialized degrees disagree with the values")
         table.verify_degree_sum()
-        table.verify_modular_orthogonality()
+        table.verify_orthogonality()
         return table
 
 
@@ -1062,9 +1059,8 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
             inv_root = pow(pow(zeta_mod, e // m, ell), -1, ell)
             powers = _root_powers(inv_root, m, ell)
             exps = np.outer(np.arange(m), np.arange(m)) % m
-            scale = np.array(pow(m, -1, ell), dtype=np.int64)
-            dft_of_order[m] = (_exact_mul(powers[exps], scale) % ell).astype(np.int64)
-        mults = _matmul_mod(chi_mod[:, pcs], dft_of_order[m], ell)  # (rows, m)
+            dft_of_order[m] = powers[exps] * pow(m, -1, ell) % ell  # below ell^2 < 2^60
+        mults = _exact_matmul(chi_mod[:, pcs], dft_of_order[m]) % ell  # (rows, m)
         if (mults > ell // 2).any():
             raise RuntimeError("root-of-unity multiplicity fails to lift")
         # sum_j c_j zeta_m^j over the power basis of Q(zeta_m)

@@ -74,10 +74,9 @@ def _pair_budget(ctx) -> bool:
     W-orbit type.
 
     Exhaustive mode certifies the N x N Gram of all N pairs at once
-    (`dl.verify_dl_invariants`), at about (primes) N r phi^2 multiply-adds.
-    The volume N^2 phi^2 r / 2 below is the cost of the pairwise inner
-    products that certificate replaced; it is kept as the tier rule because
-    the tier decides which report items exist.
+    (`dl.verify_dl_invariants`).  The volume N^2 phi^2 r / 2 below is the
+    cost of the pairwise inner products that certificate replaced; it is
+    kept as the tier rule because the tier decides which report items exist.
     """
     total = 0
     for parts in partitions_of(ctx.n):

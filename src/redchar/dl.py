@@ -845,10 +845,11 @@ def verify_dl_invariants(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
 
     In exhaustive mode every (w, theta) is enumerated and all N(N+1)/2
     identities <R_i, R_j> = T_ij (T the twisted identification counts) are
-    proved at once: `chartable.gram_certificate` checks the Gram matrix
-    sum_k s_k R_i(g_k) conj(R_j(g_k)) against |G| T at every embedding of
-    Z[zeta_e] modulo enough primes.  Only a failing pair has its inner
-    product computed, for the report.  In type mode one pair per W-orbit is
+    proved at once by `chartable.gram_certificate`: each R_i is checked
+    Galois-equivariant, which makes the Gram sum_k s_k R_i(g_k) conj(R_j(g_k))
+    an integer matrix, compared with |G| T at one embedding of Z[zeta_e]
+    modulo enough primes.  Only a failing pair has its inner product
+    computed, for the report.  In type mode one pair per W-orbit is
     used and inner products are taken through the exactly verified
     decomposition vectors.
     """

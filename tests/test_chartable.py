@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from redchar.chartable import (
     _central_characters_mod,
     _character_values_mod,
     _class_matrix,
+    _exact_matmul,
+    _galois_equivariant,
     _mod_nullspace,
     _mod_rref,
     _packed_context,
     _sort_characters,
+    _unit_generators,
     character_table,
     dual_character,
     find_table_prime,
@@ -240,7 +245,7 @@ def test_sl3_4_table_runs_and_is_orthogonal():
     # a target off by that prime agrees with the Gram modulo it; its size
     # brings in a second prime, which refuses it
     target = (t.group.order + primes[0]) * np.eye(len(t), dtype=np.int64)
-    verdict, _, more = gram_certificate(t.group, t.irreducibles, target)
+    verdict, more = gram_certificate(t.group, t.irreducibles, target)
     assert more[0] == primes[0] and len(more) == 2
     assert not verdict.diagonal().any() and verdict.sum() == len(t) * (len(t) - 1)
 
@@ -403,6 +408,100 @@ def test_orthogonality_rejects_one_changed_coefficient(coefficient):
     values[k] = CyclotomicNumber(v.conductor, num, v.den)
     with pytest.raises(AssertionError, match="orthogonality fails"):
         _with_row(t, i, ClassFunction(t.group, values)).verify_orthogonality()
+
+
+def test_orthogonality_rejects_a_galois_orbit_changed_consistently():
+    # doubling an irreducible on the whole Galois orbit of an irrational
+    # class keeps it Galois-equivariant, so only the Gram can refuse it
+    t = table("GL2(5)")
+    data = t.group.conjugacy()
+    i, k = next(
+        (i, k)
+        for i, chi in enumerate(t.irreducibles)
+        for k, v in enumerate(chi.values)
+        if not v.is_rational()
+    )
+    m = data.orders[k]
+    orbit = {int(data.power_classes[k, u]) for u in range(m) if gcd(u, m) == 1}
+    assert len(orbit) > 1
+    values = [v * 2 if c in orbit else v for c, v in enumerate(t.irreducibles[i].values)]
+    changed = ClassFunction(t.group, values)
+    assert _galois_equivariant(t.group, changed.flat[None, :]).all()
+    with pytest.raises(AssertionError, match="orthogonality fails"):
+        _with_row(t, i, changed).verify_orthogonality()
+
+
+def test_a_power_map_that_moves_class_sizes_is_refused(monkeypatch):
+    t = table("GL2(5)")
+    g = t.group
+    data = g.conjugacy()
+    u = _unit_generators(data.exponent)[0]
+    # two classes of one order and different sizes trade their images
+    # under g -> g^u: still a permutation, but not of class sizes
+    k1, k2 = next(
+        (a, b)
+        for a in range(data.n_classes)
+        for b in range(a)
+        if data.orders[a] == data.orders[b] and data.sizes[a] != data.sizes[b]
+    )
+    power = data.power_classes.copy()
+    column = u % data.orders[k1]
+    power[[k1, k2], column] = power[[k2, k1], column]
+    monkeypatch.setattr(g, "conjugacy", lambda: dataclasses.replace(data, power_classes=power))
+    with pytest.raises(AssertionError, match="keeping their sizes"):
+        t.verify_orthogonality()
+
+
+def test_a_cache_hit_is_certified_exactly():
+    # one coefficient of a non-identity value shifted by the table prime:
+    # the mod-ell shadow cannot see it, the exact certificate refuses it
+    group = cached_group("GL2(3)")
+    payload = json.loads(json.dumps(table_of(group).to_json()))
+    ident = int(group.conjugacy().cls[group.identity_idx])
+    k = next(k for k in range(group.conjugacy().n_classes) if k != ident)
+    coefficients = payload["rows"][1]["values"][k]["coefficients"]
+    coefficients[0] = str(Fraction(coefficients[0]) + payload["ell"])
+    rows = [
+        ClassFunction(group, [CyclotomicNumber.from_json(v) for v in row["values"]])
+        for row in payload["rows"]
+    ]
+    CharacterTable(group, rows, table_of(group).modular).verify_modular_orthogonality()
+    with pytest.raises(AssertionError, match="orthogonality fails"):
+        CharacterTable.from_json(group, payload)
+
+
+@pytest.mark.parametrize("e", [30, 120, 168, 240, 312, 336, 420, 510, 1260, 2184, 3720])
+def test_unit_generators_generate_the_units(e):
+    gens = _unit_generators(e)
+    assert len(gens) <= 5
+    seen = frontier = {1}
+    while frontier:
+        frontier = {x * u % e for x in frontier for u in gens} - seen
+        seen = seen | frontier
+    assert seen == {u for u in range(e) if gcd(u, e) == 1}
+
+
+@pytest.mark.parametrize(
+    "a_max, b_max, dtype",
+    [
+        ((1 << 26) - 1, 1 << 26, np.int64),  # 2 max|a| max|b| just below 2^53: float64
+        ((1 << 26) + 1, (1 << 26) + 1, np.int64),  # just above 2^53: int64
+        ((1 << 30) + 1, (1 << 30) + 1, np.int64),  # about 2^61: int64
+        (1 << 30, 1 << 31, object),  # 2^62: python ints
+        ((1 << 31) + 1, (1 << 31) + 1, object),  # sums beyond int64
+    ],
+)
+def test_exact_matmul_matches_python_ints_at_each_tier_edge(a_max, b_max, dtype):
+    # 1024 x 2 times 2 x 512 is 2^20 multiply-adds, enough for the float64 tier
+    rng = np.random.default_rng(a_max)
+    a = rng.integers(-a_max, a_max, size=(1024, 2), endpoint=True)
+    b = rng.integers(-b_max, b_max, size=(2, 512), endpoint=True)
+    a[:2], b[:, 0] = a_max, b_max  # the largest sum the bound allows
+    b[:, 1] = b_max, b_max - 1  # and an odd one next to it, which float64 rounds above 2^53
+    got = _exact_matmul(a, b)
+    assert got.dtype == dtype
+    assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    assert int(got[1, 1]) == a_max * (2 * b_max - 1)
 
 
 def test_orthogonality_rejects_repeated_irreducible():

@@ -5,6 +5,7 @@ plain lists of CyclotomicNumbers, the representation the arrays replaced.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -80,6 +81,9 @@ def test_pointwise_algebra_matches_the_value_lists(data):
     assert _agrees(s * f, [x * s for x in a])
     assert _agrees(f * h, [x * y for x, y in zip(a, b)])
     assert _agrees(f.conjugate(), [x.conjugate() for x in a])
+    e = _packed_context(g).e
+    u = data.draw(st.sampled_from([u for u in range(e) if gcd(u, e) == 1]))
+    assert _agrees(f.galois(u), [x.galois(u) for x in a])
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,8 @@ import pytest
 
 from redchar import dl
 from redchar.chartable import (
+    ClassFunction,
+    _packed_context,
     dual_character,
     gram_certificate,
     inner_product,
@@ -182,8 +184,8 @@ def _pairwise_verdicts(chars, target):
 def test_dl_gram_certificate_matches_pairwise_inner_products(name):
     ctx, chars, functions, counts = _dl_gram(name)
     order = ctx.group.order
-    verdict, col_verdict, primes = gram_certificate(ctx.group, functions, order * counts)
-    assert col_verdict is None and primes
+    verdict, primes = gram_certificate(ctx.group, functions, order * counts)
+    assert primes
     assert verdict.all()
     assert (verdict == _pairwise_verdicts(chars, counts)).all()
     # a target off by one on a few symmetric entries: the same pairs fail
@@ -212,6 +214,24 @@ def test_dl_gram_certificate_flags_a_perturbed_character():
     i = 5
     # R_i(1) + 1: every R_j(1) is a nonzero degree, so every pair with i moves
     functions[i] = functions[i] + root_sum_function(ctx.group, [ident])
+    verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
+    bad = np.zeros_like(verdict)
+    bad[i, :] = bad[:, i] = True
+    assert (verdict == ~bad).all()
+
+
+def test_dl_gram_certificate_flags_a_character_broken_at_one_irrational_coordinate():
+    ctx, _chars, functions, counts = _dl_gram("GL2(3)")
+    i, k = next(
+        (i, k)
+        for i, f in enumerate(functions)
+        for k, v in enumerate(f.values)
+        if not v.is_rational()
+    )
+    pc = _packed_context(ctx.group)
+    flat = functions[i].flat.copy()
+    flat[pc.row_start[k] + 1] += 1  # the coefficient of zeta_m in the value at class k
+    functions[i] = ClassFunction.from_flat(ctx.group, flat)
     verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
     bad = np.zeros_like(verdict)
     bad[i, :] = bad[:, i] = True
