@@ -24,9 +24,9 @@ _EXPORTS = {
     "rootdatum": "BasedRootDatum FrobeniusDatum PinnedAutomorphism "
                  "center_component_group chevalley_datum_involution dual_automorphism "
                  "dual_datum h1_frobenius named_datum weyl_group",
-    "groups": "GroupAutomorphism GroupRealization GroupSpec "
-              "adjoint_action_representatives chevalley_involution duality_involution "
-              "maximal_tori",
+    "groups": "GroupRealization GroupSpec maximal_tori",
+    "automorphisms": "GroupAutomorphism adjoint_action_representatives chevalley_involution "
+                     "duality_involution",
     "chartable": "CharacterTable ClassFunction character_table dual_character "
                  "induce_from_subgroup inner_product table_of twist_by_automorphism "
                  "twisted_fs_indicator",

@@ -68,6 +68,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import gcd, isqrt, lcm, prod
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -83,7 +84,10 @@ from .cyclotomic import (
     prime_factors,
 )
 from .finitefield import poly_roots
-from .groups import GroupAutomorphism, GroupRealization, _bmm
+from .groups import GroupRealization, _bmm
+
+if TYPE_CHECKING:  # the automorphisms module stays off the `table` path
+    from .automorphisms import GroupAutomorphism
 
 _CLASS_MATRIX_PAIRS = 1 << 18  # products per block of a class matrix (~13 MB of temporaries)
 _FLOAT_MATMUL_MIN = 1 << 20  # multiply-adds from which an exact matmul runs in float64

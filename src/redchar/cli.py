@@ -28,15 +28,13 @@ from .groups import (
     InvalidSpec,
     UnsupportedSpec,
     cached_group,
-    chevalley_involution,
-    duality_involution,
-    identity_automorphism,
     partitions_of,
 )
 from .reports import CheckReport, emit_report
 
-# the cache and the dl, jordan, gelfandgraev and rootdatum modules are
-# imported where they are used, so that a `table` job loads only the table path
+# the cache and the automorphisms, dl, jordan, gelfandgraev and rootdatum
+# modules are imported where they are used, so that a `table` job loads only
+# the table path
 if TYPE_CHECKING:
     from .cache import TableCache
 
@@ -148,6 +146,7 @@ def check_jordan_dual(group, ctx, budget, cache):
 
 
 def check_jordan_auto(group, ctx, budget, cache):
+    from .automorphisms import chevalley_involution, duality_involution, identity_automorphism
     from .dl import lusztig_series
     from .jordan import verify_automorphism_equivariance
 
@@ -233,6 +232,7 @@ def check_torus_lemma(group, ctx, budget, cache):
 
 
 def check_fs_indicator(group, ctx, budget, cache):
+    from .automorphisms import duality_involution
     from .rootdatum import two_h1_predicate
 
     table = table_of(group)

@@ -901,8 +901,8 @@ def verify_dl_invariants(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
 def verify_torus_lemma(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
     """R_{T, theta} o iota = R_{T, theta^-1} as exact class functions, and
     the label of the twisted pair is the inverse label."""
+    from .automorphisms import duality_involution
     from .chartable import twist_by_automorphism
-    from .groups import duality_involution
 
     iota = duality_involution(ctx.group)
     pairs = enumerate_all_pairs(ctx) if exhaustive else enumerate_type_pairs(ctx)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .automorphisms import conjugated_duality_involution, duality_involution
 from .chartable import (
     ClassFunction,
     induce_from_subgroup,
@@ -14,7 +15,7 @@ from .chartable import (
     twist_by_automorphism,
 )
 from .dl import DLContext, lusztig_series, restrict_series
-from .groups import GroupRealization, conjugated_duality_involution, duality_involution
+from .groups import GroupRealization
 
 
 def _trace_to_prime_field(fld, code: int) -> int:

@@ -12,22 +12,26 @@ the dot table D[a, b] = V[a].V[b] and the cofactor table C over n - 1 rows
 (the cross product for n = 3, (-a_1, a_0) for n = 2, the constant row (1) for
 n = 1) give det(r_1, ..., r_n) = D[C[r_1, ..., r_{n-1}], r_n].  One uint8
 gather D[C] is therefore the determinant of every key in key order, and its
-kept positions are the group's keys.  Row j of (x^-1)^T is the cofactor row
-of the other rows times +-det(x)^-1, read through a scale table, and the row
-codes of x^T are sums of n per-position tables, so inverses and transposes
-are table gathers over the group's row codes.  The transpose map is built
-with the group; inverses are found for the elements asked for (generators,
-class representatives), and the whole inverse map only on first read: the
-character table reads the inverse of a class from its representative, and
-{x^-1 : x in C} is the inverse class itself, so it never needs the map.
+kept positions are the group's keys.
 
 A dense int32 map over all q^(n^2) keys gives each element's index (-1 off
 the group).  Multiplying many elements by one fixed matrix h is the group's
 bulk primitive: the row table T_h[c] = code(row c * h) has q^n entries, so
 x h for every x is n gathers into T_h, a key sum and one gather from the
-dense map.  Left multiplication goes through transposes (g x = (x^T g^T)^T)
-and conjugation composes both; only products of two element arrays still
-multiply matrices entry by entry.
+dense map.  Row i of m y is sum_j m_ij (row j of y), read through a scale
+table and a row-sum table, so conjugation x -> m x m^-1 is T_{m^-1} and then
+row operations for m, and the generation proof runs on right
+multiplications: no product or conjugation forms a transpose.  Only
+products of two element arrays still multiply matrices entry by entry.
+Every whole-group map runs _CHUNK elements at a time into int32 indices,
+so its temporaries do not grow with |G|.
+
+Row j of (x^-1)^T is the cofactor row of the other rows times +-det(x)^-1,
+so inverses are found for the elements asked for (generators, class
+representatives).  The transpose map and the whole inverse map are built on
+first read: the character table reads the inverse of a class from its
+representative, and {x^-1 : x in C} is the inverse class itself, so a
+`table` job builds neither.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .cyclotomic import prime_factors
 from .finitefield import FiniteField, finite_field
 
 DEFAULT_BUDGET = 10**6
+_CHUNK = 1 << 16  # elements per chunk of a whole-group map (`GroupRealization._images`)
 
 _SPEC_RE = re.compile(r"^(GL|SL)([123])\((\d+)\)$")
 
@@ -138,10 +143,10 @@ def _bmm(tab: _Tables, a, b):
     return acc
 
 
-def _horner(digits: np.ndarray, base: int) -> np.ndarray:
+def _horner(digits: np.ndarray, base: int, dtype=np.int64) -> np.ndarray:
     """The integers whose base-`base` digits, most significant first, run
     along the last axis: row codes from field codes, keys from row codes."""
-    out = digits[..., 0].astype(np.int64)
+    out = digits[..., 0].astype(dtype)
     for j in range(1, digits.shape[-1]):
         out *= base
         out += digits[..., j]
@@ -180,7 +185,7 @@ def _cofactor_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
             ],
             axis=-1,
         )
-    return _horner(cof, tab.q).astype(np.int32)
+    return _horner(cof, tab.q, np.int32)
 
 
 @dataclass
@@ -227,6 +232,41 @@ class TorusClass:
     split_member_indices: np.ndarray | None = None  # explicit when T_w <= T_0
 
 
+def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
+    """labels[x] = the least point of the orbit of x under the permutations,
+    by min-label propagation with pointer jumping (the argument is in
+    `GroupRealization._compute_conjugacy`).  Labels only decrease, so an
+    unchanged sum (below size^2, summed in int64) means an unchanged array.
+
+    The int32 labels are lowered in place, _CHUNK points at a time: a later
+    chunk reads labels that earlier ones lowered, which keeps every step of
+    the argument.  As labels[y] <= y, the jump labels[labels] is a lowering."""
+    labels = np.arange(size, dtype=np.int32)
+    buf = np.empty(min(size, _CHUNK), dtype=np.int32)
+    settled = labels.sum(dtype=np.int64)
+    while True:
+        for perm in perms:
+            _lower(labels, perm, buf)
+        moved = labels.sum(dtype=np.int64)
+        while True:
+            _lower(labels, labels, buf)
+            jumped = labels.sum(dtype=np.int64)
+            if jumped == moved:
+                break
+            moved = jumped
+        if moved == settled:
+            return labels
+        settled = moved
+
+
+def _lower(labels: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> None:
+    """labels = min(labels, labels[idx]) in place, len(buf) points at a time."""
+    for start in range(0, len(labels), len(buf)):
+        part, low = buf[: len(labels) - start], labels[start : start + len(buf)]
+        np.take(labels, idx[start : start + len(buf)], out=part, mode="clip")  # "raise" buffers `out`
+        np.minimum(low, part, out=low)
+
+
 class GroupRealization:
     """G^F = GL_n(q) or SL_n(q), every element explicit.
 
@@ -259,24 +299,31 @@ class GroupRealization:
         self._dot = _dot_table(tab, vectors)
         self._cofactor = _cofactor_table(tab, vectors)
         # _scale[s, c] = code of s * row c
-        self._scale = _horner(tab.mul[np.arange(q)[:, None, None], vectors], q).astype(np.int32)
-        # _spread[j, c] = the field codes of row c times q^(n-1-j): summed over
-        # the rows j of x they are the row codes of x^T
-        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int32)
-        self._spread = vectors.astype(np.int32)[None] * weights[:, None, None]
+        self._scale = _horner(tab.mul[np.arange(q)[:, None, None], vectors], q, np.int32)
         det = self._dot[self._cofactor].ravel()  # det of every key, in key order
-        keys = np.flatnonzero(det != 0 if self.spec.family == "GL" else det == 1)
+        member = det != 0 if self.spec.family == "GL" else det == 1
+        del det
+        keys = np.flatnonzero(member)  # the group's keys, in key order
         self.order = len(keys)
         if self.order != self.spec.order:
             raise RuntimeError(f"{self.spec}: found {self.order} elements, expected {self.spec.order}")
-        self._index = np.full(det.size, -1, dtype=np.int32)
-        self._index[keys] = np.arange(self.order, dtype=np.int32)
-        self._rows = _digits(keys, size, n).astype(np.int32)  # row codes of every element
-        self.elements = vectors.take(self._rows, axis=0)
+        self._index = np.full(member.size, -1, dtype=np.int32)
+        del member
+        self._rows = np.empty((self.order, n), dtype=np.int32)  # row codes of every element
+        self.elements = np.empty((self.order, n, n), dtype=np.uint8)
+        for start in range(0, self.order, _CHUNK):  # no whole-group int64 temporaries
+            part = keys[start : start + _CHUNK]
+            self._index[part] = np.arange(start, start + len(part), dtype=np.int32)
+            rows = self._rows[start : start + _CHUNK]
+            rows[:] = _digits(part, size, n)
+            self.elements[start : start + _CHUNK] = vectors.take(rows, axis=0)
         ident = np.eye(n, dtype=np.uint8)
         self.identity_idx = int(self.lookup(ident[None])[0])
-        self._rows_t = self._transposed_rows(self._rows)  # row codes of every x^T
-        self.transpose_perm = self._find(self._rows_t)
+
+    @cached_property
+    def transpose_perm(self) -> np.ndarray:
+        """The permutation x -> x^T, built on first use (automorphisms and tests)."""
+        return self._images(self._transposed_rows)
 
     @cached_property
     def inv_perm(self) -> np.ndarray:
@@ -287,8 +334,7 @@ class GroupRealization:
     def inverses(self, idx: np.ndarray | None = None) -> np.ndarray:
         """Indices of x^-1 for the elements x at `idx` (default: all): the
         row codes of (x^-1)^T from the cofactor table, transposed back."""
-        rows = self._rows if idx is None else np.take(self._rows, idx, axis=0)
-        return self.transpose_perm[self._find(self._inverse_transposed_rows(rows))]
+        return self._images(lambda rows: self._transposed_rows(self._inverse_transposed_rows(rows)), idx)
 
     def _det(self, rows: np.ndarray) -> np.ndarray:
         """Field codes of det x for the matrices x with these row codes (shape (..., n))."""
@@ -297,10 +343,7 @@ class GroupRealization:
 
     def _transposed_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row codes of x^T for the matrices x with these row codes."""
-        out = self._spread[0].take(rows[..., 0], axis=0)
-        for j in range(1, self.n):
-            out += self._spread[j].take(rows[..., j], axis=0)
-        return out
+        return _horner(self._row_vectors[rows].swapaxes(-1, -2), self.q, np.int32)
 
     def _inverse_transposed_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row codes of (x^-1)^T for the invertible matrices x with these row
@@ -315,12 +358,44 @@ class GroupRealization:
             out[..., j] = self._scale[scale, cof]
         return out
 
+    @cached_property
+    def _row_sum(self) -> np.ndarray:
+        """S[a q^n + b] = code of row a + row b, built on first use; its
+        q^(2n) <= q^(n^2) entries take int32 positions, like the index map."""
+        vectors = self._row_vectors
+        return _horner(self.tables.add[vectors[:, None, :], vectors[None, :, :]], self.q, np.int32).ravel()
+
+    def _left_rows(self, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row codes of m y for a code matrix m and the matrices y with these
+        row codes: row i of m y is sum_j m_ij (row j of y), one scale and one
+        row-sum gather per nonzero m_ij, so no transpose is formed."""
+        out = np.empty(rows.shape, dtype=np.int32)
+        size = self.q**self.n
+        for i in range(self.n):
+            acc = None
+            for j, c in enumerate(m[i].tolist()):
+                if c == 0:
+                    continue
+                term = rows[..., j] if c == 1 else self._scale[c].take(rows[..., j])
+                acc = term if acc is None else self._row_sum.take(acc * size + term)
+            out[..., i] = acc
+        return out
+
     def _find(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of the matrices with these row codes (shape (..., n))."""
+        """Indices (int32) of the matrices with these row codes (shape (..., n))."""
         idx = self._index[_horner(rows, self.q**self.n)]
         if (idx < 0).any():
             raise KeyError("matrix not in the group")
-        return idx.astype(np.int64)
+        return idx
+
+    def _images(self, image_rows, idx: np.ndarray | None = None) -> np.ndarray:
+        """Indices (int32, shape (..., len(idx))) of the matrices whose row
+        codes `image_rows` gives from those of the elements at `idx` (default:
+        all), _CHUNK elements at a time."""
+        rows = self._rows if idx is None else np.take(self._rows, idx, axis=0)
+        starts = range(0, max(len(rows), 1), _CHUNK)  # one chunk when empty
+        parts = [self._find(image_rows(rows[start : start + _CHUNK])) for start in starts]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
     def lookup(self, mats: np.ndarray) -> np.ndarray:
         """Indices of the given code matrices (shape (..., n, n)) in the group."""
@@ -331,7 +406,7 @@ class GroupRealization:
         matrices h of shape (..., n, n), in the group or not."""
         vectors = self._row_vectors[:, None, :]
         prod = _bmm(self.tables, vectors, h[..., None, :, :])[..., 0, :]
-        return _horner(prod, self.q).astype(np.int32)
+        return _horner(prod, self.q, np.int32)
 
     def right_mul(self, h: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Indices of x h for the elements x at `idx` (default: all).
@@ -339,8 +414,8 @@ class GroupRealization:
         h is one code matrix, or a stack of shape (..., n, n) giving a result
         of shape (..., len(idx)).
         """
-        rows = self._rows if idx is None else np.take(self._rows, idx, axis=0)
-        return self._find(self._row_table(h)[..., rows])
+        table = self._row_table(h)
+        return self._images(lambda rows: table.take(rows, axis=-1), idx)
 
     def mul_idx(self, i: int, j: int) -> int:
         prod = _bmm(self.tables, self.elements[i][None], self.elements[j][None])
@@ -408,49 +483,42 @@ class GroupRealization:
         return int(self.lookup(mat[None])[0])
 
     def generators(self) -> list[int]:
-        """A small verified generating set."""
-        return self._generating_set()[0]
+        """A small generating set, proven to generate on the first call."""
+        return list(self._generators)
 
-    def _generating_set(self) -> tuple[list[int], list[np.ndarray]]:
-        """The generators and their left-multiplication permutations L_g,
-        which prove that they generate: the orbits of the L_g are the cosets
-        H x of the subgroup H they generate, so one orbit means H = G."""
-        gens: list[int] = []
-        n, q = self.n, self.q
-        basis_codes = [self.field.p**i for i in range(self.field.k)]
-        for i in range(n - 1):
-            for c in basis_codes:
-                gens.append(self.root_subgroup_element(i, c))
-                mat = np.eye(n, dtype=np.uint8)
-                mat[i + 1, i] = c
-                gens.append(int(self.lookup(mat[None])[0]))
-        if self.spec.family == "GL" and q > 2:
-            g = self.field.generator_code
-            gens.append(self.diagonal_idx([g] + [1] * (n - 1)))
-        seen = set()
-        uniq = [x for x in gens if not (x in seen or seen.add(x))]
-        if not uniq:
-            uniq = [self.identity_idx]
-        lefts = [self._left_mul_perm(g) for g in uniq]
-        if (_orbit_minima(lefts, self.order) != 0).any():
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """The generators, with the proof that they generate: the orbits of
+        the right multiplications x -> x g are the cosets x H of the subgroup
+        H they generate, so one orbit means H = G.  The permutations are
+        dropped once the proof is done."""
+        n, fld = self.n, self.field
+        # x_{+-alpha_i}(c) for c in an F_p-basis of F_q, then diag(nu, 1, ...) on GL
+        entries = [(pos, fld.p**k) for i in range(n - 1) for k in range(fld.k)
+                   for pos in ((i, i + 1), (i + 1, i))]
+        if self.spec.family == "GL" and self.q > 2:
+            entries.append(((0, 0), fld.generator_code))
+        # with no entries (GL1(2), SL1(q)) the identity alone generates
+        mats = np.repeat(np.eye(n, dtype=np.uint8)[None], max(len(entries), 1), axis=0)
+        for mat, (pos, c) in zip(mats, entries):
+            mat[pos] = c
+        gens = self.lookup(mats)
+        rights = [self.right_mul(self.elements[g]) for g in gens]
+        if (_orbit_minima(rights, self.order) != 0).any():
             raise RuntimeError("generating set failed to generate the group")
-        return uniq, lefts
-
-    def _left_mul_perm(self, g: int) -> np.ndarray:
-        """The permutation x -> g x: (g x)^T = x^T g^T, and transposes stay in the group."""
-        return self.transpose_perm[self._find(self._row_table(self.elements[g].T)[self._rows_t])]
+        return tuple(gens.tolist())
 
     def conjugation_perm(self, m: np.ndarray) -> np.ndarray:
         """The permutation x -> m x m^-1 for an invertible code matrix m.
 
         m need not lie in the group, only normalize it (a GL_n(q) matrix acting
-        on SL_n(q)), so m x is formed on row codes, which exist off the group:
-        the rows of x^T m^T = (m x)^T are transposed into those of m x through
-        the per-position tables, and m^-1 comes from the cofactor table.
+        on SL_n(q)), so the steps are taken on row codes, which exist off the
+        group: x m^-1 through the row table of m^-1 (which comes from the
+        cofactor table), then m (x m^-1) by row operations.
         """
-        mx_t = self._row_table(m.T)[self._rows_t]
         m_inv = self._row_vectors[self._inverse_transposed_rows(_horner(m, self.q))].T
-        return self._find(self._row_table(m_inv)[self._transposed_rows(mx_t)])
+        table = self._row_table(m_inv)
+        return self._images(lambda rows: self._left_rows(m, table.take(rows)))
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -462,10 +530,10 @@ class GroupRealization:
     def _compute_conjugacy(self) -> ConjugacyData:
         """Classes are the orbits of conjugation by the generators.
 
-        Conjugation by g is L_g after right multiplication by g^-1: each
-        left-multiplication permutation L_g that proved generation becomes
-        x -> g x g^-1 through one row-table product, replacing L_g in its
-        list, and the list is dropped once the orbits are known.
+        Conjugation by a generator g is `conjugation_perm`: the row table
+        of g^-1, then row operations for g, on the row codes of each chunk
+        of elements.  The int32 permutations are dropped once the orbits
+        are known.
 
         The orbits come from min-label propagation (`_orbit_minima`): with
         labels = arange, set labels = min(labels, labels[pi]) for every
@@ -478,14 +546,15 @@ class GroupRealization:
         is the rank of its representative, so classes are ordered by their
         least elements.
         """
-        gens, perms = self._generating_set()
-        for t, g_inv in enumerate(self.inverses(gens)):
-            perms[t] = perms[t][self.right_mul(self.elements[g_inv])]
+        perms = [self.conjugation_perm(self.elements[g]) for g in self.generators()]
         minima = _orbit_minima(perms, self.order)
         del perms
-        is_rep = minima == np.arange(self.order)
+        is_rep = minima == np.arange(self.order, dtype=np.int32)
         reps = np.flatnonzero(is_rep)
-        cls = (np.cumsum(is_rep) - 1)[minima]
+        rank = np.cumsum(is_rep, dtype=np.int32)
+        rank -= 1
+        cls = rank.take(minima).astype(np.int64)  # class labels are int64
+        del minima, rank
         sizes = np.bincount(cls, minlength=len(reps))
         orders, power_classes = self._powers(reps, cls)
         inverse_class = cls[self.inverses(reps)]
@@ -519,28 +588,6 @@ class GroupRealization:
 
     def __repr__(self) -> str:
         return f"GroupRealization({self.spec}, order={self.order})"
-
-
-def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
-    """labels[x] = the least point of the orbit of x under the permutations,
-    by min-label propagation with pointer jumping (the argument is in
-    `GroupRealization._compute_conjugacy`).  Labels only decrease, so an
-    unchanged sum (below size^2, no overflow) means an unchanged array."""
-    labels = np.arange(size)
-    settled = labels.sum()
-    while True:
-        for perm in perms:
-            np.minimum(labels, labels[perm], out=labels)
-        moved = labels.sum()
-        while True:
-            labels = labels[labels]
-            jumped = labels.sum()
-            if jumped == moved:
-                break
-            moved = jumped
-        if moved == settled:
-            return labels
-        settled = moved
 
 
 def cached_group(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> GroupRealization:
@@ -653,190 +700,3 @@ def _gl_torus_invariants(parts, q: int) -> list:
             new.append(carry)
         factors = sorted(x for x in new if x > 1)
     return factors
-
-
-# ---------------------------------------------------------------------------
-# automorphisms
-# ---------------------------------------------------------------------------
-
-
-class GroupAutomorphism:
-    """A total automorphism of G^F given by its permutation of element indices."""
-
-    def __init__(self, group: GroupRealization, perm: np.ndarray, name: str):
-        self.group = group
-        self.perm = perm
-        self.name = name
-        ident = group.identity_idx
-        if perm[ident] != ident:
-            raise ValueError("automorphism must fix the identity")
-
-    def apply(self, idx: int) -> int:
-        return int(self.perm[idx])
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """self after other: x -> self(other(x))."""
-        return GroupAutomorphism(
-            self.group, self.perm[other.perm], f"{self.name}*{other.name}"
-        )
-
-    def inverse(self) -> "GroupAutomorphism":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
-        return GroupAutomorphism(self.group, inv, f"{self.name}^-1")
-
-    def is_identity(self) -> bool:
-        return bool(np.all(self.perm == np.arange(len(self.perm))))
-
-    def is_involution(self) -> bool:
-        return bool(np.all(self.perm[self.perm] == np.arange(len(self.perm))))
-
-    def verify_homomorphism(self) -> None:
-        """perm(g x) = perm(g) perm(x) for every generator g and every x.
-
-        By induction on word length in the generators this gives
-        perm(w x) = perm(w) perm(x) for all w, x: a proof, not a sample.
-        """
-        g = self.group
-        perm = self.perm
-        for gen in g.generators():
-            lhs = perm[g._left_mul_perm(gen)]
-            rhs = g._left_mul_perm(int(perm[gen]))[perm]
-            if not np.array_equal(lhs, rhs):
-                raise AssertionError(f"{self.name} is not a homomorphism")
-
-    def class_permutation(self) -> np.ndarray:
-        data = self.group.conjugacy()
-        return data.cls[self.perm[data.reps]]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupAutomorphism) and np.array_equal(self.perm, other.perm)
-
-    def __repr__(self) -> str:
-        return f"GroupAutomorphism({self.group.spec}, {self.name})"
-
-
-def identity_automorphism(group: GroupRealization) -> GroupAutomorphism:
-    return GroupAutomorphism(group, np.arange(group.order), "id")
-
-
-def ad_by_matrix(group: GroupRealization, mat: np.ndarray, name: str) -> GroupAutomorphism:
-    """Conjugation x -> m x m^-1 by an invertible matrix over F_q.
-
-    The matrix need not lie in the group itself (adjoint-group action); it
-    must normalize it, which holds for any GL_n(q) matrix acting on SL_n(q).
-    """
-    return GroupAutomorphism(group, group.conjugation_perm(mat.astype(np.uint8)), name)
-
-
-def transpose_inverse(group: GroupRealization) -> GroupAutomorphism:
-    perm = group.inv_perm[group.transpose_perm]
-    return GroupAutomorphism(group, perm, "transpose-inverse")
-
-
-def _alternating_antidiagonal(group: GroupRealization) -> np.ndarray:
-    """The standard longest-Weyl lift: antidiagonal with alternating signs."""
-    n = group.n
-    fld = group.field
-    mat = np.zeros((n, n), dtype=np.uint8)
-    c = 1
-    for i in range(n):
-        mat[i, n - 1 - i] = c
-        c = fld.neg_code(c)
-    return mat
-
-
-def _fixes_pinning(group: GroupRealization, auto: GroupAutomorphism) -> bool:
-    """Check that the automorphism maps x_{alpha_i}(1) to x_{alpha_{n-1-i}}(1)."""
-    pin = group.pinning()
-    n = group.n
-    for i, x in enumerate(pin):
-        if auto.apply(x) != pin[n - 2 - i]:
-            return False
-    return True
-
-
-def chevalley_involution(group: GroupRealization) -> GroupAutomorphism:
-    """The pinned Chevalley involution: fixes the standard pinning, acts as
-    t -> w0(t)^-1 on the diagonal torus, squares to the identity."""
-    ti = transpose_inverse(group)
-    base = _alternating_antidiagonal(group)
-    candidate = ad_by_matrix(group, base, "w0-lift").compose(ti)
-    if not _fixes_pinning(group, candidate):
-        # correct the lift by a torus element (any two pinning-fixing lifts
-        # differ by one); search deterministically over T_0^F
-        import itertools as _it
-
-        found = None
-        for diag in _it.product(range(1, group.q), repeat=group.n):
-            t = np.zeros((group.n, group.n), dtype=np.uint8)
-            for i, c in enumerate(diag):
-                t[i, i] = c
-            m = _bmm(group.tables, t[None], base[None])[0]
-            cand = ad_by_matrix(group, m, "w0-lift").compose(ti)
-            if _fixes_pinning(group, cand):
-                found = cand
-                break
-        if found is None:
-            raise RuntimeError("no pinning-fixing Chevalley lift found")
-        candidate = found
-    candidate.name = "chevalley"
-    if not candidate.is_involution():
-        raise RuntimeError("Chevalley involution candidate is not involutive")
-    return candidate
-
-
-def minus_one_torus_matrix(group: GroupRealization) -> np.ndarray:
-    """A lift of the adjoint torus element t with alpha(t) = -1 for all
-    simple alpha: diag(1, -1, 1, ...).  In characteristic 2 this is the
-    identity."""
-    n = group.n
-    fld = group.field
-    mat = np.zeros((n, n), dtype=np.uint8)
-    c = 1
-    for i in range(n):
-        mat[i, i] = c
-        c = fld.neg_code(c)
-    return mat
-
-
-def duality_involution(group: GroupRealization) -> GroupAutomorphism:
-    """iota_{G,P} = ad(t_minus) o chevalley for the standard pinning."""
-    c = chevalley_involution(group)
-    t_minus = minus_one_torus_matrix(group)
-    iota = ad_by_matrix(group, t_minus, "ad(t-)").compose(c)
-    iota.name = "duality-involution"
-    if not iota.is_involution():
-        raise RuntimeError("duality involution is not involutive")
-    return iota
-
-
-def conjugated_duality_involution(
-    group: GroupRealization, conjugator: np.ndarray, name: str = "duality-involution'"
-) -> GroupAutomorphism:
-    """ad(g) o iota o ad(g)^-1 for a pinning moved by ad(g)."""
-    iota = duality_involution(group)
-    adg = ad_by_matrix(group, conjugator, "ad(g)")
-    out = adg.compose(iota).compose(adg.inverse())
-    out.name = name
-    return out
-
-
-def adjoint_action_representatives(group: GroupRealization) -> list[GroupAutomorphism]:
-    """Coset representatives for G_ad^F / pi(G^F) acting on G^F.
-
-    For GL_n the center is connected and the list is [identity]; for SL_n
-    the quotient is cyclic of order gcd(n, q-1), generated by conjugation
-    with diag(nu, 1, ..., 1) for a generator nu of F_q^x.
-    """
-    if group.spec.family == "GL":
-        return [identity_automorphism(group)]
-    k = gcd(group.n, group.q - 1)
-    out = [identity_automorphism(group)]
-    fld = group.field
-    for j in range(1, k):
-        mat = np.eye(group.n, dtype=np.uint8)
-        mat[0, 0] = fld.pow_code(fld.generator_code, j)
-        out.append(ad_by_matrix(group, mat, f"ad(diag(g^{j},1..))"))
-    return out
-

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .automorphisms import GroupAutomorphism, adjoint_action_representatives, duality_involution
 from .chartable import (
     table_of,
     ClassFunction,
@@ -36,13 +37,7 @@ from .dl import (
     lusztig_series,
     restrict_series,
 )
-from .groups import (
-    GroupRealization,
-    GroupAutomorphism,
-    UnsupportedSpec,
-    adjoint_action_representatives,
-    duality_involution,
-)
+from .groups import GroupRealization, UnsupportedSpec
 from .rootdatum import two_h1_predicate
 
 

@@ -8,6 +8,7 @@ rationals, and all expected values are combinatorial integers.
 import time
 from math import gcd
 
+from redchar.automorphisms import chevalley_involution, duality_involution
 from redchar.chartable import table_of, twisted_fs_indicator
 from redchar.dl import (
     dl_context,
@@ -15,13 +16,7 @@ from redchar.dl import (
     unipotent_series,
     verify_dl_invariants,
 )
-from redchar.groups import (
-    GroupRealization,
-    GroupSpec,
-    cached_group,
-    chevalley_involution,
-    duality_involution,
-)
+from redchar.groups import GroupRealization, GroupSpec, cached_group
 from redchar.gelfandgraev import verify_generic_duality, whittaker_data
 from redchar.jordan import (
     all_jordan_data,

@@ -7,6 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from redchar.automorphisms import adjoint_action_representatives, duality_involution, identity_automorphism
 from redchar.chartable import (
     CharacterTable,
     ClassFunction,
@@ -34,14 +35,7 @@ from redchar.chartable import (
     twisted_fs_indicators,
 )
 from redchar.cyclotomic import CyclotomicNumber, euler_phi
-from redchar.groups import (
-    GroupRealization,
-    GroupSpec,
-    adjoint_action_representatives,
-    cached_group,
-    duality_involution,
-    identity_automorphism,
-)
+from redchar.groups import GroupRealization, GroupSpec, cached_group
 
 
 
@@ -252,7 +246,7 @@ def test_sl3_4_table_runs_and_is_orthogonal():
 
 def test_dual_commutes_with_twist():
     # dual o twist = twist o dual as literal value lists, per automorphism
-    from redchar.groups import adjoint_action_representatives, transpose_inverse
+    from redchar.automorphisms import adjoint_action_representatives, transpose_inverse
 
     for name in ["GL2(3)", "SL2(3)"]:
         t = table(name)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redchar import cyclotomic
+from redchar.automorphisms import adjoint_action_representatives, duality_involution, transpose_inverse
 from redchar.chartable import (
     CharacterTable,
     ClassFunction,
@@ -25,14 +26,7 @@ from redchar.chartable import (
     twist_by_automorphism,
 )
 from redchar.cyclotomic import CyclotomicNumber, euler_phi, zeta
-from redchar.groups import (
-    GroupRealization,
-    GroupSpec,
-    adjoint_action_representatives,
-    cached_group,
-    duality_involution,
-    transpose_inverse,
-)
+from redchar.groups import GroupRealization, GroupSpec, cached_group
 
 GROUPS = ["GL2(3)", "GL2(4)", "SL2(5)", "GL3(2)"]
 # the SL subgroup each group restricts to

@@ -234,10 +234,12 @@ def test_a_table_job_loads_only_the_table_path(tmp_path):
 
 @pytest.mark.parametrize("check", ["fs-indicator", "center-h1"])
 def test_spec_level_checks_load_neither_dl_nor_jordan(check):
-    # both read the 2H^1 predicate from the root datum of the spec
+    # both read the 2H^1 predicate from the root datum of the spec, and
+    # fs-indicator twists by the duality involution
     _package, cli, job, code, _submodule = _import_probe([check, "--group", "GL2(5)"])
     assert code == 0
-    assert job == sorted(cli + ["redchar.intlinalg", "redchar.rootdatum"])
+    twist = ["redchar.automorphisms"] if check == "fs-indicator" else []
+    assert job == sorted(cli + twist + ["redchar.intlinalg", "redchar.rootdatum"])
 
 
 def test_package_exports_resolve_to_their_defining_modules():

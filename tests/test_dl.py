@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from redchar import dl
+from redchar.automorphisms import duality_involution
 from redchar.chartable import (
     ClassFunction,
     _packed_context,
@@ -30,7 +31,7 @@ from redchar.dl import (
     restrict_series,
     unipotent_series,
 )
-from redchar.groups import cached_group, duality_involution
+from redchar.groups import cached_group
 
 
 def all_pairs(ctx):

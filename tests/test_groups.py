@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from redchar import chartable, groups
-from redchar.dl import dl_context, lusztig_series
-from redchar.groups import (
-    BudgetExceeded,
+from redchar.automorphisms import (
     GroupAutomorphism,
-    GroupRealization,
-    GroupSpec,
-    _bmm,
     adjoint_action_representatives,
     ad_by_matrix,
-    cached_group,
     chevalley_involution,
     duality_involution,
     identity_automorphism,
-    maximal_tori,
     transpose_inverse,
+)
+from redchar.dl import dl_context, lusztig_series
+from redchar.groups import (
+    BudgetExceeded,
+    GroupRealization,
+    GroupSpec,
+    _bmm,
+    cached_group,
+    maximal_tori,
 )
 from redchar.jordan import dual_centralizer
 
@@ -327,6 +329,11 @@ def _reference_conjugation(group, m):
     return group.lookup(_bmm(group.tables, _bmm(group.tables, m, group.elements), _binv(group.tables, m)))
 
 
+def _left_multiplication(group, h):
+    """x -> h x by row operations on the rows of x (`_left_rows`)."""
+    return group._images(lambda rows: group._left_rows(group.elements[h], rows))
+
+
 def _kernel_multipliers(group):
     """Every element of a small group; for a larger one its class
     representatives, its generators and a fixed stride through the elements."""
@@ -343,7 +350,7 @@ def test_row_table_products_match_matrix_products(name):
     for h in _kernel_multipliers(g):
         hm = elems[h][None]
         assert np.array_equal(g.right_mul(elems[h]), g.lookup(_bmm(tab, elems, hm)))
-        assert np.array_equal(g._left_mul_perm(h), g.lookup(_bmm(tab, hm, elems)))
+        assert np.array_equal(_left_multiplication(g, h), g.lookup(_bmm(tab, hm, elems)))
         assert np.array_equal(g.conjugation_perm(elems[h]), _reference_conjugation(g, elems[h]))
     subset = np.arange(0, g.order, 7)
     h = g.generators()[0]
@@ -611,12 +618,14 @@ def test_class_labels_of_every_element_unchanged(name, digest):
 
 @pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "SL3(3)"])
 def test_left_multiplication_after_inverse_is_conjugation(name):
+    # the conjugations that label the classes: the row table of h^-1, then
+    # row operations for h; both steps against entry-by-entry products
     g = cached_group(name)
-    gens, lefts = g._generating_set()
-    for h, left in zip(gens, lefts):
-        assert np.array_equal(left, g._left_mul_perm(h))
-        conj = left[g.right_mul(g.elements[g.inv_perm[h]])]
-        assert np.array_equal(conj, g.conjugation_perm(g.elements[h]))
+    for h in g.generators():
+        conj = g.conjugation_perm(g.elements[h])
+        assert np.array_equal(conj, _reference_conjugation(g, g.elements[h]))
+        left = _left_multiplication(g, h)
+        assert np.array_equal(conj, left[g.right_mul(g.elements[g.inv_perm[h]])])
 
 
 @pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(3)", "SL3(3)", "SL3(5)"])
@@ -647,7 +656,39 @@ def test_orbit_minima_label_each_orbit_by_its_least_point():
 
 
 def test_generating_set_refuses_a_proper_subgroup(monkeypatch):
-    g = cached_group("GL2(3)")
-    monkeypatch.setattr(g, "_left_mul_perm", lambda h: np.arange(g.order))
+    # the proof runs on right multiplications; planted identities generate {1}
+    g = GroupRealization(GroupSpec.parse("GL2(3)"))
+    monkeypatch.setattr(g, "right_mul", lambda h, idx=None: np.arange(g.order))
     with pytest.raises(RuntimeError, match="failed to generate"):
-        g._generating_set()
+        g.generators()
+
+
+def test_generators_are_proven_once(monkeypatch):
+    g = GroupRealization(GroupSpec.parse("SL2(5)"))
+    first = g.generators()
+    calls = []
+    monkeypatch.setattr(g, "right_mul", lambda *args: calls.append(args))
+    monkeypatch.setattr(groups, "_orbit_minima", lambda *args: calls.append(args))
+    assert g.generators() == first
+    assert calls == []
+
+
+def test_table_builds_no_transpose_or_inverse_map():
+    g = GroupRealization(GroupSpec.parse("SL3(3)"))
+    chartable.table_of(g)
+    assert "transpose_perm" not in g.__dict__
+    assert "inv_perm" not in g.__dict__
+
+
+def test_sl3_5_build_and_conjugacy_peak_below_32_mib():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = GroupRealization(GroupSpec.parse("SL3(5)"))
+        g.conjugacy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.conjugacy().n_classes == 30
+    assert peak < 32 * 2**20

@@ -1,8 +1,9 @@
 import pytest
 
+from redchar.automorphisms import chevalley_involution, duality_involution, identity_automorphism
 from redchar.chartable import inner_product
 from redchar.dl import dl_character, dl_context, lusztig_series
-from redchar.groups import cached_group, chevalley_involution, duality_involution, identity_automorphism
+from redchar.groups import cached_group
 from redchar.jordan import (
     all_jordan_data,
     central_linear_character,
