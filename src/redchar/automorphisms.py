@@ -57,8 +57,8 @@ class GroupAutomorphism:
         g = self.group
         perm = self.perm
         for gen in g.generators():
-            lhs = perm[g.right_mul(g.elements[gen])]
-            rhs = g.right_mul(g.elements[perm[gen]])[perm]
+            lhs = perm[g.right_mul(g.matrices(gen))]
+            rhs = g.right_mul(g.matrices(perm[gen]))[perm]
             if not np.array_equal(lhs, rhs):
                 raise AssertionError(f"{self.name} is not a homomorphism")
 

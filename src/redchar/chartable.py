@@ -486,7 +486,7 @@ def class_fusion(small: GroupRealization, big: GroupRealization) -> np.ndarray:
     if small.q != big.q or small.n != big.n:
         raise ValueError("groups are not compatible for fusion")
     reps = small.conjugacy().reps
-    mats = small.elements[reps]
+    mats = small.matrices(reps)
     return big.conjugacy().cls[big.lookup(mats)]
 
 
@@ -950,7 +950,7 @@ def _class_matrix(group: GroupRealization, i: int, cols) -> np.ndarray:
     step = max(1, _CLASS_MATRIX_PAIRS // len(x_inv))
     for start in range(0, len(cols), step):
         reps = data.reps[cols[start : start + step]]
-        classes = data.cls[group.right_mul(group.elements[reps], x_inv)]
+        classes = data.cls[group.right_mul(group.matrices(reps), x_inv)]
         # one bincount for the block: representative b counts into [b r, (b + 1) r)
         offsets = r * np.arange(len(reps))[:, None]
         counts = np.bincount((classes + offsets).ravel(), minlength=r * len(reps))

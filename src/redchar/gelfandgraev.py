@@ -59,8 +59,7 @@ class WhittakerDatum:
         g = self.group
         fld = g.field
         traces = []
-        for idx in g.unipotent_indices:
-            mat = g.elements[idx]
+        for mat in g.matrices(g.unipotent_indices):
             acc = 0
             for i, a in enumerate(self.functionals):
                 acc = fld.add_codes(acc, fld.mul_codes(a, int(mat[i, i + 1])))
@@ -84,8 +83,7 @@ def whittaker_data(group: GroupRealization) -> list[WhittakerDatum]:
     fld = group.field
     n, q = group.n, group.q
     torus_elements = []
-    for t_idx in group.torus_indices:
-        mat = group.elements[t_idx]
+    for mat in group.matrices(group.torus_indices):
         torus_elements.append([int(mat[i, i]) for i in range(n)])
     import itertools
 

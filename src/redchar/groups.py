@@ -10,21 +10,31 @@ elements.  The group is built from tables over the q^n row codes, never by
 expanding the q^(n^2) candidate matrices: with V[c] the field codes of row c,
 the dot table D[a, b] = V[a].V[b] and the cofactor table C over n - 1 rows
 (the cross product for n = 3, (-a_1, a_0) for n = 2, the constant row (1) for
-n = 1) give det(r_1, ..., r_n) = D[C[r_1, ..., r_{n-1}], r_n].  One uint8
-gather D[C] is therefore the determinant of every key in key order, and its
-kept positions are the group's keys.
+n = 1) give det(r_1, ..., r_n) = D[C[r_1, ..., r_{n-1}], r_n].
 
-A dense int32 map over all q^(n^2) keys gives each element's index (-1 off
-the group).  Multiplying many elements by one fixed matrix h is the group's
-bulk primitive: the row table T_h[c] = code(row c * h) has q^n entries, so
-x h for every x is n gathers into T_h, a key sum and one gather from the
-dense map.  Row i of m y is sum_j m_ij (row j of y), read through a scale
-table and a row-sum table, so conjugation x -> m x m^-1 is T_{m^-1} and then
-row operations for m, and the generation proof runs on right
-multiplications: no product or conjugation forms a transpose.  Only
-products of two element arrays still multiply matrices entry by entry.
-Every whole-group map runs _CHUNK elements at a time into int32 indices,
-so its temporaries do not grow with |G|.
+The first n - 1 rows of a matrix are its prefix p, coded in base q^n.  The
+prefix is independent exactly when its cofactor row c = C[p] is nonzero, and
+then its completions, the last rows y with D[c, y] != 0 on GL (q^n - q^(n-1)
+of them) or D[c, y] = 1 on SL (q^(n-1)), are as many for every c.  So the
+elements are the independent prefixes in order, each followed by the
+completions of its cofactor row in order: the row codes of the whole group
+are written in key order, _CHUNK elements at a time, from one completion
+table with q^n rows.  An element's index is _start[p] + _rank[c q^n + y],
+with _start[p] the index of the prefix's first element and _rank the rank
+of y among the completions of c (-|G| off them, so the sum is negative off
+the group).  These tables have q^(n(n-1)) and q^(2n) entries, and nothing
+has q^(n^2).  The n x n matrices of the elements are made from their row
+codes when read: `matrices` for a few, `elements` for the whole group.
+
+Multiplying many elements by one fixed matrix h is the group's bulk
+primitive: the row table T_h[c] = code(row c * h) has q^n entries, so x h for
+every x is n gathers into T_h and one index lookup.  Row i of m y is
+sum_j m_ij (row j of y), read through a scale table and a row-sum table, so
+conjugation x -> m x m^-1 is T_{m^-1} and then row operations for m, and the
+generation proof runs on right multiplications: no product or conjugation
+forms a transpose.  Only products of two element arrays still multiply
+matrices entry by entry.  Every whole-group map runs _CHUNK elements at a
+time into int32 indices, so its temporaries do not grow with |G|.
 
 Row j of (x^-1)^T is the cofactor row of the other rows times +-det(x)^-1,
 so inverses are found for the elements asked for (generators, class
@@ -145,7 +155,10 @@ def _bmm(tab: _Tables, a, b):
 
 def _horner(digits: np.ndarray, base: int, dtype=np.int64) -> np.ndarray:
     """The integers whose base-`base` digits, most significant first, run
-    along the last axis: row codes from field codes, keys from row codes."""
+    along the last axis: row codes from field codes, prefix codes from row
+    codes.  No digits (the empty prefix of n = 1) give zeros."""
+    if digits.shape[-1] == 0:
+        return np.zeros(digits.shape[:-1], dtype=dtype)
     out = digits[..., 0].astype(dtype)
     for j in range(1, digits.shape[-1]):
         out *= base
@@ -202,7 +215,7 @@ class ConjugacyData:
     exponent: int
 
     def members(self, i: int) -> np.ndarray:
-        """The element indices of class i, ascending.
+        """The element indices (int32) of class i, ascending.
 
         They are one slice of a stable sort of the element indices by class,
         made on first use.  The keys are the class indices narrowed to the
@@ -215,10 +228,12 @@ class ConjugacyData:
 
     @cached_property
     def _by_class(self) -> tuple[np.ndarray, np.ndarray]:
-        """The element indices stably sorted by class, and where each class
-        starts; sorted after the conjugacy phase has freed its temporaries."""
+        """The element indices stably sorted by class, kept as int32, and
+        where each class starts; sorted after the conjugacy phase has freed
+        its temporaries."""
         keys = self.cls.astype(np.min_scalar_type(self.n_classes))
-        return np.argsort(keys, kind="stable"), np.concatenate(([0], np.cumsum(self.sizes)))
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        return order, np.concatenate(([0], np.cumsum(self.sizes)))
 
 
 @dataclass
@@ -270,9 +285,10 @@ def _lower(labels: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> None:
 class GroupRealization:
     """G^F = GL_n(q) or SL_n(q), every element explicit.
 
-    The elements are found from the row-code tables of the module docstring
-    (the determinant of every key at once), not by testing candidate
-    matrices; `elements`, `_rows` and the index map are in key order.
+    The elements are written prefix by prefix from the completion table of
+    the module docstring, not found by testing candidate matrices; `_rows`
+    and `elements` are in key order, and `_find` maps row codes to indices
+    through the prefix and rank tables.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -300,25 +316,46 @@ class GroupRealization:
         self._cofactor = _cofactor_table(tab, vectors)
         # _scale[s, c] = code of s * row c
         self._scale = _horner(tab.mul[np.arange(q)[:, None, None], vectors], q, np.int32)
-        det = self._dot[self._cofactor].ravel()  # det of every key, in key order
-        member = det != 0 if self.spec.family == "GL" else det == 1
-        del det
-        keys = np.flatnonzero(member)  # the group's keys, in key order
-        self.order = len(keys)
+        # c q^n + y for the cofactor rows c and last rows y with det = D[c, y]
+        # in the group, ascending; the zero row c = 0 has none
+        completed = np.flatnonzero(self._dot != 0 if self.spec.family == "GL" else self._dot == 1)
+        width = q**n - q ** (n - 1) if self.spec.family == "GL" else q ** (n - 1)
+        if (np.bincount(completed // size, minlength=size) != [0] + [width] * (size - 1)).any():
+            raise RuntimeError(f"{self.spec}: a cofactor row has other than {width} completions")
+        completions = np.zeros((size, width), dtype=np.int32)  # ascending; row 0 unused
+        completions[1:] = (completed % size).reshape(size - 1, width)
+        prefix_cofactor = self._cofactor.reshape(-1)  # C[p] for every prefix code p
+        independent = np.flatnonzero(prefix_cofactor).astype(np.int32)
+        self.order = len(independent) * width
         if self.order != self.spec.order:
             raise RuntimeError(f"{self.spec}: found {self.order} elements, expected {self.spec.order}")
-        self._index = np.full(member.size, -1, dtype=np.int32)
-        del member
+        self._start = np.zeros(len(prefix_cofactor), dtype=np.int32)
+        self._start[independent] = np.arange(0, self.order, width, dtype=np.int32)
+        self._cofactor_base = prefix_cofactor * size  # where C[p]'s ranks start in _rank
+        self._rank = np.full(size * size, -self.order, dtype=np.int32)  # start + rank < 0 off the group
+        self._rank[completed] = np.arange(len(completed), dtype=np.int32) % width
         self._rows = np.empty((self.order, n), dtype=np.int32)  # row codes of every element
-        self.elements = np.empty((self.order, n, n), dtype=np.uint8)
-        for start in range(0, self.order, _CHUNK):  # no whole-group int64 temporaries
-            part = keys[start : start + _CHUNK]
-            self._index[part] = np.arange(start, start + len(part), dtype=np.int32)
+        for start in range(0, self.order, _CHUNK):  # no whole-group temporaries
             rows = self._rows[start : start + _CHUNK]
-            rows[:] = _digits(part, size, n)
-            self.elements[start : start + _CHUNK] = vectors.take(rows, axis=0)
+            which, k = np.divmod(np.arange(start, start + len(rows), dtype=np.int32), width)
+            prefix = independent.take(which)
+            rows[:, n - 1] = completions[prefix_cofactor.take(prefix), k]
+            for j in range(n - 2, -1, -1):
+                prefix, rows[:, j] = np.divmod(prefix, size)
         ident = np.eye(n, dtype=np.uint8)
         self.identity_idx = int(self.lookup(ident[None])[0])
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Every element as an n x n code matrix, in key order, built on first
+        read.  Whole-group readers (the Borel, the twisted indicator's
+        products, tests) use it; a `table` job reads only `matrices`."""
+        return self._row_vectors.take(self._rows, axis=0)
+
+    def matrices(self, idx) -> np.ndarray:
+        """The code matrices of the elements at `idx` (an index or an index
+        array), shape idx.shape + (n, n), from their row codes."""
+        return self._row_vectors.take(self._rows[idx], axis=0)
 
     @cached_property
     def transpose_perm(self) -> np.ndarray:
@@ -361,7 +398,7 @@ class GroupRealization:
     @cached_property
     def _row_sum(self) -> np.ndarray:
         """S[a q^n + b] = code of row a + row b, built on first use; its
-        q^(2n) <= q^(n^2) entries take int32 positions, like the index map."""
+        q^(2n) entries take int32 positions, like the rank table."""
         vectors = self._row_vectors
         return _horner(self.tables.add[vectors[:, None, :], vectors[None, :, :]], self.q, np.int32).ravel()
 
@@ -383,9 +420,19 @@ class GroupRealization:
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
         """Indices (int32) of the matrices with these row codes (shape (..., n))."""
-        idx = self._index[_horner(rows, self.q**self.n)]
+        idx = self._locate(rows)
         if (idx < 0).any():
             raise KeyError("matrix not in the group")
+        return idx
+
+    def _locate(self, rows: np.ndarray) -> np.ndarray:
+        """_start[p] + _rank[C[p] q^n + y] for the prefixes p and last rows y
+        of these row codes: the index of each matrix, negative off the group."""
+        prefix = _horner(rows[..., :-1], self.q**self.n, np.int32)
+        at = self._cofactor_base.take(prefix)
+        at += rows[..., -1]
+        idx = self._rank.take(at)
+        idx += self._start.take(prefix)
         return idx
 
     def _images(self, image_rows, idx: np.ndarray | None = None) -> np.ndarray:
@@ -399,7 +446,7 @@ class GroupRealization:
 
     def lookup(self, mats: np.ndarray) -> np.ndarray:
         """Indices of the given code matrices (shape (..., n, n)) in the group."""
-        return self._find(_horner(mats, self.q))
+        return self._find(_horner(mats, self.q, np.int32))
 
     def _row_table(self, h: np.ndarray) -> np.ndarray:
         """T[..., c] = code of (row c) h for every row code c, for code
@@ -418,7 +465,7 @@ class GroupRealization:
         return self._images(lambda rows: table.take(rows, axis=-1), idx)
 
     def mul_idx(self, i: int, j: int) -> int:
-        prod = _bmm(self.tables, self.elements[i][None], self.elements[j][None])
+        prod = _bmm(self.tables, self.matrices(i)[None], self.matrices(j)[None])
         return int(self.lookup(prod)[0])
 
     def element_order(self, i: int) -> int:
@@ -503,7 +550,7 @@ class GroupRealization:
         for mat, (pos, c) in zip(mats, entries):
             mat[pos] = c
         gens = self.lookup(mats)
-        rights = [self.right_mul(self.elements[g]) for g in gens]
+        rights = [self.right_mul(self.matrices(g)) for g in gens]
         if (_orbit_minima(rights, self.order) != 0).any():
             raise RuntimeError("generating set failed to generate the group")
         return tuple(gens.tolist())
@@ -546,7 +593,7 @@ class GroupRealization:
         is the rank of its representative, so classes are ordered by their
         least elements.
         """
-        perms = [self.conjugation_perm(self.elements[g]) for g in self.generators()]
+        perms = [self.conjugation_perm(self.matrices(g)) for g in self.generators()]
         minima = _orbit_minima(perms, self.order)
         del perms
         is_rep = minima == np.arange(self.order, dtype=np.int32)
@@ -575,7 +622,7 @@ class GroupRealization:
     def _powers(self, reps: np.ndarray, cls: np.ndarray) -> tuple[list, np.ndarray]:
         """The order of each element at `reps` and the classes of its powers,
         [i, t] = cls(reps[i]^t) for t < max order: one batched power loop."""
-        base = self.elements[reps]
+        base = self.matrices(reps)
         orders = np.zeros(len(reps), dtype=np.int64)
         columns = [np.full(len(reps), cls[self.identity_idx])]
         power, t = base, 1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redchar.cache import ALGORITHM_VERSION, TableCache, _canonical_bytes, cache_key
+from redchar.cache import ALGORITHM_VERSION, TableCache, _canonical_bytes, _canonical_pieces, cache_key
 from redchar.chartable import CharacterTable, table_of
 from redchar.cli import (
     EXIT_BUDGET,
@@ -163,6 +163,19 @@ def test_cache_entry_bytes_are_the_canonical_entry(tmp_path):
     assert cache.read_bytes("character-table", "GL2(3)") == _canonical_bytes(entry) + b"\n"
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": [1, {"z": None, "a": [2.5, "\u00e9\n"]}], "a": {}, "c": []},
+        [[], [1, [2, [3]]], {"k": True}],
+        "text",
+        7,
+    ],
+)
+def test_canonical_pieces_join_to_the_canonical_bytes(obj):
+    assert b"".join(_canonical_pieces(obj)) == _canonical_bytes(obj)
+
+
 # payload digests recorded while entries were still written with indent=1
 @pytest.mark.parametrize(
     "spec, digest",
@@ -270,6 +283,42 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     out = cache.get_or_compute("character-table", "GL1(2)", producer)
     assert out == {"x": 1} and len(calls) == 2
     assert "corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    ["[]", "null", '{"payload": [], "sha256": "x"}', '{"payload": {"x": 2}, "sha256": 5}', "truncated"],
+)
+def test_cli_discards_a_malformed_cache_entry(tmp_path, capsys, corrupt):
+    argv = ["table", "--group", "GL2(3)", "--cache-dir", str(tmp_path), "--format", "json"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2] if corrupt == "truncated" else corrupt.encode())
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cold and "corrupt" in err
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == whole
+
+
+def test_cache_entry_is_renamed_into_place_whole(tmp_path, monkeypatch):
+    import redchar.cache
+
+    cache = TableCache(tmp_path)
+    path = cache._path(cache_key("character-table", "GL1(2)"))
+    real, seen = os.replace, []
+
+    def replace(src, dst):
+        # before the rename the entry is absent and the file beside it is whole
+        payload = json.loads(Path(src).read_bytes())["payload"]
+        seen.append((Path(src).parent, Path(dst), Path(dst).exists(), payload))
+        real(src, dst)
+
+    monkeypatch.setattr(redchar.cache.os, "replace", replace)
+    cache.get_or_compute("character-table", "GL1(2)", lambda: {"x": 1})
+    assert seen == [(tmp_path, path, False, {"x": 1})]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cli_with_cache_dir(tmp_path):

@@ -377,12 +377,41 @@ def test_lookup_rejects_matrices_off_the_group():
         g.right_mul(np.array([[2, 0], [0, 1]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("name", ["GL2(5)", "SL2(5)", "GL3(3)", "SL3(3)"])
+def test_lookup_rejects_dependent_leading_rows_and_sl_determinants(name):
+    g = cached_group(name)
+    n, q = g.n, g.q
+    zero = np.zeros((q**n, n, n), dtype=np.uint8)  # every last row after zero rows
+    zero[:, n - 1] = g._row_vectors
+    cases = [zero]
+    if n == 3:
+        equal = zero.copy()
+        equal[:, :2] = [0, 1, 1]  # two equal nonzero rows
+        cases.append(equal)
+    for mats in cases:
+        assert (g._locate(groups._horner(mats, q)) < 0).all()
+        for mat in mats[:: q + 1]:
+            with pytest.raises(KeyError):
+                g.lookup(mat[None])
+    if g.spec.family == "SL":
+        for c in range(2, q):  # det c != 1: in GL_n(q), not in SL_n(q)
+            mat = np.eye(n, dtype=np.uint8)
+            mat[n - 1, n - 1] = c
+            with pytest.raises(KeyError):
+                g.lookup(mat[None])
+            mat = np.eye(n, dtype=np.uint8)
+            mat[0, 0] = c  # the same determinant from the prefix
+            with pytest.raises(KeyError):
+                g.lookup(mat[None])
+
+
 @pytest.mark.parametrize("name", ["GL2(3)", "SL3(3)", "GL2(17)"])
 def test_members_are_the_class_in_ascending_order(name):
     # GL2(17) has 288 classes, so its members are sorted on uint16 keys
     data = cached_group(name).conjugacy()
     for i in range(data.n_classes):
         assert np.array_equal(data.members(i), np.flatnonzero(data.cls == i))
+        assert data.members(i).dtype == np.int32
 
 
 @pytest.mark.parametrize("name", ["GL2(4)", "SL3(3)"])
@@ -505,9 +534,20 @@ def test_row_code_construction_matches_the_candidate_sweep(name):
     g = cached_group(name)
     elements, index = _candidate_sweep(g)
     assert np.array_equal(g.elements, elements)
-    assert np.array_equal(g._index, index)
+    assert np.array_equal(g.matrices(np.arange(g.order)), elements)
     weights = g.q ** np.arange(g.n - 1, -1, -1)
     assert np.array_equal(g._rows, (elements.astype(np.int64) * weights).sum(axis=2))
+    # every candidate key through the lookup: its sweep index, or -1 <-> KeyError
+    size = g.q**g.n
+    keys = np.arange(len(index))
+    rows = np.stack([keys // size ** (g.n - 1 - j) % size for j in range(g.n)], axis=1)
+    located = g._locate(rows)
+    assert np.array_equal(np.where(located < 0, -1, located), index)
+    assert np.array_equal(g.lookup(elements), np.arange(g.order))
+    off = np.flatnonzero(index < 0)
+    for key in off[:: max(1, len(off) // 40)]:
+        with pytest.raises(KeyError):
+            g._find(rows[key][None])
     assert np.array_equal(g.inv_perm, g.lookup(_binv(g.tables, elements)))
     assert np.array_equal(g.transpose_perm, g.lookup(np.swapaxes(elements, 1, 2)))
 
@@ -680,7 +720,7 @@ def test_table_builds_no_transpose_or_inverse_map():
     assert "inv_perm" not in g.__dict__
 
 
-def test_sl3_5_build_and_conjugacy_peak_below_32_mib():
+def test_sl3_5_build_and_conjugacy_peak_below_16_mib():
     import tracemalloc
 
     tracemalloc.start()
@@ -691,4 +731,33 @@ def test_sl3_5_build_and_conjugacy_peak_below_32_mib():
     finally:
         tracemalloc.stop()
     assert g.conjugacy().n_classes == 30
-    assert peak < 32 * 2**20
+    assert peak < 16 * 2**20
+
+
+def _arrays(obj, seen):
+    """Every numpy array reachable from obj through package objects'
+    attributes, lists, tuples and dict values."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif type(obj).__module__.startswith("redchar") and hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _arrays(item, seen)
+
+
+def test_sl3_5_table_builds_no_element_matrices_and_nothing_of_q_to_the_n_squared():
+    g = GroupRealization(GroupSpec.parse("SL3(5)"))
+    chartable.table_of(g)
+    assert "elements" not in vars(g)
+    sizes = [a.size for a in _arrays(g, set())]
+    assert g.order in sizes  # the walk reaches the class labels
+    assert max(sizes) < g.q ** (g.n * g.n)
+    assert g.matrices(g.identity_idx).tolist() == np.eye(3, dtype=int).tolist()
