@@ -91,6 +91,7 @@ if TYPE_CHECKING:  # the automorphisms module stays off the `table` path
 
 _CLASS_MATRIX_PAIRS = 1 << 18  # products per block of a class matrix (~13 MB of temporaries)
 _FLOAT_MATMUL_MIN = 1 << 20  # multiply-adds from which an exact matmul runs in float64
+_GALOIS_ENTRIES = 1 << 20  # flat entries a Gram certificate stacks at a time (~8 MB)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -635,11 +636,16 @@ def gram_certificate(group: GroupRealization, functions, target):
     if any(f.den != 1 for f in functions):
         raise ValueError("the Gram certificate needs integer-valued class functions")
     ctx = _packed_context(group)
-    flat = np.stack([f.flat for f in functions])
-    equivariant = _galois_equivariant(group, flat)
-    if _absmax(flat) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
-        flat = flat.astype(object)  # so that no l1 norm of a value wraps
-    norm = np.add.reduceat(np.abs(flat), ctx.flat_starts, axis=1)[:, ctx.unblock]  # |X_i(g_k)|_1
+    chunk = max(1, _GALOIS_ENTRIES // max(ctx.size, 1))  # functions stacked at a time
+    equivariant, norms = [], []
+    for start in range(0, len(functions), chunk):
+        flat = np.stack([f.flat for f in functions[start : start + chunk]])
+        equivariant.append(_galois_equivariant(group, flat))
+        if _absmax(flat) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
+            flat = flat.astype(object)  # so that no l1 norm of a value wraps
+        norms.append(np.add.reduceat(np.abs(flat), ctx.flat_starts, axis=1)[:, ctx.unblock])
+    equivariant = np.concatenate(equivariant)
+    norm = np.concatenate(norms)  # |X_i(g_k)|_1
     bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), norm.T))
     primes = _certificate_primes(ctx.e, bound + _absmax(target))
     verdict = equivariant[:, None] & equivariant[None, :]

@@ -28,9 +28,8 @@ from .groups import (
     InvalidSpec,
     UnsupportedSpec,
     cached_group,
-    partitions_of,
 )
-from .reports import CheckReport, emit_report
+from .reports import CheckReport, write_report
 
 # the cache and the automorphisms, dl, jordan, gelfandgraev and rootdatum
 # modules are imported where they are used, so that a `table` job loads only
@@ -43,7 +42,7 @@ EXIT_UNKNOWN_CHECK = 2
 EXIT_UNSUPPORTED_SPEC = 3
 EXIT_BUDGET = 4
 
-_EXACT_OP_BUDGET = 2 * 10**9  # int64 operation budget for exact bulk checks
+_EXACT_OP_BUDGET = 2 * 10**9  # int64 operation budget for the exact table check
 
 
 def _group_for(spec_text: str, budget: int, cache: TableCache | None):
@@ -65,26 +64,6 @@ def _ctx_for(group, budget, cache):
     if group.spec.family == "SL":
         group = _group_for(f"GL{group.n}({group.q})", budget, cache)
     return dl_context(group.spec, budget)
-
-
-def _pair_budget(ctx) -> bool:
-    """Whether the DL checks enumerate every (w, theta) pair or one pair per
-    W-orbit type.
-
-    Exhaustive mode certifies the N x N Gram of all N pairs at once
-    (`dl.verify_dl_invariants`).  The volume N^2 phi^2 r / 2 below is the
-    cost of the pairwise inner products that certificate replaced; it is
-    kept as the tier rule because the tier decides which report items exist.
-    """
-    total = 0
-    for parts in partitions_of(ctx.n):
-        count = 1
-        for d in parts:
-            count *= ctx.q**d - 1
-        total += count
-    pc = _packed_context(ctx.group)
-    volume = total * total * pc.phi * pc.phi * pc.n_classes // 2
-    return volume <= _EXACT_OP_BUDGET
 
 
 def check_table(group, ctx, budget, cache):
@@ -220,7 +199,7 @@ def check_dl_orthogonality(group, ctx, budget, cache):
 
     if group.spec.family != "GL":
         raise UnsupportedSpec("dl-orthogonality runs on the GL side")
-    return verify_dl_invariants(ctx, exhaustive=_pair_budget(ctx))
+    return verify_dl_invariants(ctx)
 
 
 def check_torus_lemma(group, ctx, budget, cache):
@@ -228,7 +207,7 @@ def check_torus_lemma(group, ctx, budget, cache):
 
     if group.spec.family != "GL":
         raise UnsupportedSpec("torus-lemma runs on the GL side")
-    return verify_torus_lemma(ctx, exhaustive=_pair_budget(ctx))
+    return verify_torus_lemma(ctx)
 
 
 def check_fs_indicator(group, ctx, budget, cache):
@@ -361,7 +340,7 @@ def main(argv=None) -> int:
         names = _suite_for(args.group) if args.check == "all" else [args.check]
         for name in names:
             report = run_check(name, args.group, args.budget, cache)
-            sys.stdout.write(emit_report(report, args.format))
+            write_report(report, args.format, sys.stdout)
             all_ok = all_ok and report.all_ok()
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

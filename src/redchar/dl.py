@@ -1,15 +1,17 @@
 """Deligne-Lusztig virtual characters for GL_n(q), n <= 3, Lusztig series,
 semisimple class labels in the dual group, and transfer to SL_n.
 
-The virtual character R_{T_w}(theta) is assembled from the classical closed
-form: for theta = 1 the symmetric-group expansion over unipotent characters,
-and in general the character formula
+The virtual character R_{T_w}(theta) comes from the character formula
 
     R(su) = sum over t in T_w^F conjugate to s of theta(t) * Q_{S_t}^{C(s)}(u)
 
-whose Green factors Q are themselves theta = 1 values of smaller general
-linear groups, obtained recursively.  Every output is validated against the
-exclusion-theorem inner products and the degree identity.
+whose Green factors Q are Green's (1955) closed-form polynomials of the
+centralizers GL_m(q^d), m <= 3.  The points t, their Green weights and their
+torus exponents depend on the torus type w alone, and theta enters only
+through sum_i c_i a_i(t), so one term table per type gives every theta of the
+type by one integer product.  Every output is decomposed exactly over Irr(G)
+and checked against the degree identity, and the exclusion-theorem inner
+products of all (w, theta) pairs are certified at once.
 
 Classes are labelled by construction.  A class of GL_n(q) is a semisimple
 label s with one partition of each eigenvalue orbit's multiplicity (Green
@@ -20,33 +22,33 @@ to meet every class exactly once.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, prod
 
 import numpy as np
 
 from .chartable import (
     ClassFunction,
     gram_certificate,
-    induce_from_subgroup,
     inner_product,
     restrict_between_groups,
     root_sum_function,
     table_of,
 )
-from .finitefield import finite_field
+from .finitefield import field_embedding, finite_field
 from .groups import (
     DEFAULT_BUDGET,
     GroupRealization,
     GroupSpec,
-    _realization,
     cached_group,
     partitions_of,
 )
 
 # ---------------------------------------------------------------------------
-# symmetric group data (n <= 3) and unipotent degree polynomials
+# symmetric group characters and Green functions (n <= 3)
 # ---------------------------------------------------------------------------
 
 # character tables of S_n indexed [partition][cycle type]
@@ -64,20 +66,31 @@ SYM_CHARS = {
 }
 
 
-def unipotent_degree(partition: tuple, q: int) -> int:
-    """Degree of the unipotent character of GL_n(q) labelled by a partition.
+def green_function(q: int, m: int, pi: tuple, lam: tuple) -> int:
+    """Green's polynomial Q_{T_pi}^{GL_m(q)} = R_{T_pi}(1) at the unipotent
+    class of Jordan type lam, in closed form for m <= 3 (Green 1955).
 
-    (n) is the trivial character and (1^n) the Steinberg character; degrees
-    are pairwise distinct for n <= 3 and every q >= 2.
+    At the identity it is the degree eps_G eps_T |GL_m(q)|_p' / |T_pi^F|, and
+    at the regular unipotent class it is 1.
     """
-    n = sum(partition)
-    if partition == (n,):
-        return 1
-    if n == 2:
-        return q
-    if n == 3:
-        return q * (q + 1) if partition == (2, 1) else q**3
-    raise ValueError(f"no degree polynomial for partition {partition}")
+    if m > 3:
+        raise ValueError(f"no closed-form Green function of GL_{m}")
+    return {
+        ((1,), (1,)): 1,
+        ((1, 1), (1, 1)): q + 1,
+        ((1, 1), (2,)): 1,
+        ((2,), (1, 1)): 1 - q,
+        ((2,), (2,)): 1,
+        ((1, 1, 1), (1, 1, 1)): (q + 1) * (q * q + q + 1),
+        ((1, 1, 1), (2, 1)): 2 * q + 1,
+        ((1, 1, 1), (3,)): 1,
+        ((2, 1), (1, 1, 1)): 1 - q**3,
+        ((2, 1), (2, 1)): 1,
+        ((2, 1), (3,)): 1,
+        ((3,), (1, 1, 1)): (q - 1) ** 2 * (q + 1),
+        ((3,), (2, 1)): 1 - q,
+        ((3,), (3,)): 1,
+    }[(pi, lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +111,11 @@ class FieldTower:
         self.q = p**k0
         self.fields = {d: finite_field(p, k0 * d) for d in (1, 2, 3)}
         # exponent multiplier of the canonical embedding F_{q^e} -> F_{q^d}
-        self._emb_exp: dict[tuple[int, int], int] = {}
-        for e in (1, 2, 3):
-            for d in (1, 2, 3):
-                if d % e:
-                    continue
-                if e == d:
-                    self._emb_exp[(e, d)] = 1
-                else:
-                    small, big = self.fields[e], self.fields[d]
-                    from .finitefield import field_embedding
-
-                    emb = field_embedding(small, big)
-                    self._emb_exp[(e, d)] = big.log[emb(small.generator_code)]
+        self._emb_exp: dict[tuple[int, int], int] = {(d, d): 1 for d in (1, 2, 3)}
+        small = self.fields[1]
+        for d in (2, 3):
+            big = self.fields[d]
+            self._emb_exp[(1, d)] = big.log[field_embedding(small, big)(small.generator_code)]
         # units twisting the pairing Irr(F_{q^d}^x) <-> F_{q^d}^x so that a
         # character factoring through the norm corresponds to the embedded
         # subfield point (the stored embeddings need not be norm-compatible)
@@ -320,7 +325,7 @@ def class_ss_data(ctx: DLContext) -> list[ClassSSData]:
 
 
 # ---------------------------------------------------------------------------
-# the DL context: one realized GL_n(q) with table, labels, and Green data
+# the DL context: one realized GL_n(q) with its table and class labels
 # ---------------------------------------------------------------------------
 
 
@@ -339,63 +344,15 @@ class DLContext:
         # class index -> its semisimple label and per-orbit Jordan partitions
         self.ss = class_ss_data(self)
         self.e = group.conjugacy().exponent
-        self._unipotent = None
-        self._green = None
-        self._identity_orbit = self.tower.orbit_key(1, 0)
         # memos of the series and Jordan layers; the SL-side ones are
         # (sl_group, value) pairs, valid only for that group object
         self._series = None
         self._sl_series = None
         self._jordan = None
         self._disconnected = None
-        # (parts, exps) with exps reduced mod q^d - 1 -> its DLCharacter
+        # (parts, exps) with exps reduced mod q^d - 1 -> its DLCharacter; the
+        # first request for a torus type fills in every theta of the type
         self._dl_characters: dict[tuple[tuple, tuple], DLCharacter] = {}
-
-    # -- unipotent characters ------------------------------------------------
-
-    def unipotent_characters(self) -> dict:
-        """partition of n -> index of the unipotent irreducible in the table."""
-        if self._unipotent is not None:
-            return self._unipotent
-        g = self.group
-        ind_b = induce_from_subgroup(g, g.borel_indices)
-        coeffs = self.table.decompose_integers(ind_b)
-        out = {}
-        for lam in partitions_of(self.n):
-            expected_mult = SYM_CHARS[self.n][lam][(1,) * self.n]
-            expected_deg = unipotent_degree(lam, self.q)
-            matches = [
-                i
-                for i, (c, d) in enumerate(zip(coeffs, self.table.degrees))
-                if c == expected_mult and d == expected_deg
-            ]
-            if len(matches) != 1:
-                raise RuntimeError(f"unipotent degree collision for {lam}")
-            out[lam] = matches[0]
-        self._unipotent = out
-        return out
-
-    def unipotent_class_index(self, lam: tuple) -> int:
-        """Conjugacy class index of the unipotent class of Jordan type lam."""
-        for ci, ssd in enumerate(self.ss):
-            if ssd.label.is_central() and ssd.label.orbits[0][0] == self._identity_orbit:
-                if ssd.partitions[self._identity_orbit] == lam:
-                    return ci
-        raise KeyError(f"no unipotent class of type {lam}")
-
-    # -- Green functions -------------------------------------------------------
-
-    def green_table(self) -> dict:
-        """(torus cycle type, unipotent type) -> Q_{T_w}(u) = R_{T_w}(1)(u)."""
-        if self._green is not None:
-            return self._green
-        out = {}
-        for w_parts in partitions_of(self.n):
-            r_w = dl_character_unipotent(self, w_parts)
-            for lam in partitions_of(self.n):
-                out[(w_parts, lam)] = r_w.values[self.unipotent_class_index(lam)].as_int()
-        self._green = out
-        return out
 
 
 def dl_context(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> DLContext:
@@ -411,17 +368,6 @@ def dl_context(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> DLContext
 @lru_cache(maxsize=None)
 def _context(group: GroupRealization) -> DLContext:
     return DLContext(group)
-
-
-def green_function(q_power: int, m: int, pi: tuple, lam: tuple) -> int:
-    """Q_{T_pi}^{GL_m(q_power)} evaluated at the unipotent class of type lam.
-
-    GL_m(q_power) is a centralizer inside the GL_n(q) being modelled, never
-    larger than it, so it comes from the ungated realization memo.
-    """
-    if m == 1:
-        return 1
-    return _context(_realization(GroupSpec("GL", m, q_power))).green_table()[(pi, lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +410,13 @@ class DLCharacter:
         return self.class_function.degree.as_int()
 
 
-def _orbit_exponents_at(ctx: DLContext, key: tuple[int, int], d_i: int) -> list[int]:
-    """Exponents (w.r.t. the generator of F_{q^{d_i}}) of the orbit elements."""
-    tower = ctx.tower
-    return [tower.embed_exponent(key[0], d_i, a) for a in tower.orbit_elements(key)]
-
-
 def dl_character(ctx: DLContext, parts, exps: tuple = None) -> DLCharacter:
     """R_{T_w}(theta) as an exact class function with verified decomposition.
 
     Accepts either a TorusCharacter or the pair (cycle type, exponents).
-    Each character is built once per context: exponents are reduced mod
-    q^d - 1 and equal pairs return the same object.
+    Exponents are reduced mod q^d - 1 and equal pairs return the same object:
+    the first request for a torus type builds every theta of it at once
+    (`_build_torus_type`).
     """
     if isinstance(parts, TorusCharacter):
         parts, exps = parts.parts, parts.exps
@@ -485,123 +426,63 @@ def dl_character(ctx: DLContext, parts, exps: tuple = None) -> DLCharacter:
         raise ValueError("torus type must be a partition of n")
     key = (parts, exps)
     if key not in ctx._dl_characters:
-        ctx._dl_characters[key] = _build_dl_character(ctx, parts, exps)
+        _build_torus_type(ctx, parts)
     return ctx._dl_characters[key]
 
 
-def _build_dl_character(ctx: DLContext, parts: tuple, exps: tuple) -> DLCharacter:
-    e = ctx.e
-    data = ctx.group.conjugacy()
-    # R(g_ci) = sum of weights[i] zeta_e^exponents[i] over the i with classes[i] == ci
-    classes, exponents, weights = [], [], []
-    for ci in range(data.n_classes):
-        ssd = ctx.ss[ci]
-        orbit_list = list(ssd.label.orbits)  # [((d0, j0), mult)]
-        # per factor i and orbit slot j: the theta-sum exponent lists
-        factor_options: list[dict[int, list[int]]] = []
-        for d_i, c_i in zip(parts, exps):
-            opts = {}
-            for j, (key, _m) in enumerate(orbit_list):
-                if d_i % key[0] == 0:
-                    step = e // (ctx.q ** d_i - 1)
-                    opts[j] = [
-                        c_i * a % (ctx.q ** d_i - 1) * step % e
-                        for a in _orbit_exponents_at(ctx, key, d_i)
-                    ]
-            factor_options.append(opts)
-        total: dict[int, int] = {}
-        _assign(
-            ctx,
-            orbit_list,
-            ssd,
-            factor_options,
-            parts,
-            0,
-            [m for _, m in orbit_list],
-            [[] for _ in orbit_list],
-            {0: 1},
-            total,
-        )
-        classes += [ci] * len(total)
-        exponents += total.keys()
-        weights += total.values()
-    cf = root_sum_function(ctx.group, classes, exponents, weights)
-    decomp = ctx.table.decompose_integers(cf)
-    out = DLCharacter(
-        parts=parts,
-        exps=exps,
-        label=classify_pair(ctx, parts, exps),
-        class_function=cf,
-        decomposition=decomp,
-    )
-    _verify_degree_identity(ctx, out)
-    return out
+def _build_torus_type(ctx: DLContext, parts: tuple) -> None:
+    """R_{T_w}(theta) for every theta of the type `parts`, into the memo.
 
-
-def _assign(ctx, orbit_list, ssd, factor_options, parts, i, remaining, assigned, acc, total):
-    """Recursive enumeration of torus points conjugate to the class's
-    semisimple part, factorized through orbit assignments."""
-    if i == len(parts):
-        if any(remaining):
-            return
-        green = 1
-        for j, (key, mult) in enumerate(orbit_list):
-            pi = tuple(sorted(assigned[j], reverse=True))
-            lam = ssd.partitions[key]
-            green *= green_function(ctx.q ** key[0], mult, pi, lam)
-            if green == 0:
-                break
-        if green == 0:
-            return
-        for exp_sum, coeff in acc.items():
-            total[exp_sum] = total.get(exp_sum, 0) + coeff * green
-        return
-    d_i = parts[i]
-    for j, exp_list in factor_options[i].items():
-        use = d_i // orbit_list[j][0][0]
-        if remaining[j] < use:
-            continue
-        remaining[j] -= use
-        assigned[j].append(use)
-        new_acc: dict[int, int] = {}
-        for exp_sum, coeff in acc.items():
-            for x in exp_list:
-                key = (exp_sum + x) % ctx.e
-                new_acc[key] = new_acc.get(key, 0) + coeff
-        _assign(
-            ctx, orbit_list, ssd, factor_options, parts, i + 1, remaining, assigned,
-            new_acc, total,
-        )
-        assigned[j].pop()
-        remaining[j] += use
-
-
-def _verify_degree_identity(ctx: DLContext, r: DLCharacter) -> None:
-    """R(1) = eps_G eps_T |G|_{p'} / |T_w^F| must hold exactly."""
-    q, n = ctx.q, ctx.n
-    order_p_prime = 1
-    for i in range(1, n + 1):
-        order_p_prime *= q**i - 1
-    t_order = 1
-    for d in r.parts:
-        t_order *= q**d - 1
-    sign = (-1) ** (n - len(r.parts))
-    if r.degree() != sign * order_p_prime // t_order:
-        raise AssertionError(
-            f"degree identity fails for R_{r.parts}({r.exps}): {r.degree()}"
-        )
-
-
-def dl_character_unipotent(ctx: DLContext, parts: tuple) -> ClassFunction:
-    """R_{T_w}(1) via the symmetric-group expansion over unipotent characters."""
-    uni = ctx.unipotent_characters()
-    acc = None
-    for lam, idx in uni.items():
-        coeff = SYM_CHARS[ctx.n][lam][tuple(parts)]
-        if coeff:
-            term = coeff * ctx.table.irreducibles[idx]
-            acc = term if acc is None else acc + term
-    return acc
+    The term table has one row per point t of T_w^F = prod F_{q^{d_i}}^x
+    conjugate to the semisimple part of a class: that class, the Green weight
+    prod_j Q^{GL_{m_j}(q^{d_j})}(u) and the exponent vector A(t), with
+    theta_c(t) = zeta_e^(A(t) . c).  Factor i lands in an eigenvalue orbit of
+    degree d_j dividing d_i and takes d_i / d_j of its multiplicity m_j; an
+    assignment that fills every multiplicity exactly gives C(s)'s torus type,
+    and each factor then runs over the d_j orbit points embedded in
+    F_{q^{d_i}}, with the step e / (q^{d_i} - 1) folded in.  The exponents of
+    all thetas are one product A C mod e (a column of C per theta); each
+    column is summed per class by `root_sum_function`, decomposed exactly
+    over Irr(G) and checked against the degree identity
+    R(1) = eps_G eps_T |G|_p' / |T_w^F|.
+    """
+    q, e, tower = ctx.q, ctx.e, ctx.tower
+    classes, points, weights = [], [], []
+    for ci, ssd in enumerate(ctx.ss):
+        orbits = ssd.label.orbits
+        options = [
+            [
+                (j, d // key[0], [tower.embed_exponent(key[0], d, a) * (e // (q**d - 1)) % e
+                                  for a in tower.orbit_elements(key)])
+                for j, (key, _m) in enumerate(orbits)
+                if d % key[0] == 0
+            ]
+            for d in parts
+        ]
+        for assignment in itertools.product(*options):
+            uses = [[] for _ in orbits]
+            for j, use, _ in assignment:
+                uses[j].append(use)
+            if any(sum(u) != m for u, (_key, m) in zip(uses, orbits)):
+                continue
+            weight = 1
+            for u, (key, m) in zip(uses, orbits):
+                weight *= green_function(q ** key[0], m, tuple(sorted(u, reverse=True)), ssd.partitions[key])
+            for point in itertools.product(*(exps for _, _, exps in assignment)):
+                classes.append(ci)
+                points.append(point)
+                weights.append(weight)
+    classes, weights = np.array(classes), np.array(weights)
+    thetas = list(itertools.product(*(range(q**d - 1) for d in parts)))
+    exponents = np.array(points, dtype=np.int64) @ np.array(thetas, dtype=np.int64).T % e
+    degree = (-1) ** (ctx.n - len(parts)) * prod(q**i - 1 for i in range(1, ctx.n + 1))
+    degree //= prod(q**d - 1 for d in parts)
+    for exps, column in zip(thetas, exponents.T):
+        cf = root_sum_function(ctx.group, classes, column, weights)
+        r = DLCharacter(parts, exps, classify_pair(ctx, parts, exps), cf, ctx.table.decompose_integers(cf))
+        if r.degree() != degree:
+            raise AssertionError(f"degree identity fails for R_{parts}({exps}): {r.degree()}")
+        ctx._dl_characters[(parts, exps)] = r
 
 
 def epsilon_group(family: str, n: int) -> int:
@@ -799,98 +680,73 @@ def restrict_series(ctx: DLContext, sl_group: GroupRealization) -> list[SLSeries
 
 
 def enumerate_all_pairs(ctx: DLContext):
-    """Every (torus type, theta) pair; exhaustive, so only for small q^n."""
-    import itertools
-
-    out = []
-    for parts in partitions_of(ctx.n):
-        ranges = [range(ctx.q**d - 1) for d in parts]
-        for exps in itertools.product(*ranges):
-            out.append((tuple(parts), tuple(exps)))
-    return out
+    """Every (torus type, theta) pair: types in `partitions_of` order, theta
+    exponents in lexicographic order, as Python ints."""
+    return [
+        (parts, exps)
+        for parts in partitions_of(ctx.n)
+        for exps in itertools.product(*(range(ctx.q**d - 1) for d in parts))
+    ]
 
 
-def enumerate_type_pairs(ctx: DLContext):
-    """One pair per (label, centralizer torus type): W-orbit representatives."""
-    out = []
-    for label in all_labels(ctx):
-        for pi_tuple in centralizer_torus_types(label):
-            out.append(representative_pair(ctx, pi_tuple))
-    return out
+def twisted_identifications(q: int, pairs) -> np.ndarray:
+    """T[i, j] = #(twisted Weyl elements carrying theta_i to theta_j), the
+    right side of the exclusion-theorem inner product formula.
 
-
-def twisted_identification_count(q, parts1, exps1, parts2, exps2) -> int:
-    """#(twisted Weyl elements carrying theta to theta'): the right side of
-    the exclusion-theorem inner product formula."""
-    import itertools
-
-    if sorted(parts1) != sorted(parts2):
-        return 0
-    count = 0
-    for sigma in itertools.permutations(range(len(parts1))):
-        if any(parts1[i] != parts2[sigma[i]] for i in range(len(parts1))):
-            continue
-        ways = 1
-        for i, d in enumerate(parts1):
-            mod = q**d - 1
-            ways *= sum(
-                1 for t in range(d) if exps1[i] * q**t % mod == exps2[sigma[i]] % mod
-            )
-        count += ways
-    return count
-
-
-def verify_dl_invariants(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
-    """Degree identity and exclusion-theorem orthogonality for DL characters.
-
-    In exhaustive mode every (w, theta) is enumerated and all N(N+1)/2
-    identities <R_i, R_j> = T_ij (T the twisted identification counts) are
-    proved at once by `chartable.gram_certificate`: each R_i is checked
-    Galois-equivariant, which makes the Gram sum_k s_k R_i(g_k) conj(R_j(g_k))
-    an integer matrix, compared with |G| T at one embedding of Z[zeta_e]
-    modulo enough primes.  Only a failing pair has its inner product
-    computed, for the report.  In type mode one pair per W-orbit is
-    used and inner products are taken through the exactly verified
-    decomposition vectors.
+    Such an element permutes the torus factors, preserving degrees, and
+    applies a Frobenius power on each.  A factor (d, c) has the q-power orbit
+    of c mod q^d - 1, of length l, and d / l powers carry c to each orbit
+    point.  So T[i, j] is 0 unless the pairs have equal keys, the sorted
+    (d, least orbit point, l) of their factors, and then it is
+    prod m! (d / l)^m over the distinct key entries of multiplicity m.
     """
-    import itertools
+    ids, stabilizers, index = [], [], {}
+    for parts, exps in pairs:
+        orbits = [(d, {c * q**t % (q**d - 1) for t in range(d)}) for d, c in zip(parts, exps)]
+        key = tuple(sorted((d, min(orbit), len(orbit)) for d, orbit in orbits))
+        stabilizer = 1
+        for (d, _point, length), m in Counter(key).items():
+            stabilizer *= factorial(m) * (d // length) ** m
+        ids.append(index.setdefault(key, len(index)))
+        stabilizers.append(stabilizer)
+    ids = np.array(ids)
+    return np.where(ids[:, None] == ids[None, :], np.array(stabilizers, dtype=np.int64)[:, None], 0)
 
-    pairs = enumerate_all_pairs(ctx) if exhaustive else enumerate_type_pairs(ctx)
+
+def verify_dl_invariants(ctx: DLContext) -> list[dict]:
+    """Degree identity and exclusion-theorem orthogonality for every
+    (w, theta) pair.
+
+    All N(N+1)/2 identities <R_i, R_j> = T_ij (T from
+    `twisted_identifications`) are proved at once by
+    `chartable.gram_certificate`: each R_i is checked Galois-equivariant,
+    which makes the Gram sum_k s_k R_i(g_k) conj(R_j(g_k)) an integer matrix,
+    compared with |G| T at one embedding of Z[zeta_e] modulo enough primes.
+    Only a failing pair has its inner product computed, for the report.
+    """
+    pairs = enumerate_all_pairs(ctx)
     chars = [dl_character(ctx, *p) for p in pairs]  # degree identity enforced
+    names = [str(p) for p in pairs]
     rows = [
         {
             "check": "degree-identity",
-            "pair": str(p),
+            "pair": name,
             "ok": True,
-            "detail": f"R{p} has degree {r.degree()}",
+            "detail": f"R{name} has degree {r.degree()}",
         }
-        for p, r in zip(pairs, chars)
+        for name, r in zip(names, chars)
     ]
-    index_pairs = list(itertools.combinations_with_replacement(range(len(pairs)), 2))
-    counts = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
-    for i, j in index_pairs:
-        (parts1, exps1), (parts2, exps2) = pairs[i], pairs[j]
-        counts[i, j] = counts[j, i] = twisted_identification_count(
-            ctx.q, parts1, exps1, parts2, exps2
-        )
+    counts = twisted_identifications(ctx.q, pairs)
     functions = [r.class_function for r in chars]
-    if exhaustive:
-        verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
-    else:
-        decompositions = np.array([r.decomposition for r in chars], dtype=np.int64)
-        decomposition_gram = decompositions @ decompositions.T
-    for i, j in index_pairs:
-        expected = int(counts[i, j])
-        if exhaustive:
-            ok = bool(verdict[i, j])
-            got = expected if ok else inner_product(functions[i], functions[j])
-        else:
-            got = int(decomposition_gram[i, j])
-            ok = got == expected
+    verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0].tolist()
+    counts = counts.tolist()
+    for i, j in itertools.combinations_with_replacement(range(len(pairs)), 2):
+        expected, ok = counts[i][j], verdict[i][j]
+        got = expected if ok else inner_product(functions[i], functions[j])
         rows.append(
             {
                 "check": "exclusion-orthogonality",
-                "pair": f"{pairs[i]} vs {pairs[j]}",
+                "pair": f"{names[i]} vs {names[j]}",
                 "ok": ok,
                 "detail": f"<R,R'> = {got}, twisted identifications = {expected}",
             }
@@ -898,19 +754,17 @@ def verify_dl_invariants(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
     return rows
 
 
-def verify_torus_lemma(ctx: DLContext, exhaustive: bool = True) -> list[dict]:
+def verify_torus_lemma(ctx: DLContext) -> list[dict]:
     """R_{T, theta} o iota = R_{T, theta^-1} as exact class functions, and
-    the label of the twisted pair is the inverse label."""
+    the label of the twisted pair is the inverse label, for every pair."""
     from .automorphisms import duality_involution
     from .chartable import twist_by_automorphism
 
     iota = duality_involution(ctx.group)
-    pairs = enumerate_all_pairs(ctx) if exhaustive else enumerate_type_pairs(ctx)
     rows = []
-    for parts, exps in pairs:
+    for parts, exps in enumerate_all_pairs(ctx):
         r = dl_character(ctx, parts, exps)
-        mods = [ctx.q**d - 1 for d in parts]
-        inv = dl_character(ctx, parts, tuple(-c % m for c, m in zip(exps, mods)))
+        inv = dl_character(ctx, parts, tuple(-c for c in exps))  # reduced mod q^d - 1
         twisted = twist_by_automorphism(r.class_function, iota)
         ok = twisted == inv.class_function and inv.label == r.label.inverse(ctx.tower)
         rows.append(

@@ -348,8 +348,8 @@ class GroupRealization:
     @cached_property
     def elements(self) -> np.ndarray:
         """Every element as an n x n code matrix, in key order, built on first
-        read.  Whole-group readers (the Borel, the twisted indicator's
-        products, tests) use it; a `table` job reads only `matrices`."""
+        read.  Whole-group readers (the twisted indicator's products, tests)
+        use it; a `table` job reads only `matrices`."""
         return self._row_vectors.take(self._rows, axis=0)
 
     def matrices(self, idx) -> np.ndarray:
@@ -479,24 +479,21 @@ class GroupRealization:
 
     @cached_property
     def _subgroups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The standard Borel B (lower triangular), its diagonal torus T and
-        unipotent radical U, found on first read with the check B = T U."""
-        e = self.elements
-        n = self.n
-        lower = np.ones(self.order, dtype=bool)
-        strict_upper_zero = np.ones(self.order, dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if i > j:
-                    lower &= e[:, i, j] == 0
-                elif i < j:
-                    strict_upper_zero &= e[:, i, j] == 0
-        diag_one = np.ones(self.order, dtype=bool)
-        for i in range(n):
-            diag_one &= e[:, i, i] == 1
-        borel = np.nonzero(lower)[0]
-        torus = np.nonzero(lower & strict_upper_zero)[0]
-        unipotent = np.nonzero(lower & diag_one)[0]
+        """The standard Borel B (upper triangular), its diagonal torus T and
+        unipotent radical U, found from the row codes on first read with the
+        check B = T U.  Row i has code sum_j x_ij q^(n-1-j), so with
+        s = q^(n-1-i) it is zero left of the diagonal iff the code is below
+        q s, zero right of it iff s divides the code, and then its diagonal
+        entry is the code // s."""
+        borel, diagonal, unitriangular = np.ones((3, self.order), dtype=bool)
+        for i in range(self.n):
+            row, s = self._rows[:, i], self.q ** (self.n - 1 - i)
+            borel &= row < self.q * s
+            diagonal &= row % s == 0
+            unitriangular &= row // s == 1
+        borel = np.flatnonzero(borel)
+        torus = borel[diagonal[borel]]
+        unipotent = borel[unitriangular[borel]]
         if len(borel) != len(torus) * len(unipotent):
             raise RuntimeError(f"{self.spec}: the Borel subgroup is not T U")
         return borel, torus, unipotent

@@ -62,6 +62,16 @@ def emit_report(report: CheckReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def write_report(report: CheckReport, fmt: str, out) -> None:
+    """Write `emit_report(report, fmt)` to the text stream `out`, JSON chunk
+    by chunk, so that a report of 10^5 items is never one string."""
+    if fmt == "json":
+        json.dump(report.payload(), out, sort_keys=True, indent=2)
+        out.write("\n")
+    else:
+        out.write(emit_report(report, fmt))
+
+
 def parse_report(text: str) -> CheckReport:
     data = json.loads(text)
     if data.get("schema") != SCHEMA_VERSION:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from redchar.cli import (
     run_check,
 )
 from redchar.groups import cached_group
-from redchar.reports import CheckReport, emit_report, parse_report
+from redchar.reports import CheckReport, emit_report, parse_report, write_report
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -81,6 +82,14 @@ def test_report_roundtrip():
     assert emit_report(parsed, "json") == text
     md = emit_report(report, "markdown")
     assert "center-h1" in md and "pass" in md
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_a_written_report_is_the_emitted_one(fmt):
+    report = run_check("series-partition", "GL2(3)")
+    out = io.StringIO()
+    write_report(report, fmt, out)
+    assert out.getvalue() == emit_report(report, fmt)
 
 
 def test_report_determinism():
@@ -364,9 +373,19 @@ def test_center_h1_builds_no_group():
 
 
 def test_series_partition_builds_each_group_once(group_builds):
-    # the budget only gates: GL3(3) and the context's GL2(3) are each built once
+    # the budget only gates: GL3(3) is built once, and the closed-form Green
+    # functions build no GL2(3) for the centralizers
     assert run_check("series-partition", "GL3(3)", budget=20000).all_ok()
-    assert group_builds == {"GL3(3)": 1, "GL2(3)": 1}
+    assert group_builds == {"GL3(3)": 1}
+
+
+def test_dl_checks_take_every_pair(capsys):
+    # GL2(9) has N = 8^2 + 80 = 144 pairs (w, theta): N degree identities,
+    # N(N+1)/2 inner products and N torus-lemma rows
+    for check, total in [("dl-orthogonality", 144 + 144 * 145 // 2), ("torus-lemma", 144)]:
+        assert main([check, "--group", "GL2(9)", "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary == {"total": total, "passed": total, "failed": 0}
 
 
 # stdout SHA-256 of `verify <check> --group <spec> --format json`, recorded

@@ -21,17 +21,20 @@ from redchar.dl import (
     all_labels,
     classify_pair,
     dl_character,
-    dl_character_unipotent,
     dl_context,
+    enumerate_all_pairs,
     epsilon_group,
     epsilon_torus,
     green_function,
     label_stabilizer_order,
     lusztig_series,
     restrict_series,
+    twisted_identifications,
     unipotent_series,
 )
 from redchar.groups import cached_group
+
+from dl_oracle import build_dl_character, dl_character_unipotent, green_table, unipotent_characters
 
 
 def all_pairs(ctx):
@@ -85,12 +88,12 @@ def test_epsilon_signs():
 
 def test_unipotent_characters_gl2_gl3():
     ctx = dl_context("GL2(3)")
-    uni = ctx.unipotent_characters()
+    uni = unipotent_characters(ctx)
     assert len(uni) == 2  # p(2)
     assert ctx.table.degrees[uni[(2,)]] == 1
     assert ctx.table.degrees[uni[(1, 1)]] == 3
     ctx3 = dl_context("GL3(2)")
-    uni3 = ctx3.unipotent_characters()
+    uni3 = unipotent_characters(ctx3)
     assert len(uni3) == 3  # p(3)
     assert ctx3.table.degrees[uni3[(3,)]] == 1
     assert ctx3.table.degrees[uni3[(2, 1)]] == 6  # q^2 + q
@@ -109,7 +112,7 @@ def test_green_functions_gl2():
 
 def test_dl_character_examples_gl2_3():
     ctx = dl_context("GL2(3)")
-    uni = ctx.unipotent_characters()
+    uni = unipotent_characters(ctx)
     r_split = dl_character(ctx, (1, 1), (0, 0))
     assert r_split.decomposition[uni[(2,)]] == 1
     assert r_split.decomposition[uni[(1, 1)]] == 1
@@ -244,39 +247,26 @@ def test_dl_invariants_prove_passing_pairs_without_inner_products(monkeypatch):
         raise AssertionError("a passing pair computed an inner product")
 
     monkeypatch.setattr(dl, "inner_product", no_inner_product)
-    rows = dl.verify_dl_invariants(dl_context("GL2(3)"), exhaustive=True)
+    rows = dl.verify_dl_invariants(dl_context("GL2(3)"))
     assert all(row["ok"] for row in rows)
-
-
-def test_type_mode_dl_invariants_take_inner_products_from_decompositions():
-    # one pair per W-orbit type; <R, R'> is the dot product of the exactly
-    # verified decomposition vectors, here checked against inner_product
-    ctx = dl_context("GL2(3)")
-    pairs = dl.enumerate_type_pairs(ctx)
-    rows = dl.verify_dl_invariants(ctx, exhaustive=False)
-    assert rows and all(row["ok"] for row in rows)
-    details = [row["detail"] for row in rows if row["check"] == "exclusion-orthogonality"]
-    expected = [
-        inner_product(dl_character(ctx, *p1).class_function, dl_character(ctx, *p2).class_function)
-        for p1, p2 in itertools.combinations_with_replacement(pairs, 2)
-    ]
-    assert [int(d.split(" = ")[1].split(",")[0]) for d in details] == expected
 
 
 def test_dl_invariants_report_a_failing_pair_with_its_inner_product(monkeypatch):
     ctx = dl_context("GL2(3)")
     pairs = all_pairs(ctx)
     p1, p2 = pairs[1], pairs[6]
-    count = dl.twisted_identification_count
+    counts = dl.twisted_identifications
 
-    def off_by_one(q, parts1, exps1, parts2, exps2):
-        bump = ((parts1, exps1), (parts2, exps2)) == (p1, p2)
-        return count(q, parts1, exps1, parts2, exps2) + bump
+    def off_by_one(q, pairs):
+        out = counts(q, pairs)
+        out[1, 6] += 1
+        out[6, 1] += 1
+        return out
 
-    monkeypatch.setattr(dl, "twisted_identification_count", off_by_one)
+    monkeypatch.setattr(dl, "twisted_identifications", off_by_one)
     rows = [
         row
-        for row in dl.verify_dl_invariants(ctx, exhaustive=True)
+        for row in dl.verify_dl_invariants(ctx)
         if row["check"] == "exclusion-orthogonality"
     ]
     failed = [row for row in rows if not row["ok"]]
@@ -300,6 +290,52 @@ def test_dl_character_is_built_once_per_context():
     r = dl_character(ctx, (2,), (1,))
     assert dl_character(ctx, (2,), (1 + 8,)) is r
     assert dl_character(ctx, [2], [1]) is r
+
+
+def test_each_torus_type_is_built_once(monkeypatch):
+    ctx = dl.DLContext(cached_group("GL3(2)"))  # fresh memo
+    build = dl._build_torus_type
+    built = []
+
+    def counting(ctx, parts):
+        built.append(parts)
+        build(ctx, parts)
+
+    monkeypatch.setattr(dl, "_build_torus_type", counting)
+    pairs = enumerate_all_pairs(ctx)
+    for pair in pairs[::-1]:
+        dl_character(ctx, *pair)
+    assert built == [(1, 1, 1), (2, 1), (3,)]
+    assert len(ctx._dl_characters) == len(pairs)
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "GL2(8)", "GL3(3)", "GL3(4)"])
+def test_term_tables_match_the_per_theta_oracle(name):
+    ctx = dl_context(name)
+    for pair in enumerate_all_pairs(ctx):
+        r, oracle = dl_character(ctx, *pair), build_dl_character(ctx, *pair)
+        assert r.class_function == oracle.class_function, pair
+        assert (r.decomposition, r.label) == (oracle.decomposition, oracle.label), pair
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["GL2(2)", "GL2(3)", "GL2(4)", "GL2(5)", "GL2(7)", "GL2(8)", "GL2(9)", "GL3(2)", "GL3(3)",
+     "GL3(4)"],
+)
+def test_closed_form_green_functions_match_the_unipotent_oracle(name):
+    ctx = dl_context(name)
+    oracle = green_table(ctx)
+    assert oracle == {(pi, lam): green_function(ctx.q, ctx.n, pi, lam) for pi, lam in oracle}
+
+
+@pytest.mark.parametrize("name", ["GL2(5)", "GL2(8)", "GL3(3)"])
+def test_closed_form_twisted_identifications_match_the_oracle(name):
+    ctx = dl_context(name)
+    pairs = enumerate_all_pairs(ctx)
+    assert pairs == all_pairs(ctx)
+    expected = [[twisted_identifications_oracle(ctx.q, *p1, *p2) for p2 in pairs] for p1 in pairs]
+    assert twisted_identifications(ctx.q, pairs).tolist() == expected
 
 
 def _labelling_context(spec):
@@ -416,7 +452,7 @@ def test_restriction_to_sl2():
     sizes = sorted(len(s.members) for s in series)
     assert sizes == [1, 2, 2, 2]
     # Steinberg restricts irreducibly and lands in the unipotent series
-    st_gl = ctx.unipotent_characters()[(1, 1)]
+    st_gl = unipotent_characters(ctx)[(1, 1)]
     uni_sl = next(s for s in series if s.label.is_central())
     assert len(uni_sl.members) == 2
     assert st_gl in uni_sl.restriction_map

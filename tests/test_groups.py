@@ -130,12 +130,14 @@ def test_borel_is_checked_on_first_read():
     assert len(g.unipotent_indices) == 3
     assert "_subgroups" in vars(g)
     broken = GroupRealization(GroupSpec.parse("GL2(3)"))
-    lower = broken.elements[broken.borel_indices]
-    off_torus = broken.borel_indices[(lower[:, 1, 0] == 0) & (lower[:, 0, 1] != 0)][0]
+    upper = broken.matrices(broken.borel_indices)
+    off_torus = broken.borel_indices[(upper[:, 1, 0] == 0) & (upper[:, 0, 1] != 0)][0]
     del broken._subgroups
-    broken.elements = broken.elements.copy()
-    broken.elements[off_torus, 0, 1] = 0  # B loses an element that is in neither T nor U
-    broken.elements[off_torus, 1, 0] = 1
+    mat = broken.matrices(off_torus)
+    mat[0, 1] = 0  # B loses an element that is in neither T nor U
+    mat[1, 0] = 1
+    broken._rows = broken._rows.copy()
+    broken._rows[off_torus] = groups._horner(mat, 3)
     with pytest.raises(RuntimeError, match="Borel subgroup is not T U"):
         broken.torus_indices
 

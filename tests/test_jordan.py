@@ -20,6 +20,8 @@ from redchar.jordan import (
     verify_tensor_identity,
 )
 
+from dl_oracle import unipotent_characters
+
 
 def test_dual_centralizer_shapes():
     ctx = dl_context("GL2(3)")
@@ -39,7 +41,7 @@ def test_dual_centralizer_shapes():
 
 def test_jordan_bijection_gl2_3():
     ctx = dl_context("GL2(3)")
-    uni = ctx.unipotent_characters()
+    uni = unipotent_characters(ctx)
     jd = all_jordan_data(ctx)
     central = next(lab for lab in jd if lab.is_central() and lab.orbits[0][0] == (1, 0))
     data = jd[central]
