@@ -21,18 +21,16 @@ _EXPORTS = {
     "finitefield": "FiniteField FiniteFieldElement discrete_log finite_field "
                    "multiplicative_embedding",
     "intlinalg": "FiniteAbelianGroup IntegerMatrix smith_normal_form",
-    "rootdatum": "BasedRootDatum FrobeniusDatum PinnedAutomorphism "
-                 "center_component_group chevalley_datum_involution dual_automorphism "
-                 "dual_datum h1_frobenius named_datum weyl_group",
-    "groups": "GroupRealization GroupSpec maximal_tori",
+    "rootdatum": "BasedRootDatum center_component_group h1_frobenius named_datum",
+    "groups": "GroupRealization GroupSpec",
     "automorphisms": "GroupAutomorphism adjoint_action_representatives chevalley_involution "
                      "duality_involution",
     "chartable": "CharacterTable ClassFunction character_table dual_character "
                  "induce_from_subgroup inner_product table_of twist_by_automorphism "
                  "twisted_fs_indicator",
     "dl": "DLCharacter DLContext LusztigSeries SemisimpleClassLabel TorusCharacter "
-          "classify_pair dl_character dl_context epsilon_group epsilon_sign "
-          "epsilon_torus lusztig_series restrict_series",
+          "classify_pair dl_character dl_context epsilon_group lusztig_series "
+          "restrict_series",
     "jordan": "JordanWitness disconnected_jordan dual_centralizer "
               "frobenius_eigenvalue jordan_bijection verify_dual_equivariance "
               "verify_duality_biconditional",

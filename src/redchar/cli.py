@@ -66,7 +66,7 @@ def _ctx_for(group, budget, cache):
     return dl_context(group.spec, budget)
 
 
-def check_table(group, ctx, budget, cache):
+def check_table(group, ctx):
     table = table_of(group)
     rows = [
         {
@@ -91,13 +91,13 @@ def check_table(group, ctx, budget, cache):
     return rows
 
 
-def check_dualizing(group, ctx, budget, cache):
+def check_dualizing(group, ctx):
     from .jordan import verify_duality_biconditional
 
     return verify_duality_biconditional(group, ctx)
 
 
-def check_generic(group, ctx, budget, cache):
+def check_generic(group, ctx):
     from .gelfandgraev import verify_generic_duality, whittaker_data
 
     rows = []
@@ -109,7 +109,7 @@ def check_generic(group, ctx, budget, cache):
     return rows
 
 
-def check_jordan_dual(group, ctx, budget, cache):
+def check_jordan_dual(group, ctx):
     from .dl import lusztig_series
     from .jordan import verify_dual_equivariance, verify_dual_equivariance_sl
 
@@ -124,7 +124,7 @@ def check_jordan_dual(group, ctx, budget, cache):
     return rows
 
 
-def check_jordan_auto(group, ctx, budget, cache):
+def check_jordan_auto(group, ctx):
     from .automorphisms import chevalley_involution, duality_involution, identity_automorphism
     from .dl import lusztig_series
     from .jordan import verify_automorphism_equivariance
@@ -149,7 +149,7 @@ def check_jordan_auto(group, ctx, budget, cache):
     return rows
 
 
-def check_disconnected_jordan(group, ctx, budget, cache):
+def check_disconnected_jordan(group, ctx):
     from .jordan import disconnected_jordan
 
     if group.spec.family != "SL":
@@ -163,7 +163,7 @@ def check_disconnected_jordan(group, ctx, budget, cache):
     return rows
 
 
-def check_series_partition(group, ctx, budget, cache):
+def check_series_partition(group, ctx):
     from .dl import lusztig_series, restrict_series
 
     if group.spec.family == "GL":
@@ -194,7 +194,7 @@ def check_series_partition(group, ctx, budget, cache):
     return rows
 
 
-def check_dl_orthogonality(group, ctx, budget, cache):
+def check_dl_orthogonality(group, ctx):
     from .dl import verify_dl_invariants
 
     if group.spec.family != "GL":
@@ -202,7 +202,7 @@ def check_dl_orthogonality(group, ctx, budget, cache):
     return verify_dl_invariants(ctx)
 
 
-def check_torus_lemma(group, ctx, budget, cache):
+def check_torus_lemma(group, ctx):
     from .dl import verify_torus_lemma
 
     if group.spec.family != "GL":
@@ -210,7 +210,7 @@ def check_torus_lemma(group, ctx, budget, cache):
     return verify_torus_lemma(ctx)
 
 
-def check_fs_indicator(group, ctx, budget, cache):
+def check_fs_indicator(group, ctx):
     from .automorphisms import duality_involution
     from .rootdatum import two_h1_predicate
 
@@ -237,15 +237,15 @@ def check_fs_indicator(group, ctx, budget, cache):
 
 
 def check_center_h1(spec):
-    from .rootdatum import FrobeniusDatum, center_component_group, h1_frobenius, spec_datum
+    from .rootdatum import center_component_group, h1_frobenius, spec_datum
 
-    z = center_component_group(spec_datum(spec), FrobeniusDatum(spec.q))
-    h1, vanishes = h1_frobenius(z)
+    z = center_component_group(spec_datum(spec), spec.q)
+    h1, vanishes = h1_frobenius(z, spec.q)
     return [
         {
             "check": "center-h1",
             "ok": True,
-            "detail": f"component group {z.group}, coinvariants {h1}, "
+            "detail": f"component group {z}, coinvariants {h1}, "
             f"two_h1_vanishes = {vanishes}",
         }
     ]
@@ -265,8 +265,6 @@ CHECKS = {
     "torus-lemma": check_torus_lemma,
 }
 
-_GL_ONLY = {"jordan-auto", "dl-orthogonality", "torus-lemma"}
-_SL_ONLY = {"disconnected-jordan"}
 # checks that read only the parsed spec: no group, no table, no budget
 _SPEC_ONLY = {"center-h1"}
 # checks that never touch the GL-side Deligne-Lusztig context, so an SL spec
@@ -286,7 +284,7 @@ def run_check(name: str, spec_text: str, budget: int = DEFAULT_BUDGET,
         try:
             group = _group_for(spec_text, budget, cache)
             ctx = None if name in _NO_DL_CONTEXT else _ctx_for(group, budget, cache)
-            items = CHECKS[name](group, ctx, budget, cache)
+            items = CHECKS[name](group, ctx)
         except (RuntimeError, AssertionError) as exc:
             items = [{"check": "certificate", "ok": False, "detail": f"{type(exc).__name__}: {exc}"}]
     return CheckReport(

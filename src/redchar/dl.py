@@ -490,11 +490,6 @@ def epsilon_group(family: str, n: int) -> int:
     return (-1) ** n if family == "GL" else (-1) ** (n - 1)
 
 
-def epsilon_torus(parts: tuple) -> int:
-    """(-1)^(F-rank of T_w) for GL_n: the rank is the number of cycles."""
-    return (-1) ** len(parts)
-
-
 # ---------------------------------------------------------------------------
 # Lusztig series
 # ---------------------------------------------------------------------------
@@ -777,19 +772,3 @@ def verify_torus_lemma(ctx: DLContext) -> list[dict]:
             }
         )
     return rows
-
-
-def epsilon_sign(descriptor) -> int:
-    """(-1)^(F-rank) for a group spec ("GL2(3)"), a GroupSpec, a TorusClass,
-    or a torus cycle type given as a partition tuple."""
-    from .groups import GroupSpec, TorusClass
-
-    if isinstance(descriptor, str):
-        descriptor = GroupSpec.parse(descriptor)
-    if isinstance(descriptor, GroupSpec):
-        return epsilon_group(descriptor.family, descriptor.n)
-    if isinstance(descriptor, TorusClass):
-        return (-1) ** descriptor.f_rank
-    if isinstance(descriptor, tuple):
-        return epsilon_torus(descriptor)
-    raise TypeError(f"no F-rank convention for {descriptor!r}")

@@ -236,17 +236,6 @@ class ConjugacyData:
         return order, np.concatenate(([0], np.cumsum(self.sizes)))
 
 
-@dataclass
-class TorusClass:
-    """An F-stable maximal torus type T_w, labelled by a cycle type of W."""
-
-    partition: tuple  # cycle type of w, parts descending
-    order: int
-    cyclic_orders: tuple  # invariant factors of the abelian model
-    f_rank: int  # dimension of the w-fixed space on the cocharacter lattice
-    split_member_indices: np.ndarray | None = None  # explicit when T_w <= T_0
-
-
 def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
     """labels[x] = the least point of the orbit of x under the permutations,
     by min-label propagation with pointer jumping (the argument is in
@@ -656,7 +645,7 @@ def _realization(spec: GroupSpec) -> GroupRealization:
 
 
 # ---------------------------------------------------------------------------
-# maximal tori
+# torus types: the cycle types of W = S_n
 # ---------------------------------------------------------------------------
 
 
@@ -669,78 +658,3 @@ def partitions_of(n: int):
         for rest in partitions_of(n - first):
             if not rest or first >= rest[0]:
                 yield (first,) + rest
-
-
-def _sl_torus_invariants(parts, q: int) -> list:
-    """Invariant factors of the determinant-one subgroup of prod F_{q^d}^x.
-
-    With N_i = q^(d_i) - 1 it is L / (N_i e_i) for the lattice
-    L = {x in Z^r : sum x_i = 0 mod (q-1)}.  L has the basis e_k - e_(k+1)
-    (k < r-1), (q-1) e_(r-1), in which N_i e_i has coordinate N_i at each
-    k = i, ..., r-2 and N_i / (q-1) last: column i of the relation matrix.
-    """
-    from .intlinalg import IntegerMatrix, cokernel_invariants
-
-    mods = [q**d - 1 for d in parts]
-    r = len(mods)
-    rel = [[mods[i] if i <= k else 0 for i in range(r)] for k in range(r - 1)]
-    rel.append([m // (q - 1) for m in mods])
-    inv = cokernel_invariants(IntegerMatrix(rel))
-    if 0 in inv:
-        raise RuntimeError("the determinant-one torus came out infinite")
-    return sorted(inv)
-
-
-def maximal_tori(group: GroupRealization) -> list[TorusClass]:
-    """One torus class per cycle type of W = S_n (split groups)."""
-    out = []
-    n, q = group.n, group.q
-    for parts in partitions_of(n):
-        order_gl = 1
-        for d in parts:
-            order_gl *= q**d - 1
-        if group.spec.family == "GL":
-            order = order_gl
-            cyclic = tuple(sorted(_gl_torus_invariants(parts, q)))
-            f_rank = len(parts)
-        else:
-            order = order_gl // (q - 1)
-            cyclic = tuple(_sl_torus_invariants(parts, q))
-            f_rank = len(parts) - 1
-        member_idx = None
-        if len(parts) == n:  # split torus: subgroup of the diagonal
-            member_idx = group.torus_indices
-            if len(member_idx) != order:
-                raise RuntimeError(f"{group.spec}: split torus has {len(member_idx)} elements, expected {order}")
-        total = 1
-        for d in cyclic:
-            total *= d
-        if total != order:
-            raise RuntimeError(f"torus {parts}: invariant factors {cyclic} do not multiply to {order}")
-        out.append(
-            TorusClass(
-                partition=tuple(parts),
-                order=order,
-                cyclic_orders=cyclic,
-                f_rank=f_rank,
-                split_member_indices=member_idx,
-            )
-        )
-    return out
-
-
-def _gl_torus_invariants(parts, q: int) -> list:
-    mods = sorted(q**d - 1 for d in parts if q**d - 1 > 1)
-    # invariant factors of prod Z/m_i via repeated gcd/lcm folding
-    factors: list[int] = []
-    for m in mods:
-        new = []
-        carry = m
-        for f in factors:
-            g = gcd(f, carry)
-            new.append(g)
-            carry = f * carry // g if g else 0
-        if carry > 1:
-            new.append(carry)
-        factors = sorted(x for x in new if x > 1)
-    return factors

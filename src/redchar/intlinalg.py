@@ -36,19 +36,6 @@ class IntegerMatrix:
                         oi[j] += a * rk[j]
         return IntegerMatrix(out)
 
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix([[-a for a in r] for r in self.rows])
-
     def det(self) -> int:
         """Determinant by fraction-free Gaussian elimination (Bareiss)."""
         if self.nrows != self.ncols:

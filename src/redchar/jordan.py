@@ -88,14 +88,12 @@ def uch_multiplicity(label, pi_tuple, lam_tuple) -> int:
     return out
 
 
-def frobenius_eigenvalue(lam_tuple, scope: str = "GL-products") -> CyclotomicNumber:
+def frobenius_eigenvalue(lam_tuple) -> CyclotomicNumber:
     """Frobenius eigenvalue of a unipotent character of a GL product.
 
     Every unipotent character of GL_m(q^d) is principal series, so the
-    eigenvalue is 1 throughout this scope; other factor types are refused.
+    eigenvalue is 1.
     """
-    if scope != "GL-products":
-        raise ValueError(f"unsupported centralizer factor scope {scope!r}")
     return CyclotomicNumber.one()
 
 

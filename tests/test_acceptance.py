@@ -28,7 +28,6 @@ from redchar.jordan import (
     verify_duality_biconditional,
 )
 from redchar.rootdatum import (
-    FrobeniusDatum,
     center_component_group,
     h1_frobenius,
     named_datum,
@@ -239,17 +238,13 @@ def test_criterion_11_cohomology_predicate():
     cases_true += [("GL3", q) for q in (2, 3, 4)]
     cases_true += [("SL2", 3), ("SL2", 5), ("SL3", 2)]
     for name, q in cases_true:
-        group, vanishes = h1_frobenius(
-            center_component_group(named_datum(name), FrobeniusDatum(q))
-        )
+        group, vanishes = h1_frobenius(center_component_group(named_datum(name), q), q)
         assert vanishes, (name, q)
         if name.startswith("SL"):
             n = int(name[2])
             p = 2 if q in (2, 4, 8) else q
             assert group.order == mu_n_oracle(n, q, p) == gcd(n, q - 1)
-    group, vanishes = h1_frobenius(
-        center_component_group(named_datum("SL3"), FrobeniusDatum(4))
-    )
+    group, vanishes = h1_frobenius(center_component_group(named_datum("SL3"), 4), 4)
     ok = not vanishes and group.order == 3 == mu_n_oracle(3, 4, 2) == gcd(3, 3)
     assert not two_h1_predicate(GroupSpec.parse("SL3(4)"))
     announce(

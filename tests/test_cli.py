@@ -267,8 +267,9 @@ def test_spec_level_checks_load_neither_dl_nor_jordan(check):
 def test_package_exports_resolve_to_their_defining_modules():
     import redchar
 
-    # the 65 names the package exported when it imported them eagerly
-    assert len(set(redchar.__all__)) == len(redchar.__all__) == 65
+    # the 65 names the package exported when it imported them eagerly, less
+    # the root-datum, torus and sign models that no check read
+    assert len(set(redchar.__all__)) == len(redchar.__all__) == 56
     for name in redchar.__all__:
         module = importlib.import_module(f"redchar.{redchar._MODULE_OF[name]}")
         obj = getattr(redchar, name)
@@ -347,7 +348,7 @@ def test_exit_code_on_failures(monkeypatch):
     import redchar.cli as cli
 
     monkeypatch.setitem(
-        cli.CHECKS, "always-fails", lambda g, ctx, budget, cache: [
+        cli.CHECKS, "always-fails", lambda g, ctx: [
             {"check": "x", "ok": False, "detail": "synthetic failure"}
         ]
     )
@@ -425,7 +426,7 @@ def test_internal_value_error_is_not_a_refused_spec(monkeypatch):
     # a check is an internal bug and propagates
     import redchar.cli as cli
 
-    def broken(group, ctx, budget, cache):
+    def broken(group, ctx):
         raise ValueError("unknown label action 'sideways'")
 
     monkeypatch.setitem(cli.CHECKS, "broken", broken)
@@ -433,9 +434,30 @@ def test_internal_value_error_is_not_a_refused_spec(monkeypatch):
         cli.main(["broken", "--group", "GL2(3)"])
 
 
-def test_spec_without_a_root_datum_is_refused():
-    # SL1(q) is a valid spec, but no root datum is named for it
-    assert main(["center-h1", "--group", "SL1(3)"]) == EXIT_UNSUPPORTED_SPEC
+# `center-h1` detail as "component group, coinvariants, 2H^1 = 0", recorded
+# before the component group was read off the root lattice alone; SL1(q)
+# was refused then for want of a (rank-0) root datum
+CENTER_H1_DETAILS = {
+    "GL1(2)": "1, 1, True",
+    "GL3(4)": "1, 1, True",
+    "SL1(3)": "1, 1, True",
+    "SL2(3)": "Z/2, Z/2, True",
+    "SL2(4)": "1, 1, True",  # characteristic 2 kills mu_2
+    "SL3(4)": "Z/3, Z/3, False",
+    "SL3(5)": "Z/3, 1, True",
+    "SL3(7)": "Z/3, Z/3, False",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CENTER_H1_DETAILS))
+def test_center_h1_detail(spec, capsys):
+    assert main(["center-h1", "--group", spec, "--format", "json"]) == 0
+    (item,) = json.loads(capsys.readouterr().out)["items"]
+    component_group, coinvariants, vanishes = CENTER_H1_DETAILS[spec].split(", ")
+    assert item["ok"] and item["detail"] == (
+        f"component group {component_group}, coinvariants {coinvariants}, "
+        f"two_h1_vanishes = {vanishes}"
+    )
 
 
 def test_optimized_interpreter_keeps_the_checks_and_the_report():

@@ -24,7 +24,6 @@ from redchar.dl import (
     dl_context,
     enumerate_all_pairs,
     epsilon_group,
-    epsilon_torus,
     green_function,
     label_stabilizer_order,
     lusztig_series,
@@ -81,9 +80,6 @@ def test_epsilon_signs():
     assert epsilon_group("GL", 2) == 1
     assert epsilon_group("GL", 3) == -1
     assert epsilon_group("SL", 2) == -1
-    assert epsilon_torus((2,)) == -1  # Coxeter torus of GL2: F-rank 1
-    assert epsilon_torus((1, 1)) == 1
-    assert epsilon_torus((3,)) == -1  # fixed space of a 3-cycle: rank 1
 
 
 def test_unipotent_characters_gl2_gl3():
@@ -507,19 +503,6 @@ def test_generator_choice_invariance():
         # every twisted support set is a member set of the original partition
         for sup in twisted:
             assert any(sup <= block for block in partition)
-
-
-def test_epsilon_sign_dispatch():
-    from redchar.dl import epsilon_sign
-    from redchar.groups import maximal_tori
-
-    assert epsilon_sign("GL2(3)") == 1
-    assert epsilon_sign("GL3(2)") == -1
-    assert epsilon_sign("SL2(5)") == -1
-    assert epsilon_sign((2,)) == -1
-    tori = maximal_tori(cached_group("GL3(2)"))
-    coxeter = next(t for t in tori if t.partition == (3,))
-    assert epsilon_sign(coxeter) == -1
 
 
 def test_green_functions_gl3_closed_forms():

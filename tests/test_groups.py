@@ -18,7 +18,6 @@ from redchar.groups import (
     GroupSpec,
     _bmm,
     cached_group,
-    maximal_tori,
 )
 from redchar.jordan import dual_centralizer
 
@@ -167,26 +166,6 @@ def test_class_sizes_and_exponent():
         assert int(data.inverse_class[ci]) == c
 
 
-def test_maximal_tori_gl():
-    tori2 = maximal_tori(cached_group("GL2(3)"))
-    by_part = {t.partition: t for t in tori2}
-    assert by_part[(1, 1)].order == 4  # split (q-1)^2
-    assert by_part[(2,)].order == 8  # Coxeter q^2-1
-    assert by_part[(2,)].f_rank == 1
-    assert by_part[(1, 1)].split_member_indices is not None
-    tori3 = maximal_tori(cached_group("GL3(2)"))
-    orders = sorted(t.order for t in tori3)
-    assert orders == sorted([(2 - 1) ** 3, (2 - 1) * (4 - 1), 8 - 1])
-
-
-def test_maximal_tori_sl():
-    tori = maximal_tori(cached_group("SL2(3)"))
-    by_part = {t.partition: t for t in tori}
-    assert by_part[(1, 1)].order == 2  # q - 1
-    assert by_part[(2,)].order == 4  # (q^2-1)/(q-1)
-    assert by_part[(1, 1)].f_rank == 1 and by_part[(2,)].f_rank == 0
-
-
 def test_transpose_inverse_and_chevalley():
     g = cached_group("GL2(3)")
     ti = transpose_inverse(g)
@@ -297,30 +276,6 @@ def test_root_subgroup_torus_relations():
                     lhs = g.conjugation_perm(g.elements[t_idx])[x]
                     rhs = g.root_subgroup_element(i, fld.mul_codes(alpha_t, c))
                     assert int(lhs) == rhs
-
-
-def test_sl_split_torus_model_matches_realization():
-    # the abstract invariant-factor model must match the realized diagonal
-    # subgroup: same order and same multiset of element orders
-    from collections import Counter
-    from itertools import product as iproduct
-
-    for name in ["SL2(3)", "SL2(5)", "SL3(4)", "SL3(2)"]:
-        g = cached_group(name)
-        tori = maximal_tori(g)
-        split = next(t for t in tori if t.partition == (1,) * g.n)
-        realized = Counter(
-            g.element_order(int(i)) for i in split.split_member_indices
-        )
-        model = Counter()
-        from math import gcd, lcm
-
-        for combo in iproduct(*[range(d) for d in split.cyclic_orders]):
-            order = 1
-            for x, d in zip(combo, split.cyclic_orders):
-                order = lcm(order, d // gcd(d, x) if x else 1)
-            model[order] += 1
-        assert realized == model, name
 
 
 # -- the row-table kernel against entry-by-entry products -------------------

@@ -86,8 +86,6 @@ def test_jordan_witness_identity_exhaustive():
 def test_frobenius_eigenvalue_scope():
     assert frobenius_eigenvalue(((2,),)) == 1
     assert frobenius_eigenvalue(((1, 1), (1,))) == 1
-    with pytest.raises(ValueError):
-        frobenius_eigenvalue(((2,),), scope="Sp4")
 
 
 def test_central_linear_character():
