@@ -957,7 +957,8 @@ def _class_matrix(group: GroupRealization, i: int, cols) -> np.ndarray:
     for start in range(0, len(cols), step):
         reps = data.reps[cols[start : start + step]]
         classes = data.cls[group.right_mul(group.matrices(reps), x_inv)]
-        # one bincount for the block: representative b counts into [b r, (b + 1) r)
+        # one bincount for the block: representative b counts into [b r, (b + 1) r),
+        # an int64 sum, as the offsets widen the narrow class labels
         offsets = r * np.arange(len(reps))[:, None]
         counts = np.bincount((classes + offsets).ravel(), minlength=r * len(reps))
         mat[:, start : start + len(reps)] = counts.reshape(len(reps), r).T

@@ -34,7 +34,10 @@ conjugation x -> m x m^-1 is T_{m^-1} and then row operations for m, and the
 generation proof runs on right multiplications: no product or conjugation
 forms a transpose.  Only products of two element arrays still multiply
 matrices entry by entry.  Every whole-group map runs _CHUNK elements at a
-time into int32 indices, so its temporaries do not grow with |G|.
+time into int32 indices, so its temporaries do not grow with |G|.  Row
+codes are held in np.min_scalar_type(q^n - 1) and class labels in
+np.min_scalar_type(r - 1), one byte each up to q^n = 256 and r = 256, and
+positions computed from codes are formed in int32, where they cannot wrap.
 
 Row j of (x^-1)^T is the cofactor row of the other rows times +-det(x)^-1,
 so inverses are found for the elements asked for (generators, class
@@ -156,20 +159,22 @@ def _bmm(tab: _Tables, a, b):
 def _horner(digits: np.ndarray, base: int, dtype=np.int64) -> np.ndarray:
     """The integers whose base-`base` digits, most significant first, run
     along the last axis: row codes from field codes, prefix codes from row
-    codes.  No digits (the empty prefix of n = 1) give zeros."""
+    codes.  The sum is formed in int32 or wider, where no step wraps, and
+    stored in `dtype`, which may be the one-byte type of row codes.  No
+    digits (the empty prefix of n = 1) give zeros."""
     if digits.shape[-1] == 0:
         return np.zeros(digits.shape[:-1], dtype=dtype)
-    out = digits[..., 0].astype(dtype)
+    out = digits[..., 0].astype(np.promote_types(dtype, np.int32))
     for j in range(1, digits.shape[-1]):
         out *= base
         out += digits[..., j]
-    return out
+    return out.astype(dtype, copy=False)
 
 
 def _digits(values: np.ndarray, base: int, width: int) -> np.ndarray:
     """The inverse of `_horner`: the `width` base-`base` digits of each value,
-    most significant first, along a new last axis."""
-    return np.stack([values // base ** (width - 1 - j) % base for j in range(width)], axis=-1)
+    most significant first, along a new last axis (empty for width 0)."""
+    return values[..., None] // base ** np.arange(width - 1, -1, -1) % base
 
 
 def _dot_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
@@ -181,12 +186,12 @@ def _dot_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _cofactor_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
+def _cofactor_table(tab: _Tables, vectors: np.ndarray, dtype) -> np.ndarray:
     """C[r_1, ..., r_{n-1}] = the row code of the vector c with
     c . y = det(r_1, ..., r_{n-1}, y) for every row y (n - 1 row-code axes)."""
     n = vectors.shape[1]
     if n == 1:
-        return np.array(1, dtype=np.int32)  # det(y) = y = (1) . y
+        return np.array(1, dtype=dtype)  # det(y) = y = (1) . y
     if n == 2:
         cof = np.stack([tab.neg[vectors[:, 1]], vectors[:, 0]], axis=-1)
     else:  # the cross product a x b
@@ -198,7 +203,7 @@ def _cofactor_table(tab: _Tables, vectors: np.ndarray) -> np.ndarray:
             ],
             axis=-1,
         )
-    return _horner(cof, tab.q, np.int32)
+    return _horner(cof, tab.q, dtype)
 
 
 @dataclass
@@ -206,7 +211,7 @@ class ConjugacyData:
     """Complete conjugacy partition of a realized group."""
 
     n_classes: int
-    cls: np.ndarray  # element index -> class index
+    cls: np.ndarray  # element index -> class index, in np.min_scalar_type(n_classes - 1)
     reps: np.ndarray  # class index -> element index of the minimal member
     sizes: np.ndarray
     orders: list  # order of each class representative
@@ -218,10 +223,9 @@ class ConjugacyData:
         """The element indices (int32) of class i, ascending.
 
         They are one slice of a stable sort of the element indices by class,
-        made on first use.  The keys are the class indices narrowed to the
-        smallest unsigned type that holds them (uint8 up to 255 classes), on
-        which numpy's stable sort is a radix sort: a few passes over the
-        group instead of a comparison sort of int64 keys, in the same order.
+        made on first use.  The keys are `cls` itself, whose unsigned type
+        (uint8 up to 256 classes) numpy's stable sort orders by a radix sort:
+        a few passes over the group instead of a comparison sort.
         """
         by_class, bounds = self._by_class
         return by_class[bounds[i] : bounds[i + 1]]
@@ -231,8 +235,7 @@ class ConjugacyData:
         """The element indices stably sorted by class, kept as int32, and
         where each class starts; sorted after the conjugacy phase has freed
         its temporaries."""
-        keys = self.cls.astype(np.min_scalar_type(self.n_classes))
-        order = np.argsort(keys, kind="stable").astype(np.int32)
+        order = np.argsort(self.cls, kind="stable").astype(np.int32)
         return order, np.concatenate(([0], np.cumsum(self.sizes)))
 
 
@@ -299,38 +302,39 @@ class GroupRealization:
     def _enumerate(self) -> None:
         n, q, tab = self.n, self.q, self.tables
         size = q**n  # number of row codes
+        self._codes = codes = np.min_scalar_type(size - 1)  # the dtype of every row code
         vectors = _digits(np.arange(size), q, n).astype(np.uint8)
         self._row_vectors = vectors  # row code -> field codes
         self._dot = _dot_table(tab, vectors)
-        self._cofactor = _cofactor_table(tab, vectors)
+        self._cofactor = _cofactor_table(tab, vectors, codes)
         # _scale[s, c] = code of s * row c
-        self._scale = _horner(tab.mul[np.arange(q)[:, None, None], vectors], q, np.int32)
+        self._scale = _horner(tab.mul[np.arange(q)[:, None, None], vectors], q, codes)
         # c q^n + y for the cofactor rows c and last rows y with det = D[c, y]
         # in the group, ascending; the zero row c = 0 has none
         completed = np.flatnonzero(self._dot != 0 if self.spec.family == "GL" else self._dot == 1)
         width = q**n - q ** (n - 1) if self.spec.family == "GL" else q ** (n - 1)
         if (np.bincount(completed // size, minlength=size) != [0] + [width] * (size - 1)).any():
             raise RuntimeError(f"{self.spec}: a cofactor row has other than {width} completions")
-        completions = np.zeros((size, width), dtype=np.int32)  # ascending; row 0 unused
+        completions = np.zeros((size, width), dtype=codes)  # ascending; row 0 unused
         completions[1:] = (completed % size).reshape(size - 1, width)
         prefix_cofactor = self._cofactor.reshape(-1)  # C[p] for every prefix code p
-        independent = np.flatnonzero(prefix_cofactor).astype(np.int32)
+        independent = np.flatnonzero(prefix_cofactor)
         self.order = len(independent) * width
         if self.order != self.spec.order:
             raise RuntimeError(f"{self.spec}: found {self.order} elements, expected {self.spec.order}")
         self._start = np.zeros(len(prefix_cofactor), dtype=np.int32)
         self._start[independent] = np.arange(0, self.order, width, dtype=np.int32)
-        self._cofactor_base = prefix_cofactor * size  # where C[p]'s ranks start in _rank
+        self._cofactor_base = prefix_cofactor.astype(np.int32) * size  # where C[p]'s ranks start in _rank
         self._rank = np.full(size * size, -self.order, dtype=np.int32)  # start + rank < 0 off the group
         self._rank[completed] = np.arange(len(completed), dtype=np.int32) % width
-        self._rows = np.empty((self.order, n), dtype=np.int32)  # row codes of every element
+        prefix_rows = _digits(independent, size, n - 1).astype(codes)  # of each independent prefix
+        cofactors = prefix_cofactor.take(independent)
+        self._rows = np.empty((self.order, n), dtype=codes)  # row codes of every element
         for start in range(0, self.order, _CHUNK):  # no whole-group temporaries
             rows = self._rows[start : start + _CHUNK]
             which, k = np.divmod(np.arange(start, start + len(rows), dtype=np.int32), width)
-            prefix = independent.take(which)
-            rows[:, n - 1] = completions[prefix_cofactor.take(prefix), k]
-            for j in range(n - 2, -1, -1):
-                prefix, rows[:, j] = np.divmod(prefix, size)
+            rows[:, : n - 1] = prefix_rows.take(which, axis=0)
+            rows[:, n - 1] = completions[cofactors.take(which), k]
         ident = np.eye(n, dtype=np.uint8)
         self.identity_idx = int(self.lookup(ident[None])[0])
 
@@ -369,7 +373,7 @@ class GroupRealization:
 
     def _transposed_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row codes of x^T for the matrices x with these row codes."""
-        return _horner(self._row_vectors[rows].swapaxes(-1, -2), self.q, np.int32)
+        return _horner(self._row_vectors[rows].swapaxes(-1, -2), self.q, self._codes)
 
     def _inverse_transposed_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row codes of (x^-1)^T for the invertible matrices x with these row
@@ -377,7 +381,7 @@ class GroupRealization:
         (-1)^(n-1-j) det(x)^-1 scales."""
         tab, n = self.tables, self.n
         det_inv = tab.inv[self._det(rows)]
-        out = np.empty(rows.shape, dtype=np.int32)
+        out = np.empty(rows.shape, dtype=self._codes)
         for j in range(n):
             cof = self._cofactor[tuple(rows[..., i] for i in range(n) if i != j)]
             scale = det_inv if (n - 1 - j) % 2 == 0 else tab.neg[det_inv]
@@ -389,13 +393,14 @@ class GroupRealization:
         """S[a q^n + b] = code of row a + row b, built on first use; its
         q^(2n) entries take int32 positions, like the rank table."""
         vectors = self._row_vectors
-        return _horner(self.tables.add[vectors[:, None, :], vectors[None, :, :]], self.q, np.int32).ravel()
+        return _horner(self.tables.add[vectors[:, None, :], vectors[None, :, :]], self.q, self._codes).ravel()
 
     def _left_rows(self, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Row codes of m y for a code matrix m and the matrices y with these
         row codes: row i of m y is sum_j m_ij (row j of y), one scale and one
-        row-sum gather per nonzero m_ij, so no transpose is formed."""
-        out = np.empty(rows.shape, dtype=np.int32)
+        row-sum gather per nonzero m_ij, so no transpose is formed.  The
+        position a q^n + b is formed in int32: in the code dtype it wraps."""
+        out = np.empty(rows.shape, dtype=self._codes)
         size = self.q**self.n
         for i in range(self.n):
             acc = None
@@ -403,7 +408,7 @@ class GroupRealization:
                 if c == 0:
                     continue
                 term = rows[..., j] if c == 1 else self._scale[c].take(rows[..., j])
-                acc = term if acc is None else self._row_sum.take(acc * size + term)
+                acc = term if acc is None else self._row_sum.take(acc.astype(np.int32) * size + term)
             out[..., i] = acc
         return out
 
@@ -416,7 +421,8 @@ class GroupRealization:
 
     def _locate(self, rows: np.ndarray) -> np.ndarray:
         """_start[p] + _rank[C[p] q^n + y] for the prefixes p and last rows y
-        of these row codes: the index of each matrix, negative off the group."""
+        of these row codes: the index of each matrix, negative off the group.
+        The prefix and the position are int32, whatever the code dtype."""
         prefix = _horner(rows[..., :-1], self.q**self.n, np.int32)
         at = self._cofactor_base.take(prefix)
         at += rows[..., -1]
@@ -442,7 +448,7 @@ class GroupRealization:
         matrices h of shape (..., n, n), in the group or not."""
         vectors = self._row_vectors[:, None, :]
         prod = _bmm(self.tables, vectors, h[..., None, :, :])[..., 0, :]
-        return _horner(prod, self.q, np.int32)
+        return _horner(prod, self.q, self._codes)
 
     def right_mul(self, h: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Indices of x h for the elements x at `idx` (default: all).
@@ -586,11 +592,11 @@ class GroupRealization:
         reps = np.flatnonzero(is_rep)
         rank = np.cumsum(is_rep, dtype=np.int32)
         rank -= 1
-        cls = rank.take(minima).astype(np.int64)  # class labels are int64
+        cls = rank.take(minima).astype(np.min_scalar_type(len(reps) - 1))
         del minima, rank
         sizes = np.bincount(cls, minlength=len(reps))
         orders, power_classes = self._powers(reps, cls)
-        inverse_class = cls[self.inverses(reps)]
+        inverse_class = cls[self.inverses(reps)].astype(np.int64)
         exponent = 1
         for o in orders:
             exponent = exponent * o // gcd(exponent, o)
@@ -607,7 +613,8 @@ class GroupRealization:
 
     def _powers(self, reps: np.ndarray, cls: np.ndarray) -> tuple[list, np.ndarray]:
         """The order of each element at `reps` and the classes of its powers,
-        [i, t] = cls(reps[i]^t) for t < max order: one batched power loop."""
+        [i, t] = cls(reps[i]^t) for t < max order, as int64: one batched
+        power loop."""
         base = self.matrices(reps)
         orders = np.zeros(len(reps), dtype=np.int64)
         columns = [np.full(len(reps), cls[self.identity_idx])]
@@ -617,7 +624,7 @@ class GroupRealization:
             orders[(orders == 0) & (idx == self.identity_idx)] = t
             columns.append(cls[idx])
             power, t = _bmm(self.tables, power, base), t + 1
-        return orders.tolist(), np.stack(columns[:-1], axis=1)
+        return orders.tolist(), np.stack(columns[:-1], axis=1).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"GroupRealization({self.spec}, order={self.order})"

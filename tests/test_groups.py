@@ -292,15 +292,23 @@ def _left_multiplication(group, h):
 
 
 def _kernel_multipliers(group):
-    """Every element of a small group; for a larger one its class
-    representatives, its generators and a fixed stride through the elements."""
+    """Every element of a small group; for a larger one its generators, its
+    class representatives and a stride through the elements, each of the
+    last two thinned to about 32 (GL2(16) has 255 classes)."""
     if group.order <= 200:
         return range(group.order)
-    extra = list(group.conjugacy().reps) + group.generators()
-    return sorted(set(int(g) for g in extra) | set(range(0, group.order, 331)))
+    reps = group.conjugacy().reps
+    extra = list(reps[:: -(-len(reps) // 32)]) + group.generators()
+    stride = range(0, group.order, max(331, group.order // 32))
+    return sorted(set(int(g) for g in extra) | set(stride))
 
 
-@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(2)", "SL3(3)"])
+# GL2(16) has 256 row codes, the most a uint8 code holds, and 255 classes;
+# GL2(17) has 289, so its codes are uint16
+_CODE_EDGES = ["GL2(16)", "GL2(17)"]
+
+
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(2)", "SL3(3)"] + _CODE_EDGES)
 def test_row_table_products_match_matrix_products(name):
     g = cached_group(name)
     tab, elems = g.tables, g.elements
@@ -360,6 +368,21 @@ def test_lookup_rejects_dependent_leading_rows_and_sl_determinants(name):
             mat[0, 0] = c  # the same determinant from the prefix
             with pytest.raises(KeyError):
                 g.lookup(mat[None])
+
+
+@pytest.mark.parametrize(
+    "name, code_size, label_size",
+    [("GL2(16)", 1, 1), ("GL2(17)", 2, 2), ("GL1(7)", 1, 1)],
+)
+def test_row_codes_and_class_labels_take_the_narrowest_unsigned_type(name, code_size, label_size):
+    g = cached_group(name)
+    data = g.conjugacy()
+    assert g._rows.dtype == np.min_scalar_type(g.q**g.n - 1)
+    assert data.cls.dtype == np.min_scalar_type(data.n_classes - 1)
+    assert (g._rows.itemsize, data.cls.itemsize) == (code_size, label_size)
+    assert g._rows.max() < g.q**g.n and data.cls.max() == data.n_classes - 1
+    for per_class in (data.reps, data.sizes, data.inverse_class, data.power_classes):
+        assert per_class.dtype == np.int64
 
 
 @pytest.mark.parametrize("name", ["GL2(3)", "SL3(3)", "GL2(17)"])
@@ -605,15 +628,15 @@ def test_conjugacy_matches_the_per_class_search(name):
     ],
 )
 def test_class_labels_of_every_element_unchanged(name, digest):
-    # SHA-256 of the int64 class index of every element, in element order
+    # SHA-256 of the class index of every element as int64, in element order
     import hashlib
 
     cls = cached_group(name).conjugacy().cls
-    assert cls.dtype == np.int64
-    assert hashlib.sha256(cls.tobytes()).hexdigest() == digest
+    assert cls.dtype == np.uint8
+    assert hashlib.sha256(cls.astype(np.int64).tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "SL3(3)"])
+@pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "SL3(3)"] + _CODE_EDGES)
 def test_left_multiplication_after_inverse_is_conjugation(name):
     # the conjugations that label the classes: the row table of h^-1, then
     # row operations for h; both steps against entry-by-entry products
@@ -677,7 +700,7 @@ def test_table_builds_no_transpose_or_inverse_map():
     assert "inv_perm" not in g.__dict__
 
 
-def test_sl3_5_build_and_conjugacy_peak_below_16_mib():
+def test_sl3_5_build_and_conjugacy_peak_below_11_mib():
     import tracemalloc
 
     tracemalloc.start()
@@ -688,7 +711,7 @@ def test_sl3_5_build_and_conjugacy_peak_below_16_mib():
     finally:
         tracemalloc.stop()
     assert g.conjugacy().n_classes == 30
-    assert peak < 16 * 2**20
+    assert peak < 11 * 2**20
 
 
 def _arrays(obj, seen):
@@ -714,7 +737,12 @@ def test_sl3_5_table_builds_no_element_matrices_and_nothing_of_q_to_the_n_square
     g = GroupRealization(GroupSpec.parse("SL3(5)"))
     chartable.table_of(g)
     assert "elements" not in vars(g)
-    sizes = [a.size for a in _arrays(g, set())]
+    arrays = list(_arrays(g, set()))
+    sizes = [a.size for a in arrays]
     assert g.order in sizes  # the walk reaches the class labels
     assert max(sizes) < g.q ** (g.n * g.n)
+    # whole-group arrays: row codes and class labels in one byte, element
+    # indices in int32
+    assert all(a.itemsize <= 4 for a in arrays if a.ndim and len(a) == g.order)
+    assert g._rows.itemsize == g.conjugacy().cls.itemsize == 1
     assert g.matrices(g.identity_idx).tolist() == np.eye(3, dtype=int).tolist()
