@@ -18,8 +18,7 @@ from importlib import import_module
 # submodule -> the public names it defines
 _EXPORTS = {
     "cyclotomic": "CyclotomicNumber cyclotomic_polynomial zeta",
-    "finitefield": "FiniteField FiniteFieldElement discrete_log finite_field "
-                   "multiplicative_embedding",
+    "finitefield": "FiniteField finite_field",
     "intlinalg": "FiniteAbelianGroup IntegerMatrix smith_normal_form",
     "rootdatum": "BasedRootDatum center_component_group h1_frobenius named_datum",
     "groups": "GroupRealization GroupSpec",
@@ -34,8 +33,7 @@ _EXPORTS = {
     "jordan": "JordanWitness disconnected_jordan dual_centralizer "
               "frobenius_eigenvalue jordan_bijection verify_dual_equivariance "
               "verify_duality_biconditional",
-    "gelfandgraev": "WhittakerDatum gelfand_graev generic_constituent "
-                    "verify_generic_duality whittaker_data",
+    "gelfandgraev": "WhittakerDatum gelfand_graev verify_generic_duality whittaker_data",
     "reports": "CheckReport emit_report",
     "cache": "TableCache",
 }

@@ -3,13 +3,15 @@
 They are built from the group's row-code kernel (`conjugation_perm`, the
 transpose and inverse maps).  The Chevalley involution is checked to fix
 the standard pinning and to square to the identity, the duality involution
-to square to the identity, and `GroupAutomorphism.verify_homomorphism`
-proves the homomorphism property from the generators.  The character table
+to square to the identity, and before either is returned
+`GroupAutomorphism.verify_homomorphism` proves it a homomorphism from the
+generators; both are built and proved once per group.  The character table
 never needs an automorphism, so a `table` job does not import this module.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -113,6 +115,7 @@ def _fixes_pinning(group: GroupRealization, auto: GroupAutomorphism) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def chevalley_involution(group: GroupRealization) -> GroupAutomorphism:
     """The pinned Chevalley involution: fixes the standard pinning, acts as
     t -> w0(t)^-1 on the diagonal torus, squares to the identity."""
@@ -140,6 +143,7 @@ def chevalley_involution(group: GroupRealization) -> GroupAutomorphism:
     candidate.name = "chevalley"
     if not candidate.is_involution():
         raise RuntimeError("Chevalley involution candidate is not involutive")
+    candidate.verify_homomorphism()
     return candidate
 
 
@@ -157,6 +161,7 @@ def minus_one_torus_matrix(group: GroupRealization) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
 def duality_involution(group: GroupRealization) -> GroupAutomorphism:
     """iota_{G,P} = ad(t_minus) o chevalley for the standard pinning."""
     c = chevalley_involution(group)
@@ -165,6 +170,7 @@ def duality_involution(group: GroupRealization) -> GroupAutomorphism:
     iota.name = "duality-involution"
     if not iota.is_involution():
         raise RuntimeError("duality involution is not involutive")
+    iota.verify_homomorphism()
     return iota
 
 

@@ -71,10 +71,6 @@ class TableCache:
         _write_whole(path, entry())
         return payload
 
-    def read_bytes(self, kind: str, spec: str) -> bytes | None:
-        path = self._path(cache_key(kind, spec))
-        return path.read_bytes() if path.exists() else None
-
 
 def _read_payload(path: Path) -> dict:
     """The payload of the entry at `path`.  ValueError unless the entry is an

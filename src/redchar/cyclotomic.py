@@ -237,9 +237,6 @@ class CyclotomicNumber:
             raise ValueError(f"{self} is not an integer")
         return f.numerator
 
-    def coefficients(self) -> list[Fraction]:
-        return [Fraction(a, self.den) for a in self.num]
-
     # -- conductor handling --------------------------------------------
 
     def lift(self, m: int) -> "CyclotomicNumber":
@@ -308,20 +305,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "CyclotomicNumber":
-        """Image under zeta_e -> zeta_e^(-1) (complex conjugation on characters)."""
-        return self.galois(-1)
-
-    def galois(self, k: int) -> "CyclotomicNumber":
-        """Image under zeta_e -> zeta_e^k for k coprime to the conductor."""
-        e = self.conductor
-        k %= e
-        if gcd(k, e) != 1:
-            raise ValueError(f"exponent {k} is not coprime to conductor {e}")
-        ring = _ring(e)
-        out = ring.reduce_pairs((i * k, c) for i, c in enumerate(self.num) if c)
-        return CyclotomicNumber(e, out, self.den)
-
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -335,9 +318,6 @@ class CyclotomicNumber:
     __hash__ = None  # equality crosses conductors; no canonical cheap hash
 
     # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return cyclotomic_json(self.conductor, self.num, self.den)
 
     @staticmethod
     def from_json(data: dict) -> "CyclotomicNumber":

@@ -219,9 +219,6 @@ class SemisimpleClassLabel:
         if tuple(sorted(self.orbits)) != self.orbits:
             raise ValueError("orbits must be a sorted tuple")
 
-    def is_central(self) -> bool:
-        return len(self.orbits) == 1 and self.orbits[0][0][0] == 1
-
     def inverse(self, tower: FieldTower) -> "SemisimpleClassLabel":
         orbs = tuple(sorted((tower.invert_key(k), m) for k, m in self.orbits))
         return SemisimpleClassLabel(self.q, orbs)
@@ -594,11 +591,6 @@ def lusztig_series(ctx: DLContext) -> list[LusztigSeries]:
         raise AssertionError("Lusztig series do not cover Irr(G)")
     ctx._series = out
     return out
-
-
-def unipotent_series(ctx: DLContext) -> LusztigSeries:
-    ident = SemisimpleClassLabel(ctx.q, ((ctx.tower.orbit_key(1, 0), ctx.n),))
-    return next(s for s in lusztig_series(ctx) if s.label == ident)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ multiplicative generator is always the class of x itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, is_prime, prime_factors, zeta
+from .cyclotomic import is_prime, prime_factors
 
 
 # -- polynomials over F_p -----------------------------------------------------
@@ -228,31 +227,6 @@ class FiniteField:
             raise ZeroDivisionError("order of zero")
         return (self.q - 1) // gcd(self.q - 1, self.log[a])
 
-    # -- element API -----------------------------------------------------
-
-    def element(self, code: int) -> "FiniteFieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for F_{self.q}")
-        return FiniteFieldElement(self, code)
-
-    def from_coords(self, coords) -> "FiniteFieldElement":
-        if len(coords) != self.k:
-            raise ValueError("wrong coordinate length")
-        code = sum((c % self.p) * self.p**i for i, c in enumerate(coords))
-        return self.element(code)
-
-    def zero(self) -> "FiniteFieldElement":
-        return self.element(0)
-
-    def one(self) -> "FiniteFieldElement":
-        return self.element(1)
-
-    def generator(self) -> "FiniteFieldElement":
-        return self.element(self.generator_code)
-
-    def elements(self) -> list[FiniteFieldElement]:
-        return [self.element(c) for c in range(self.q)]
-
     def __repr__(self) -> str:
         return f"FiniteField({self.p}, {self.k})"
 
@@ -266,56 +240,6 @@ class FiniteField:
 @lru_cache(maxsize=None)
 def finite_field(p: int, k: int) -> FiniteField:
     return FiniteField(p, k)
-
-
-@dataclass(frozen=True)
-class FiniteFieldElement:
-    """An element of F_{p^k}; the code's base-p digits are its coordinates."""
-
-    field: FiniteField
-    code: int
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        c, out = self.code, []
-        for _ in range(self.field.k):
-            out.append(c % self.field.p)
-            c //= self.field.p
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def _check(self, other: "FiniteFieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FiniteFieldElement(self.field, self.field.add_codes(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FiniteFieldElement(self.field, self.field.sub_codes(self.code, other.code))
-
-    def __neg__(self):
-        return FiniteFieldElement(self.field, self.field.neg_code(self.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FiniteFieldElement(self.field, self.field.mul_codes(self.code, other.code))
-
-    def inverse(self):
-        return FiniteFieldElement(self.field, self.field.inv_code(self.code))
-
-    def __pow__(self, n: int):
-        return FiniteFieldElement(self.field, self.field.pow_code(self.code, n))
-
-    def to_json(self) -> dict:
-        return {"p": self.field.p, "k": self.field.k, "coords": list(self.coords)}
-
-    def __repr__(self) -> str:
-        return f"FF({self.field.p}^{self.field.k}:{self.code})"
 
 
 def field_embedding(small: FiniteField, big: FiniteField):
@@ -351,40 +275,3 @@ def field_embedding(small: FiniteField, big: FiniteField):
     if big.order_of(embed(small.generator_code)) != small.q - 1:
         raise RuntimeError(f"the embedding of F_{small.q} into F_{big.q} is not injective")
     return embed
-
-
-@lru_cache(maxsize=None)
-def embedding_maps(p: int, j: int, k: int):
-    return field_embedding(finite_field(p, j), finite_field(p, k))
-
-
-def discrete_log(x: FiniteFieldElement, base: FiniteFieldElement) -> int:
-    """Least non-negative n with base^n = x; base must generate F_q^x."""
-    if x.is_zero():
-        raise ZeroDivisionError("discrete log of zero")
-    fld = x.field
-    if base.field != fld:
-        raise ValueError("base from a different field")
-    lb = fld.log[base.code]
-    if fld.q > 2 and gcd(lb, fld.q - 1) != 1:
-        raise ValueError("base does not generate the multiplicative group")
-    if fld.q == 2:
-        return 0
-    return fld.log[x.code] * pow(lb, -1, fld.q - 1) % (fld.q - 1)
-
-
-def multiplicative_embedding(x: FiniteFieldElement, target_conductor: int) -> CyclotomicNumber:
-    """The homomorphism F_q^x -> <zeta> sending the stored generator to zeta_{q-1}.
-
-    The target conductor must be a multiple of q - 1; the value returned is
-    zeta_target^(dlog(x) * target/(q-1)).
-    """
-    if x.is_zero():
-        raise ZeroDivisionError("0 is not in the multiplicative group")
-    fld = x.field
-    if fld.q == 2:
-        return CyclotomicNumber.one(target_conductor)
-    if target_conductor % (fld.q - 1):
-        raise ValueError(f"conductor {target_conductor} not divisible by {fld.q - 1}")
-    step = target_conductor // (fld.q - 1)
-    return zeta(target_conductor, fld.log[x.code] * step)

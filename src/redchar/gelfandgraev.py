@@ -124,21 +124,6 @@ def series_of_group(ctx: DLContext, group: GroupRealization):
     return [(s.label, s.members) for s in restrict_series(ctx, group)]
 
 
-def generic_constituent(
-    ctx: DLContext, group: GroupRealization, psi: WhittakerDatum, label
-) -> int:
-    """The unique constituent of Gamma_psi inside E(G, s)."""
-    table = table_of(group)
-    coeffs = gg_decomposition(psi, table)
-    members = dict(series_of_group(ctx, group))[label]
-    candidates = [m for m in members if coeffs[m]]
-    if len(candidates) != 1:
-        raise RuntimeError(
-            f"series {label} holds {len(candidates)} Gelfand-Graev constituents"
-        )
-    return candidates[0]
-
-
 def whittaker_duality_involution(psi: WhittakerDatum):
     """The duality involution built from the pinning matched to psi.
 

@@ -459,17 +459,6 @@ class GroupRealization:
         table = self._row_table(h)
         return self._images(lambda rows: table.take(rows, axis=-1), idx)
 
-    def mul_idx(self, i: int, j: int) -> int:
-        prod = _bmm(self.tables, self.matrices(i)[None], self.matrices(j)[None])
-        return int(self.lookup(prod)[0])
-
-    def element_order(self, i: int) -> int:
-        out, m = i, 1
-        while out != self.identity_idx:
-            out = self.mul_idx(out, i)
-            m += 1
-        return m
-
     # -- distinguished subgroups ------------------------------------------
 
     @cached_property
@@ -494,10 +483,6 @@ class GroupRealization:
         return borel, torus, unipotent
 
     @property
-    def borel_indices(self) -> np.ndarray:
-        return self._subgroups[0]
-
-    @property
     def torus_indices(self) -> np.ndarray:
         return self._subgroups[1]
 
@@ -514,12 +499,6 @@ class GroupRealization:
     def pinning(self) -> list[int]:
         """The standard pinning record: X_alpha = x_alpha(1) per simple root."""
         return [self.root_subgroup_element(i, 1) for i in range(self.n - 1)]
-
-    def diagonal_idx(self, entries) -> int:
-        mat = np.zeros((self.n, self.n), dtype=np.uint8)
-        for i, c in enumerate(entries):
-            mat[i, i] = c
-        return int(self.lookup(mat[None])[0])
 
     def generators(self) -> list[int]:
         """A small generating set, proven to generate on the first call."""

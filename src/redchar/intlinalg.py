@@ -12,10 +12,6 @@ class IntegerMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
@@ -35,28 +31,6 @@ class IntegerMatrix:
                     for j in range(other.ncols):
                         oi[j] += a * rk[j]
         return IntegerMatrix(out)
-
-    def det(self) -> int:
-        """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        m = [row[:] for row in self.rows]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows})"
@@ -168,18 +142,8 @@ class FiniteAbelianGroup:
                 raise ValueError("divisors must be chained")
 
     @property
-    def order(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
-
-    @property
     def exponent(self) -> int:
         return self.divisors[-1] if self.divisors else 1
-
-    def is_trivial(self) -> bool:
-        return not self.divisors
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.divisors == other.divisors

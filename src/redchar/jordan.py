@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .automorphisms import GroupAutomorphism, adjoint_action_representatives, duality_involution
 from .chartable import (
     table_of,
-    ClassFunction,
     dual_character,
     restrict_between_groups,
-    root_sum_function,
     twist_by_automorphism,
 )
 from .cyclotomic import CyclotomicNumber
@@ -165,21 +161,6 @@ def all_jordan_data(ctx: DLContext) -> dict:
     return ctx._jordan
 
 
-# ---------------------------------------------------------------------------
-# central characters and the tensoring identity
-# ---------------------------------------------------------------------------
-
-
-def central_linear_character(ctx: DLContext, z_exp: int) -> ClassFunction:
-    """The linear character zhat = (character matched to z) o det on GL_n(q):
-    zhat(x) = zeta_(q-1)^(z log det x) = zeta_e^(z log det x e / (q-1))."""
-    g = ctx.group
-    data = g.conjugacy()
-    logs = np.array(g.field.log)[g._det(g._rows[data.reps])]
-    exponents = logs * z_exp * (ctx.e // (ctx.q - 1))
-    return root_sum_function(g, np.arange(data.n_classes), exponents)
-
-
 def _orbit_transport(ctx, label_from, label_to, mapping_key):
     """Position permutation sending orbit j of label_from to its image in
     label_to under an orbit-key map."""
@@ -201,33 +182,6 @@ def transport_tuple(ctx, label_from, label_to, lam_tuple, mapping_key):
     for j, lam in enumerate(lam_tuple):
         out[perm[j]] = lam
     return tuple(out)
-
-
-def verify_tensor_identity(ctx: DLContext, label, z_exp: int) -> list[dict]:
-    """J_{sz}(rho tensor zhat) = J_s(rho), transported along orbit scaling."""
-    jd = all_jordan_data(ctx)
-    data = jd[label]
-    zhat = central_linear_character(ctx, z_exp)
-    scaled = label.scaled(ctx.tower, z_exp)
-    target = jd[scaled]
-    rows = []
-    irr = ctx.table.irreducibles
-    for member, wit in data.witnesses.items():
-        tensored = irr[member] * zhat
-        match = ctx.table.index_of(tensored)
-        expected = transport_tuple(
-            ctx, label, scaled, wit.unipotent, lambda k: ctx.tower.scale_key(k, z_exp)
-        )
-        ok = target.witnesses[match].unipotent == expected
-        rows.append(
-            {
-                "member": member,
-                "tensored_member": match,
-                "ok": bool(ok),
-                "detail": f"{wit.unipotent} -> {target.witnesses[match].unipotent}",
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -524,31 +478,6 @@ def verify_duality_biconditional(group: GroupRealization, ctx: DLContext | None 
         row["eigenvalue_pm1"] = bool(rhs)
         row["ok"] = bool(row["ok"] == rhs and rhs)
         row["detail"] = "rho o iota == rho^vee iff omega(u_rho) in {1,-1}"
-    return rows
-
-
-def verify_hc_rigidity(sl_group: GroupRealization) -> list[dict]:
-    """Within one series of SL_n(q): if rho o iota = rho^vee o ad(g) for an
-    adjoint representative g, then already rho o iota = rho^vee."""
-    table = table_of(sl_group)
-    iota = duality_involution(sl_group)
-    reps = adjoint_action_representatives(sl_group)
-    irr = table.irreducibles
-    rows = []
-    for i, chi in enumerate(irr):
-        twisted = twist_by_automorphism(chi, iota)
-        dual = dual_character(chi)
-        for g_auto in reps:
-            moved = twist_by_automorphism(dual, g_auto)
-            if twisted == moved:
-                rows.append(
-                    {
-                        "member": i,
-                        "rep": g_auto.name,
-                        "ok": bool(twisted == dual),
-                        "detail": "ad-twisted match implies exact match",
-                    }
-                )
     return rows
 
 

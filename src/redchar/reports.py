@@ -70,12 +70,3 @@ def write_report(report: CheckReport, fmt: str, out) -> None:
         out.write("\n")
     else:
         out.write(emit_report(report, fmt))
-
-
-def parse_report(text: str) -> CheckReport:
-    data = json.loads(text)
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {data.get('schema')!r}")
-    return CheckReport(
-        check=data["check"], group=data["group"], items=data["items"]
-    )

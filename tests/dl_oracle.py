@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from redchar.chartable import induce_from_subgroup, root_sum_function
 from redchar.dl import SYM_CHARS, DLCharacter, classify_pair, dl_context, partitions_of
+from reference import borel_indices
 
 
 def unipotent_degree(partition: tuple, q: int) -> int:
@@ -34,7 +35,7 @@ def unipotent_degree(partition: tuple, q: int) -> int:
 def unipotent_characters(ctx) -> dict:
     """partition of n -> index of the unipotent irreducible in the table."""
     g = ctx.group
-    coeffs = ctx.table.decompose_integers(induce_from_subgroup(g, g.borel_indices))
+    coeffs = ctx.table.decompose_integers(induce_from_subgroup(g, borel_indices(g)))
     out = {}
     for lam in partitions_of(ctx.n):
         expected = (SYM_CHARS[ctx.n][lam][(1,) * ctx.n], unipotent_degree(lam, ctx.q))

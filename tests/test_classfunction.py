@@ -28,6 +28,8 @@ from redchar.chartable import (
 from redchar.cyclotomic import CyclotomicNumber, euler_phi, zeta
 from redchar.groups import GroupRealization, GroupSpec, cached_group
 
+from reference import conjugate, galois
+
 GROUPS = ["GL2(3)", "GL2(4)", "SL2(5)", "GL3(2)"]
 # the SL subgroup each group restricts to
 SUBGROUPS = {"GL2(3)": "SL2(3)", "GL2(4)": "SL2(4)", "SL2(5)": "SL2(5)", "GL3(2)": "SL3(2)"}
@@ -74,10 +76,10 @@ def test_pointwise_algebra_matches_the_value_lists(data):
     assert _agrees(f * s, [x * s for x in a])
     assert _agrees(s * f, [x * s for x in a])
     assert _agrees(f * h, [x * y for x, y in zip(a, b)])
-    assert _agrees(f.conjugate(), [x.conjugate() for x in a])
+    assert _agrees(f.conjugate(), [conjugate(x) for x in a])
     e = _packed_context(g).e
     u = data.draw(st.sampled_from([u for u in range(e) if gcd(u, e) == 1]))
-    assert _agrees(f.galois(u), [x.galois(u) for x in a])
+    assert _agrees(f.galois(u), [galois(x, u) for x in a])
 
 
 @settings(max_examples=40, deadline=None)

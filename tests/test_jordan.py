@@ -1,26 +1,37 @@
+import numpy as np
 import pytest
 
-from redchar.automorphisms import chevalley_involution, duality_involution, identity_automorphism
-from redchar.chartable import inner_product
+from redchar.automorphisms import (
+    adjoint_action_representatives,
+    chevalley_involution,
+    duality_involution,
+    identity_automorphism,
+)
+from redchar.chartable import (
+    dual_character,
+    inner_product,
+    root_sum_function,
+    table_of,
+    twist_by_automorphism,
+)
 from redchar.dl import dl_character, dl_context, lusztig_series
 from redchar.groups import cached_group
 from redchar.jordan import (
     all_jordan_data,
-    central_linear_character,
     disconnected_jordan,
     dual_centralizer,
     frobenius_eigenvalue,
+    transport_tuple,
     two_h1_predicate,
     uch_multiplicity,
     verify_automorphism_equivariance,
     verify_dual_equivariance,
     verify_dualizing,
-    verify_hc_rigidity,
     verify_duality_biconditional,
-    verify_tensor_identity,
 )
 
 from dl_oracle import unipotent_characters
+from reference import is_central
 
 
 def test_dual_centralizer_shapes():
@@ -28,7 +39,7 @@ def test_dual_centralizer_shapes():
     labels = {s.label for s in lusztig_series(ctx)}
     for label in labels:
         cent = dual_centralizer(ctx, label)
-        if label.is_central():
+        if is_central(label):
             assert cent.realized_specs == ["GL2(3)"]
             assert cent.epsilon_product == 1
         elif len(label.orbits) == 2:
@@ -43,7 +54,7 @@ def test_jordan_bijection_gl2_3():
     ctx = dl_context("GL2(3)")
     uni = unipotent_characters(ctx)
     jd = all_jordan_data(ctx)
-    central = next(lab for lab in jd if lab.is_central() and lab.orbits[0][0] == (1, 0))
+    central = next(lab for lab in jd if is_central(lab) and lab.orbits[0][0] == (1, 0))
     data = jd[central]
     series = next(s for s in lusztig_series(ctx) if s.label == central)
     split = next(
@@ -86,6 +97,71 @@ def test_jordan_witness_identity_exhaustive():
 def test_frobenius_eigenvalue_scope():
     assert frobenius_eigenvalue(((2,),)) == 1
     assert frobenius_eigenvalue(((1, 1), (1,))) == 1
+
+
+# -- the central-character identity and SL rigidity, proved on the test groups
+
+
+def central_linear_character(ctx, z_exp: int):
+    """The linear character zhat = (character matched to z) o det on GL_n(q):
+    zhat(x) = zeta_(q-1)^(z log det x) = zeta_e^(z log det x e / (q-1))."""
+    g = ctx.group
+    data = g.conjugacy()
+    logs = np.array(g.field.log)[g._det(g._rows[data.reps])]
+    exponents = logs * z_exp * (ctx.e // (ctx.q - 1))
+    return root_sum_function(g, np.arange(data.n_classes), exponents)
+
+
+def verify_tensor_identity(ctx, label, z_exp: int) -> list[dict]:
+    """J_{sz}(rho tensor zhat) = J_s(rho), transported along orbit scaling."""
+    jd = all_jordan_data(ctx)
+    data = jd[label]
+    zhat = central_linear_character(ctx, z_exp)
+    scaled = label.scaled(ctx.tower, z_exp)
+    target = jd[scaled]
+    rows = []
+    irr = ctx.table.irreducibles
+    for member, wit in data.witnesses.items():
+        tensored = irr[member] * zhat
+        match = ctx.table.index_of(tensored)
+        expected = transport_tuple(
+            ctx, label, scaled, wit.unipotent, lambda k: ctx.tower.scale_key(k, z_exp)
+        )
+        ok = target.witnesses[match].unipotent == expected
+        rows.append(
+            {
+                "member": member,
+                "tensored_member": match,
+                "ok": bool(ok),
+                "detail": f"{wit.unipotent} -> {target.witnesses[match].unipotent}",
+            }
+        )
+    return rows
+
+
+def verify_hc_rigidity(sl_group) -> list[dict]:
+    """Within one series of SL_n(q): if rho o iota = rho^vee o ad(g) for an
+    adjoint representative g, then already rho o iota = rho^vee."""
+    table = table_of(sl_group)
+    iota = duality_involution(sl_group)
+    reps = adjoint_action_representatives(sl_group)
+    irr = table.irreducibles
+    rows = []
+    for i, chi in enumerate(irr):
+        twisted = twist_by_automorphism(chi, iota)
+        dual = dual_character(chi)
+        for g_auto in reps:
+            moved = twist_by_automorphism(dual, g_auto)
+            if twisted == moved:
+                rows.append(
+                    {
+                        "member": i,
+                        "rep": g_auto.name,
+                        "ok": bool(twisted == dual),
+                        "detail": "ad-twisted match implies exact match",
+                    }
+                )
+    return rows
 
 
 def test_central_linear_character():
@@ -142,7 +218,7 @@ def test_disconnected_jordan_sl2_3():
     for dm in dj.values():
         assert all(r["ok"] for r in dm.rows)
     # the unipotent series has singleton fibers {trivial}, {Steinberg}
-    central = next(dm for dm in dj.values() if dm.bar_label.is_central())
+    central = next(dm for dm in dj.values() if is_central(dm.bar_label))
     assert sorted(len(v) for v in central.fibers.values()) == [1, 1]
 
 
@@ -204,11 +280,7 @@ def test_verify_duality_biconditional():
 
 def test_hc_rigidity():
     for name in ["SL2(3)", "SL2(5)"]:
-        group = cached_group(name)
-        from redchar.chartable import table_of
-
-        table_of(group)
-        rows = verify_hc_rigidity(group)
+        rows = verify_hc_rigidity(cached_group(name))
         assert rows and all(r["ok"] for r in rows)
 
 
@@ -251,7 +323,7 @@ def test_dual_centralizer_sl_side_component_group():
     stabilized = [
         lab
         for lab in all_labels(ctx)
-        if not lab.is_central()
+        if not is_central(lab)
         and sum(1 for z in range(4) if lab.scaled(ctx.tower, z) == lab) == 2
     ]
     assert stabilized
