@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .groups import GroupRealization, _bmm
+from .groups import GroupRealization
 
 
 class GroupAutomorphism:
@@ -118,28 +118,14 @@ def _fixes_pinning(group: GroupRealization, auto: GroupAutomorphism) -> bool:
 @lru_cache(maxsize=None)
 def chevalley_involution(group: GroupRealization) -> GroupAutomorphism:
     """The pinned Chevalley involution: fixes the standard pinning, acts as
-    t -> w0(t)^-1 on the diagonal torus, squares to the identity."""
-    ti = transpose_inverse(group)
-    base = _alternating_antidiagonal(group)
-    candidate = ad_by_matrix(group, base, "w0-lift").compose(ti)
-    if not _fixes_pinning(group, candidate):
-        # correct the lift by a torus element (any two pinning-fixing lifts
-        # differ by one); search deterministically over T_0^F
-        import itertools as _it
+    t -> w0(t)^-1 on the diagonal torus, squares to the identity.
 
-        found = None
-        for diag in _it.product(range(1, group.q), repeat=group.n):
-            t = np.zeros((group.n, group.n), dtype=np.uint8)
-            for i, c in enumerate(diag):
-                t[i, i] = c
-            m = _bmm(group.tables, t[None], base[None])[0]
-            cand = ad_by_matrix(group, m, "w0-lift").compose(ti)
-            if _fixes_pinning(group, cand):
-                found = cand
-                break
-        if found is None:
-            raise RuntimeError("no pinning-fixing Chevalley lift found")
-        candidate = found
+    It is x -> w x^-T w^-1, w the alternating antidiagonal: I + E_(i,i+1)
+    goes to I + E_(n-2-i,n-1-i) with the sign (-1)^((i+1)+i) (-1) = +1, so
+    this lift fixes the pinning as it is, and the check only guards that."""
+    candidate = ad_by_matrix(group, _alternating_antidiagonal(group), "w0-lift").compose(transpose_inverse(group))
+    if not _fixes_pinning(group, candidate):
+        raise RuntimeError("the alternating antidiagonal lift does not fix the pinning")
     candidate.name = "chevalley"
     if not candidate.is_involution():
         raise RuntimeError("Chevalley involution candidate is not involutive")

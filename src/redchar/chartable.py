@@ -13,11 +13,11 @@ integer, and the lifted values are exact.
 The split keeps each common eigenspace in echelon form: a column basis V
 and pivot rows P with V[P] = I.  A class matrix M maps the space to itself,
 M V = V A, and reading that on the rows P gives A = M[P] V with no solve.
-Class matrices are diagonalizable over F_ell (ell prime to |G|, ell = 1
-mod e), so A has one eigenvalue exactly when it is a scalar matrix: the
-space then stays whole, with no characteristic polynomial.  Otherwise the
-piece for a root is V K, K the kernel basis of A - root I, whose pivot rows
-are P at K's free columns, where K is the identity.
+A is diagonalizable (ell prime to |G|, ell = 1 mod e); a scalar A keeps the
+space whole.  Else central characters, 1 at the identity class, span the
+space, so V's identity row y meets each eigenspace: the first dependency
+of y, y A, y A^2, ... is A's minimal polynomial.  A root's piece is V K,
+K = ker(A - root I), with pivot rows P at free(K).
 
 So a class matrix M_i is read only on the pivot rows P of the spaces still
 to split, and only those rows are computed.  Counting the triples x y = z
@@ -908,28 +908,29 @@ def _mod_nullspace(a: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, free
 
 
-def _char_poly_mod(a: np.ndarray, ell: int) -> list[int]:
-    """Characteristic polynomial mod ell by Newton identity / trace powers."""
-    n = a.shape[0]
-    traces = []
-    power = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        power = power @ a % ell
-        traces.append(int(power.trace()) % ell)
-    # Newton: e_k = (1/k) sum_{i=1..k} (-1)^{i-1} e_{k-i} p_i
-    es = [1]
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            term = es[k - i] * traces[i - 1] % ell
-            acc = (acc + (term if i % 2 == 1 else -term)) % ell
-        es.append(acc * pow(k, -1, ell) % ell)
-    # char poly x^n - e1 x^(n-1) + e2 x^(n-2) - ...
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for k in range(1, n + 1):
-        coeffs[n - k] = (es[k] if k % 2 == 0 else -es[k]) % ell
-    return coeffs
+def _eigenspaces_mod(a: np.ndarray, y: np.ndarray, ell: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(root, K, free) per root of the minimal polynomial of the row y under
+    a (residues mod ell), K and free from `_mod_nullspace(a - root I)`.
+
+    The rows y a^t, stacked as columns and row-reduced, are independent up
+    to the first t = d with y a^d in the span of the earlier ones; the
+    reduced column d holds its coefficients.  A RuntimeError when the
+    kernels fall short of a's size: then a is not diagonalizable, or y is
+    zero on one of its eigenspaces."""
+    n = len(a)
+    krylov = np.empty((n + 1, n), dtype=np.int64)
+    krylov[0] = y
+    for t in range(n):  # in place: per-step temporaries kept up to ~0.25 MB more heap in `table SL3(5)`
+        np.matmul(krylov[t], a, out=krylov[t + 1])
+        krylov[t + 1] %= ell
+    red, pivots = _mod_rref(np.ascontiguousarray(krylov.T), ell)
+    d = len(pivots)
+    minimal = [-c for c in red[:d, d].tolist()] + [1]
+    eye = np.eye(n, dtype=np.int64)
+    out = [(root, *_mod_nullspace(a - root * eye, ell)) for root in poly_roots(minimal, ell)]
+    if sum(len(free) for _, _, free in out) != n:
+        raise RuntimeError("the eigenspaces of a class matrix do not span its space")
+    return out
 
 
 # -- Dixon-Schneider splitting ------------------------------------------------
@@ -1007,12 +1008,10 @@ def _central_characters_mod(group: GroupRealization, ell: int) -> np.ndarray:
                 new_spaces.append((v, pivots))
                 continue
             a = m[pivots] @ v % ell  # M V = V A, read on the rows where V is I
-            eye = np.eye(len(a), dtype=np.int64)
-            if np.array_equal(a, a[0, 0] * eye):  # one eigenvalue
+            if np.array_equal(a, a[0, 0] * np.eye(len(a), dtype=np.int64)):  # one eigenvalue
                 new_spaces.append((v, pivots))
                 continue
-            for root in poly_roots(_char_poly_mod(a, ell), ell):
-                kern, free = _mod_nullspace(a - root * eye, ell)
+            for _, kern, free in _eigenspaces_mod(a, v[ident], ell):
                 new_spaces.append((v @ kern % ell, pivots[free]))
         spaces = new_spaces
     if not all(v.shape[1] == 1 for v, _ in spaces):

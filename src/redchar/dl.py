@@ -604,10 +604,10 @@ def pgl_label(ctx: DLContext, label: SemisimpleClassLabel) -> SemisimpleClassLab
     return min(candidates, key=lambda s: s.orbits)
 
 
-def label_stabilizer_order(ctx: DLContext, label: SemisimpleClassLabel) -> int:
-    """#{z in F_q^x : z . label = label} (the component group order of the
-    dual centralizer on the SL side)."""
-    return sum(1 for z in range(ctx.q - 1) if label.scaled(ctx.tower, z) == label)
+def label_stabilizer(ctx: DLContext, label: SemisimpleClassLabel) -> list[int]:
+    """The exponents z < q - 1 with z . label = label; their count is the
+    component group order of the dual centralizer on the SL side."""
+    return [z for z in range(ctx.q - 1) if label.scaled(ctx.tower, z) == label]
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .dl import (
     dl_character,
     dl_context,
     epsilon_group,
-    label_stabilizer_order,
+    label_stabilizer,
     lusztig_series,
     restrict_series,
 )
@@ -45,7 +45,6 @@ from .rootdatum import two_h1_predicate
 @dataclass
 class DualCentralizerData:
     label: SemisimpleClassLabel
-    factors: list  # [(orbit_key, multiplicity)] -> GL_m(q^d) factors
     epsilon_product: int  # eps_G * eps_H
     realized_specs: list  # spec strings of the GL_m(q^d) factors
     component_order: int  # |H^F / H0^F| (1 on the GL side)
@@ -53,17 +52,15 @@ class DualCentralizerData:
 
 def dual_centralizer(ctx: DLContext, label: SemisimpleClassLabel, sl_side: bool = False):
     """C_{G*}(s) = prod over eigenvalue orbits of GL_{m_j}(q^{d_j})."""
-    factors = list(label.orbits)
-    rank_sum = sum(m for _k, m in factors)
+    rank_sum = sum(m for _k, m in label.orbits)
     eps_h = (-1) ** rank_sum
     eps_g = epsilon_group("GL", ctx.n) if not sl_side else epsilon_group("SL", ctx.n)
     if sl_side:
         eps_h = -eps_h  # the central torus F_q^x is quotiented out
-    specs = [f"GL{m}({ctx.q ** key[0]})" for key, m in factors]
-    component = label_stabilizer_order(ctx, label) if sl_side else 1
+    specs = [f"GL{m}({ctx.q ** key[0]})" for key, m in label.orbits]
+    component = len(label_stabilizer(ctx, label)) if sl_side else 1
     return DualCentralizerData(
         label=label,
-        factors=factors,
         epsilon_product=eps_g * eps_h,
         realized_specs=specs,
         component_order=component,
@@ -103,8 +100,7 @@ class JordanWitness:
     member: int  # irreducible index in the parent table
     unipotent: tuple  # partition tuple aligned with label.orbits
     sign: int
-    multiplicities: tuple  # <R_{T*}(s), rho> over the torus types
-    predicted: tuple  # sign * <R^H(1), u> over the same torus types
+    multiplicities: tuple  # <R_{T*}(s), rho> over the torus types (= sign * <R^H(1), u>)
 
 
 @dataclass
@@ -148,7 +144,6 @@ def jordan_bijection(ctx: DLContext, label: SemisimpleClassLabel) -> JordanData:
             unipotent=lam,
             sign=sign,
             multiplicities=vec,
-            predicted=predicted[lam],
         )
     if len(used) != len(tuples):
         raise RuntimeError(f"matching is not surjective for {label}")
@@ -275,14 +270,10 @@ class DisconnectedJordanMap:
     rows: list  # verification rows for the three properties
 
 
-def _scaling_stabilizer(ctx: DLContext, label) -> list[int]:
-    return [z for z in range(ctx.q - 1) if label.scaled(ctx.tower, z) == label]
-
-
 def _gamma_orbit(ctx: DLContext, label, lam_tuple) -> frozenset:
     """Orbit of a unipotent tuple under the component group action."""
     out = set()
-    for z in _scaling_stabilizer(ctx, label):
+    for z in label_stabilizer(ctx, label):
         out.add(
             transport_tuple(ctx, label, label, lam_tuple, lambda k: ctx.tower.scale_key(k, z))
         )
@@ -304,7 +295,7 @@ def disconnected_jordan(
     out = {}
     for s in series_list:
         lift = s.gl_lifts[0]
-        stab = _scaling_stabilizer(ctx, lift)
+        stab = label_stabilizer(ctx, lift)
         gamma_order = len(stab)
         gl_data = gl_jordan[lift]
         # arrow: SL member -> GL characters above it within E(GL, lift)

@@ -14,6 +14,7 @@ from redchar.chartable import (
     _central_characters_mod,
     _character_values_mod,
     _class_matrix,
+    _eigenspaces_mod,
     _exact_matmul,
     _galois_equivariant,
     _mod_nullspace,
@@ -35,6 +36,7 @@ from redchar.chartable import (
     twisted_fs_indicators,
 )
 from redchar.cyclotomic import CyclotomicNumber, euler_phi
+from redchar.finitefield import poly_roots
 from redchar.groups import GroupRealization, GroupSpec, cached_group
 
 from reference import borel_indices, conjugate, mul_idx
@@ -347,7 +349,7 @@ def test_sl3_5_values_take_phi_of_their_class_order():
         assert chi.flat.size == stored and [b.shape for b in chi.blocks] == shapes
 
 
-@pytest.mark.parametrize("name", ["GL2(3)", "GL2(4)", "SL2(5)", "GL3(2)", "GL3(3)", "SL3(3)"])
+@pytest.mark.parametrize("name", ["GL2(3)", "GL2(4)", "SL2(5)", "GL3(2)", "GL3(3)", "SL3(3)", "GL2(9)"])
 def test_split_rows_are_the_central_characters_of_the_table(name):
     """The class-matrix split yields exactly omega_chi(K_k) = s_k chi(g_k) / chi(1)
     mod ell, one row per irreducible of the exactly certified table, and the
@@ -645,3 +647,72 @@ def test_array_elimination_matches_the_row_loop(ell):
         assert np.array_equal(basis, want_basis)
         assert not (mat @ basis % ell).any()
 
+
+
+def _newton_char_poly(a, ell):
+    """The characteristic polynomial mod ell from the traces of a's powers by
+    Newton's identities, constant term first: the oracle for the roots of
+    `_eigenspaces_mod`."""
+    n = a.shape[0]
+    traces = []
+    power = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        power = power @ a % ell
+        traces.append(int(power.trace()) % ell)
+    es = [1]  # e_k = (1/k) sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * es[k - i] * traces[i - 1] for i in range(1, k + 1))
+        es.append(acc * pow(k, -1, ell) % ell)
+    return [(-1) ** k * es[k] % ell for k in range(n, -1, -1)]
+
+
+_PLANTED = [3, 3, 3, 7, 7, 11, 20, 20, 5]  # 11 and 5 are simple
+
+
+def _planted(ell, jordan=False):
+    """A = X J X^-1 mod ell for a random invertible X and J = diag(_PLANTED),
+    with a 2 x 2 Jordan block at the first eigenvalue if `jordan`; returns
+    (A, X^-1)."""
+    rng = np.random.default_rng(ell)
+    n = len(_PLANTED)
+    while True:
+        x = rng.integers(0, ell, size=(n, n))
+        red, pivots = _loop_rref(np.hstack([x, np.eye(n, dtype=np.int64)]), ell)
+        if pivots[:n] == list(range(n)):
+            x_inv = red[:, n:]
+            break
+    j = np.diag(_PLANTED).astype(np.int64)
+    j[0, 1] = int(jordan)
+    return x @ j % ell @ x_inv % ell, x_inv
+
+
+@pytest.mark.parametrize("ell", [421, 766321])
+def test_the_identity_row_splits_a_planted_diagonalizable_matrix(ell):
+    """A row y with y X nonzero in every column has the minimal polynomial of
+    A, so its roots are the distinct roots of the characteristic
+    polynomial, and the kernels are the planted eigenspaces."""
+    a, x_inv = _planted(ell)
+    eye = np.eye(len(a), dtype=np.int64)
+    assert poly_roots(_newton_char_poly(a, ell), ell) == sorted(set(_PLANTED))
+    seen = np.arange(1, len(a) + 1)
+    for zero in [None, 0]:  # y is zero on one column of the threefold eigenvalue 3
+        weights = np.where(np.arange(len(a)) == zero, 0, seen)
+        split = _eigenspaces_mod(a, weights @ x_inv % ell, ell)
+        assert [root for root, _, _ in split] == poly_roots(_newton_char_poly(a, ell), ell)
+        for root, kern, free in split:
+            assert len(free) == _PLANTED.count(root)
+            assert not ((a - root * eye) @ kern % ell).any()
+
+
+@pytest.mark.parametrize("ell", [421, 766321])
+def test_the_split_refuses_a_row_blind_to_an_eigenvalue_and_a_jordan_block(ell):
+    """When the kernels fall short the split raises instead of returning fewer
+    spaces: y zero on the eigenvector of the simple eigenvalue 11, or A with
+    a 2 x 2 Jordan block."""
+    a, x_inv = _planted(ell)
+    blind = np.where(np.array(_PLANTED) == 11, 0, 1)
+    with pytest.raises(RuntimeError, match="do not span"):
+        _eigenspaces_mod(a, blind @ x_inv % ell, ell)
+    a, x_inv = _planted(ell, jordan=True)
+    with pytest.raises(RuntimeError, match="do not span"):
+        _eigenspaces_mod(a, np.ones(len(a), dtype=np.int64) @ x_inv % ell, ell)

@@ -25,7 +25,7 @@ from redchar.dl import (
     enumerate_all_pairs,
     epsilon_group,
     green_function,
-    label_stabilizer_order,
+    label_stabilizer,
     lusztig_series,
     restrict_series,
     twisted_identifications,
@@ -479,7 +479,7 @@ def test_label_stabilizers():
     # central label: every scalar fixes it after scaling? z . {a,a} = {za,za}
     labels = all_labels(ctx)
     for lab in labels:
-        stab = label_stabilizer_order(ctx, lab)
+        stab = len(label_stabilizer(ctx, lab))
         assert (ctx.q - 1) % stab == 0
         # orbit-stabilizer over the scaling action
         orbit = {lab.scaled(tower, z).orbits for z in range(ctx.q - 1)}
