@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-ALGORITHM_VERSION = "1"
+ALGORITHM_VERSION = "2"
 
 
 def _canonical_bytes(obj) -> bytes:

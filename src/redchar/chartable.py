@@ -39,8 +39,7 @@ by construction, with no membership test.  The blocks lie side by side in
 one flat integer array, so sums, scalings, comparisons and gathers are single
 array operations; a pointwise product convolves the rows of each block and
 reduces them through the powers of zeta_m.  The lift writes
-sum_j c_j zeta_m^j into the row of a class of order m and records the
-conductor m / gcd(m, support of c) at which the JSON form writes each value.
+sum_j c_j zeta_m^j into the row of a class of order m.
 
 Orthogonality is certified exactly from those blocks.  For u prime to e,
 sigma_u sends zeta_e to zeta_e^u and pi_u sends class k to the class of
@@ -76,8 +75,6 @@ from .cyclotomic import (
     _INT64_GUARD,
     CyclotomicNumber,
     _absmax,
-    _normalize,
-    cyclotomic_json,
     euler_phi,
     is_prime,
     power_matrix,
@@ -238,9 +235,8 @@ class ClassFunction:
     (flat, den) is reduced, gcd(den, flat) = 1, and `flat` is int64 while its
     entries are below 2^62 (object beyond), so (den, flat.tobytes()) names
     the function.  Gathers, sums and products act on the integers;
-    CyclotomicNumbers appear only in the values constructor, `values`,
-    `degree` and the JSON form, at `conductors` per class when recorded and
-    at the class order otherwise.
+    CyclotomicNumbers appear only in the values constructor, `values` (each
+    at its class order) and `degree`.
     """
 
     def __init__(self, group: GroupRealization, values):
@@ -257,23 +253,22 @@ class ClassFunction:
             for k in ctx.flat_classes.tolist()
             for c in _coordinates(values[k], orders[k])
         ]
-        conductors = [v.conductor if m % v.conductor == 0 else m for v, m in zip(values, orders)]
-        self._assign(group, np.array(flat, dtype=object), den, np.array(conductors))
+        self._assign(group, np.array(flat, dtype=object), den)
 
     @classmethod
-    def from_flat(cls, group, flat: np.ndarray, den: int = 1, conductors=None) -> "ClassFunction":
+    def from_flat(cls, group, flat: np.ndarray, den: int = 1) -> "ClassFunction":
         out = cls.__new__(cls)
-        out._assign(group, flat, den, conductors)
+        out._assign(group, flat, den)
         return out
 
-    def _assign(self, group, flat, den, conductors) -> None:
+    def _assign(self, group, flat, den) -> None:
         if den != 1:
             g = gcd(den, *flat.tolist())
             flat, den = flat // g, den // g
         if (flat.dtype == object) != (_absmax(flat) >= _INT64_GUARD):
             flat = flat.astype(np.int64 if flat.dtype == object else object)
         flat.flags.writeable = False
-        self.group, self.flat, self.den, self.conductors = group, flat, den, conductors
+        self.group, self.flat, self.den = group, flat, den
 
     @cached_property
     def blocks(self) -> list[np.ndarray]:
@@ -285,7 +280,12 @@ class ClassFunction:
 
     @cached_property
     def values(self) -> list[CyclotomicNumber]:
-        return [CyclotomicNumber(c, num, self.den) for c, num in _descended([self])[0]]
+        ctx = _packed_context(self.group)
+        flat = self.flat.tolist()
+        return [
+            CyclotomicNumber(m, flat[a : a + n], self.den)
+            for m, a, n in zip(ctx.class_orders.tolist(), ctx.row_start.tolist(), ctx.row_len.tolist())
+        ]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if other.group is not self.group:
@@ -345,25 +345,6 @@ class ClassFunction:
 def _stacked_blocks(fs: list[ClassFunction]) -> list[np.ndarray]:
     """Per block, the functions' blocks stacked: (functions, classes, phi(m))."""
     return _packed_context(fs[0].group).blocks(np.stack([f.flat for f in fs]))
-
-
-def _descended(fs: list[ClassFunction]) -> list[list[tuple[int, list[int]]]]:
-    """Per function of `fs` (one group) and class, the conductor c and the
-    coordinates over zeta_c of den times the value: a matmul per class order
-    m and conductor c | m."""
-    ctx = _packed_context(fs[0].group)
-    out = [[None] * ctx.n_classes for _ in fs]
-    for m, classes, stacked in zip(ctx.orders, ctx.block_classes, _stacked_blocks(fs)):
-        default = np.full(len(classes), m)
-        conductors = np.stack([default if f.conductors is None else f.conductors[classes] for f in fs])
-        classes = classes.tolist()
-        for c in sorted(set(conductors.ravel().tolist())):
-            where = np.nonzero(conductors == c)
-            rows = stacked[where]
-            nums = rows if c == m else _exact_matmul(rows, _descent(m, c))
-            for i, j, num in zip(*(w.tolist() for w in where), nums.tolist()):
-                out[i][classes[j]] = (c, num)
-    return out
 
 
 def _segments(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -770,26 +751,29 @@ class CharacterTable:
             "class_sizes": [int(s) for s in data.sizes],
             "class_orders": list(data.orders),
             "degrees": self.degrees,
-            "rows": [
-                {"values": [cyclotomic_json(c, *_normalize(num, chi.den)) for c, num in coords]}
-                for chi, coords in zip(self.irreducibles, _descended(self.irreducibles))
-            ],
+            "rows": [chi.flat.tolist() for chi in self.irreducibles],
         }
 
     @staticmethod
     def from_json(group: GroupRealization, data: dict) -> "CharacterTable":
-        """Rebuild a table from its serialized form and re-verify it."""
+        """Rebuild a table from its serialized form and re-certify it exactly.
+
+        A ValueError unless the class data are the group's and the rows are
+        one flat list per class of integers that fit in int64, so that no
+        entry is cast."""
         if data["group"] != str(group.spec):
             raise ValueError("table serialized for a different group")
-        conj = group.conjugacy()
-        if data["exponent"] != conj.exponent or data["class_sizes"] != [
-            int(s) for s in conj.sizes
-        ]:
+        conj, ctx = group.conjugacy(), _packed_context(group)
+        if (data["exponent"], data["class_sizes"], data["class_orders"]) != (
+            conj.exponent, [int(s) for s in conj.sizes], list(conj.orders)
+        ):
             raise ValueError("serialized table does not match the class data")
-        irreducibles = [
-            ClassFunction(group, [CyclotomicNumber.from_json(v) for v in row["values"]])
-            for row in data["rows"]
-        ]
+        rows = data["rows"]
+        if not (isinstance(rows, list) and len(rows) == conj.n_classes):
+            raise ValueError("a serialized table needs one row per class")
+        if not {type(data["ell"]), type(data["zeta_mod"])} <= {int}:
+            raise ValueError("the serialized table prime and root are not integers")
+        irreducibles = [ClassFunction.from_flat(group, _int64_row(row, ctx.size)) for row in rows]
         modular = ModularContext(group, data["ell"], data["zeta_mod"])
         table = CharacterTable(group, irreducibles, modular)
         if table.degrees != data["degrees"]:
@@ -797,6 +781,17 @@ class CharacterTable:
         table.verify_degree_sum()
         table.verify_orthogonality()
         return table
+
+
+def _int64_row(row, size: int) -> np.ndarray:
+    """A serialized row as int64: a ValueError unless it is a list of `size`
+    ints (no bool, float or string) that fit in int64."""
+    if not (isinstance(row, list) and len(row) == size and set(map(type, row)) <= {int}):
+        raise ValueError(f"a serialized row is not a list of {size} integers")
+    try:
+        return np.array(row, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a serialized row holds an integer beyond int64") from None
 
 
 def table_of(group: GroupRealization) -> CharacterTable:
@@ -1053,14 +1048,13 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
     The Fourier sums of the module docstring are one Vandermonde matmul mod
     ell per class, for all rows at once; the multiplicities of a class of
     order m, times the powers of zeta_m, fill that class's row of every
-    function and give each value's conductor.
+    function.
     """
     data = group.conjugacy()
     e = data.exponent
     ctx = _packed_context(group)
     n_rows = len(chi_mod)
     flat = np.zeros((n_rows, ctx.size), dtype=np.int64)
-    conductors = np.empty((n_rows, data.n_classes), dtype=np.int64)
     dft_of_order = {}
     for i, m in enumerate(data.orders):
         pcs = data.power_classes[i, :m]
@@ -1078,8 +1072,6 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
         if values.dtype == object:
             flat = flat.astype(object)
         flat[:, ctx.row_start[i] : ctx.row_start[i] + values.shape[1]] = values
-        support = np.gcd.reduce(np.where(mults != 0, np.arange(m), 0), axis=1)
-        conductors[:, i] = m // np.gcd(support, m)
     if not np.array_equal(flat[:, 0], degrees):
         raise RuntimeError("lifted degree mismatch")
-    return [ClassFunction.from_flat(group, flat[r], 1, conductors[r]) for r in range(n_rows)]
+    return [ClassFunction.from_flat(group, flat[r]) for r in range(n_rows)]

@@ -1,7 +1,7 @@
 """The `verify` command line tool.
 
     verify <check> --group <spec> [--format json|markdown]
-                   [--cache-dir PATH] [--no-cache] [--budget N]
+                   [--cache-dir PATH] [--budget N]
 
 Checks: dualizing, generic, jordan-dual, jordan-auto, disconnected-jordan,
 series-partition, dl-orthogonality, fs-indicator, center-h1, torus-lemma,
@@ -319,12 +319,11 @@ def main(argv=None) -> int:
     parser.add_argument("--group", required=True, help="group spec, e.g. GL2(3) or SL3(4)")
     parser.add_argument("--format", choices=["json", "markdown"], default="markdown")
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args(argv)
 
     cache = None
-    if args.cache_dir and not args.no_cache:
+    if args.cache_dir:
         from .cache import TableCache
 
         cache = TableCache(args.cache_dir)

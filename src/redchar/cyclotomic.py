@@ -176,11 +176,6 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
-def cyclotomic_json(conductor: int, num, den: int) -> dict:
-    """The JSON form of sum_i num[i] zeta_conductor^i / den, (num, den) reduced."""
-    return {"conductor": conductor, "coefficients": [f"{a}/{den}" for a in num]}
-
-
 class CyclotomicNumber:
     """An exact element of Q(zeta_e) over the power basis of Q[x]/Phi_e(x).
 
@@ -316,17 +311,6 @@ class CyclotomicNumber:
         return a.num == b.num and a.den == b.den
 
     __hash__ = None  # equality crosses conductors; no canonical cheap hash
-
-    # -- serialization ---------------------------------------------------
-
-    @staticmethod
-    def from_json(data: dict) -> "CyclotomicNumber":
-        coeffs = [Fraction(s) for s in data["coefficients"]]
-        den = 1
-        for f in coeffs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = [int(f * den) for f in coeffs]
-        return CyclotomicNumber(data["conductor"], num, den)
 
     def __repr__(self) -> str:
         if self.is_rational():

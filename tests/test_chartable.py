@@ -298,29 +298,25 @@ def test_table_prime_bound_refusal():
         find_table_prime(24, 48, bound=96)
 
 
-# SHA-256 of json.dumps(table.to_json(), sort_keys=True), recorded from the
-# scalar-DFT lift that the Vandermonde lift replaced; GL2(7) through SL3(4)
-# recorded from the eigenspace split that solved for each action matrix, before
-# the echelon-form split replaced it
+# SHA-256 of json.dumps(table.to_json(), sort_keys=True), recorded when the
+# form became the flat per-order rows; the stacked int64 rows of every table
+# here were equal to those of the cyclotomic-value form that this replaced
 TABLE_DIGESTS = {
-    "GL2(2)": "bc31e14d0cd2c45f2f9dd12ab36c6998fd55a4d187896dde644cdbbc355ae2b1",
-    "GL2(3)": "b48d4e04bc7573c26dc72bab1a1a0dc27a26ff46157fe45e62e3a3da54cac597",
-    "GL2(4)": "e07a80b7f90630ae7ecdd848bbf21903c5cac576b61341fecd4505e485868e24",
-    "GL2(5)": "cd0c9c1d95b86ebeef32f2d7e172203d0c873c6fc1a7b72bf5a4e56f6efe47b6",
-    "SL2(3)": "265b20dab031c0bab86c8d2c7195a05a4d9996740d0f79939ca1079eecc66d85",
-    "SL2(4)": "7faa53e434607fc43da4622db5675269fd274cb11417f8244e4a7ea98a28ef04",
-    "SL2(5)": "b152f354fe282357748999327fe0c13673b5c9c86cd63d38f8599284eaf8a0c0",
-    "GL3(2)": "1de70336c5b1fd68edae068b7cbd983b64b71a7e2ad75323575b05362d2a44aa",
-    "SL3(3)": "99a3e150b451fbb5381dc8bea77c1a4b6ef4c670458f18a14aee887602ed209a",
-    "GL2(7)": "65e8b4d1924e630d59388931da20cd623cffacc2de3269b570346ef5e59491b3",
-    "GL3(3)": "8994e032416e0b92a6103e8dc65de37b48da4fc6fe4e5e59427020c0c17b2e42",
-    "GL2(9)": "d7968a053ccc457ccd9ca57724156857b02b5b99e82fe53ff4c12ab35c78aec7",
-    "SL3(4)": "5581be37c892400a4122b0a0276f4673f5d29daaea2c8fafbda9e106309b984d",
-    # recorded from the dense layout (phi(e) coordinates per value) that the
-    # per-order blocks replaced; these have the widest gap between e and the
-    # class orders
-    "GL3(4)": "f3582891805268fffc1911f634d02bfcbcd74fba4e6b4b47042031edf1c3c858",
-    "SL3(5)": "bc5bb78b974862fbe5f654964b97f4c445662ad821e35ee329cedfd3e08dc7a8",
+    "GL2(2)": "232f32ae9a8fe7920575275bd6e272a68c4c3c29158ec6e0e1df52ba1ecc3df3",
+    "GL2(3)": "1b37e55f4184aaea7c637fefc203cda82f95f5ff8a7173e13b2b5c45e01681cf",
+    "GL2(4)": "2234b7421d7cb12410b6281098b294ca5ebb9ea77ac338b0320da4cf2474f6ba",
+    "GL2(5)": "29a735baca94547486f4377803b84816a606010e5d004acc7117fd32ecf02380",
+    "SL2(3)": "803faa5dc331bd983cfba45b00b704f3cee4f66f39cd8441719a6b2a071c4d93",
+    "SL2(4)": "fe95767fd05bf7dc7217ec128f8ed7c9da57324a813996be4193f6a880986ddb",
+    "SL2(5)": "0cfd585d701a217c4f7e64e407c0d226f5be56ccc6f6f4830cf11ba922ee9932",
+    "GL3(2)": "4242824d2f61e2743180f8a63b88f4f1b142fa6222a8ee5c0559b3285b10da42",
+    "SL3(3)": "1d0fc0e30cb86d1e8c00829d2fc8ae97846e50116e76325d1b61963c57d7ceab",
+    "GL2(7)": "71de915920dc180cdd5796235c2c366506b599975ad3c10a08bfd8ce0183fbc5",
+    "GL3(3)": "96045b9289809de4a4844a4d1960359de9499f6d6fc26cd3a7b091c7e82cea6c",
+    "GL2(9)": "87cfe6fe66b63ccbd41b465d3423103b878c2da868f7aea1864834837a23b7e6",
+    "SL3(4)": "d02908671d4370b209d46a6e4445b7cf54c0671f3b1fdf855ee09757c48b5a21",
+    "GL3(4)": "a976ed055fa51fe5d12c0f85ed18390e0a3c10aad6718eb362e38d638daf3dd8",
+    "SL3(5)": "2f7b55898ca608ea31cd8850c756b5d37026ad262a00d64e4f258dc77c5fc1da",
 }
 
 
@@ -452,20 +448,55 @@ def test_a_power_map_that_moves_class_sizes_is_refused(monkeypatch):
 
 
 def test_a_cache_hit_is_certified_exactly():
-    # one coefficient of a non-identity value shifted by the table prime:
+    # one coordinate of a non-identity class shifted by the table prime:
     # the mod-ell shadow cannot see it, the exact certificate refuses it
     group = cached_group("GL2(3)")
     payload = json.loads(json.dumps(table_of(group).to_json()))
+    ctx = _packed_context(group)
     ident = int(group.conjugacy().cls[group.identity_idx])
-    k = next(k for k in range(group.conjugacy().n_classes) if k != ident)
-    coefficients = payload["rows"][1]["values"][k]["coefficients"]
-    coefficients[0] = str(Fraction(coefficients[0]) + payload["ell"])
-    rows = [
-        ClassFunction(group, [CyclotomicNumber.from_json(v) for v in row["values"]])
-        for row in payload["rows"]
-    ]
+    k = next(k for k in range(ctx.n_classes) if k != ident)
+    payload["rows"][1][int(ctx.row_start[k])] += payload["ell"]
+    rows = [ClassFunction.from_flat(group, np.array(row)) for row in payload["rows"]]
     CharacterTable(group, rows, table_of(group).modular).verify_modular_orthogonality()
     with pytest.raises(AssertionError, match="orthogonality fails"):
+        CharacterTable.from_json(group, payload)
+
+
+@pytest.mark.parametrize(
+    "path, change, message",
+    [
+        (("rows", 1), lambda row: row + [0], "is not a list of"),
+        (("rows", 1), lambda row: row[:-1], "is not a list of"),
+        (("rows", 0, 0), float, "is not a list of"),  # the degree 1 as 1.0
+        (("rows", 1, 1), lambda v: v + 0.5, "is not a list of"),
+        (("rows", 0, 0), str, "is not a list of"),
+        (("rows", 0, 0), bool, "is not a list of"),
+        (("rows", 1, 0), lambda v: [v], "is not a list of"),
+        (("rows", 1), lambda row: [row], "is not a list of"),
+        (("rows", 1, 1), lambda v: 1 << 63, "beyond int64"),
+        (("rows", 1, 1), lambda v: -(1 << 63) - 1, "beyond int64"),
+        (("rows",), lambda rows: rows[:-1], "one row per class"),
+        (("class_orders", 1), lambda m: m + 1, "class data"),
+        (("class_sizes", 1), lambda s: s + 1, "class data"),
+        (("ell",), float, "not integers"),
+    ],
+    ids=[
+        "long-row", "short-row", "float-equal-to-an-int", "float", "string", "bool",
+        "nested-entry", "nested-row", "above-int64", "below-int64", "missing-row",
+        "class-orders", "class-sizes", "float-prime",
+    ],
+)
+def test_a_malformed_table_form_is_refused(path, change, message):
+    # each entry's type is checked: numpy would cast 1.5 to 1, "7" to 7 and
+    # True to 1, and turn an integer beyond int64 into a float
+    group = cached_group("GL2(3)")
+    payload = json.loads(json.dumps(table_of(group).to_json()))
+    *parents, last = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = change(target[last])
+    with pytest.raises(ValueError, match=message):
         CharacterTable.from_json(group, payload)
 
 

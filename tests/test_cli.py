@@ -201,34 +201,44 @@ def test_canonical_pieces_join_to_the_canonical_bytes(obj):
     assert b"".join(_canonical_pieces(obj)) == _canonical_bytes(obj)
 
 
-# payload digests recorded while entries were still written with indent=1
-@pytest.mark.parametrize(
-    "spec, digest",
-    [
-        ("GL2(4)", "8d1902711efbed3173a3fffaa43b667ba71f4de4ecee0f990c7dd1083e249713"),
-        ("GL2(5)", "f8cdec8446ee66ac41d7ecb7a0f517405100041f1712d9c7e4d0ce8f2d7dd13a"),
-        ("GL2(7)", "a69206e6c2540d067333d553cb7259972376531365bfdb66da8352bd49a5e956"),
-        ("SL2(7)", "c473747590bac73a3b301d19f10697d88ecf76dae30aaf38251b7bcc1cfb8a68"),
-    ],
-)
-def test_cache_entry_is_compact_canonical_json_with_the_recorded_digest(tmp_path, spec, digest):
+# payload digests recorded when the rows became the flat per-order integers
+PAYLOAD_DIGESTS = {
+    "GL2(4)": "feee40c087b9f29cac3361f445234b718f546b3cc1faa7a32b5427a4c174586b",
+    "GL2(5)": "4eb7c428707499f9657003c7440310d1c6b24b8ee69f625bc8925701e021f74b",
+    "GL2(7)": "5bfd7295ab1858bb6f82c45c405c9821f0b1e6cade46d25684e5cd37378c4545",
+    "SL2(7)": "d946e521e09cd7d0524b7b359cc40caa7964af58c3483cf1462be110c4c987ec",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PAYLOAD_DIGESTS))
+def test_cache_entry_is_compact_canonical_json_with_the_recorded_digest(tmp_path, spec):
     cache = TableCache(tmp_path)
     cache.get_or_compute("character-table", spec, lambda: table_of(cached_group(spec)).to_json())
     raw = cache._path(cache_key("character-table", spec)).read_bytes()
     entry = json.loads(raw)
     assert raw == _canonical_bytes(entry) + b"\n"
-    assert entry["sha256"] == digest
+    assert entry["sha256"] == PAYLOAD_DIGESTS[spec]
 
 
-@pytest.mark.parametrize("spec", ["GL2(5)", "SL2(7)"])
-def test_cold_and_warm_cache_runs_print_the_same_report(tmp_path, spec):
-    command = [sys.executable, "-m", "redchar.cli", "table", "--group", spec,
+@pytest.mark.parametrize(
+    "check, spec, entries",
+    [("table", "GL2(5)", 1), ("table", "SL2(7)", 1), ("all", "SL2(5)", 2)],
+    ids=["GL2(5)", "SL2(7)", "all-SL2(5)"],
+)
+def test_cold_and_warm_cache_runs_print_the_same_report(tmp_path, check, spec, entries):
+    # `all` on SL2(5) also reads GL2(5)'s table through the cache, for the
+    # Deligne-Lusztig context of every later check
+    command = [sys.executable, "-m", "redchar.cli", check, "--group", spec,
                "--cache-dir", str(tmp_path), "--format", "json"]
+
+    def entries_on_disk():
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in tmp_path.glob("*.json")}
+
     cold = subprocess.run(command, env=_subprocess_env(), capture_output=True, check=True)
-    (entry,) = tmp_path.glob("*.json")
-    written = entry.stat().st_mtime_ns
+    written = entries_on_disk()
+    assert len(written) == entries
     warm = subprocess.run(command, env=_subprocess_env(), capture_output=True, check=True)
-    assert entry.stat().st_mtime_ns == written  # a hit, not a rewrite
+    assert entries_on_disk() == written  # hits, not rewrites
     assert cold.stdout and warm.stdout == cold.stdout and warm.stderr == b""
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from redchar.cyclotomic import (
     CyclotomicNumber,
-    cyclotomic_json,
     cyclotomic_polynomial,
     euler_phi,
     power_matrix,
@@ -131,13 +130,6 @@ def test_rational_interop():
 def test_galois_refuses_a_non_unit():
     with pytest.raises(ValueError):
         galois(zeta(6), 2)
-
-
-def test_serialization_roundtrip():
-    x = zeta(12, 7) * Fraction(3, 4) + 5
-    data = cyclotomic_json(x.conductor, x.num, x.den)
-    assert data["conductor"] == 12
-    assert CyclotomicNumber.from_json(data) == x
 
 
 small_values = st.integers(min_value=-30, max_value=30)
