@@ -52,11 +52,7 @@ class TableCache:
             try:
                 return _read_payload(path)
             except ValueError as exc:  # also a JSON or UTF-8 decoding error
-                print(
-                    f"warning: cache entry {path.name} corrupt ({exc}); recomputing",
-                    file=sys.stderr,
-                )
-                path.unlink(missing_ok=True)
+                self.discard(kind, spec, exc)
         payload = producer()
         key_bytes = _canonical_bytes({"kind": kind, "spec": spec, "version": ALGORITHM_VERSION})
         digest = hashlib.sha256()
@@ -70,6 +66,13 @@ class TableCache:
 
         _write_whole(path, entry())
         return payload
+
+    def discard(self, kind: str, spec: str, reason) -> None:
+        """Delete the entry for (kind, spec), which is corrupt for `reason`,
+        with a warning; the next get_or_compute recomputes it."""
+        path = self._path(cache_key(kind, spec))
+        print(f"warning: cache entry {path.name} corrupt ({reason}); recomputing", file=sys.stderr)
+        path.unlink(missing_ok=True)
 
 
 def _read_payload(path: Path) -> dict:

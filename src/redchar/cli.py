@@ -10,15 +10,29 @@ failed item, 2 for an unknown check, 3 for an InvalidSpec or UnsupportedSpec
 and 4 above the budget.  A certificate that refuses what construction built
 (a RuntimeError or AssertionError while a check builds its group, table,
 series or Jordan data) is a failed item of that check's report.  Other
-exceptions are internal errors.
+exceptions are internal errors.  The tool runs numpy's BLAS on one thread
+unless OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
+
+# OpenBLAS reads this once, when numpy loads it, so it is set before the
+# first import below that loads numpy.  Its default pool of nproc - 1 workers
+# busy-waits about 0.13 s of CPU per process after start-up and after every
+# BLAS call, and only the float64 products of the largest tables call BLAS.
+# On a 2-core host one thread took `table GL2(7)` from 0.45 to 0.34 s of CPU,
+# `table GL2(16)` from 1.55-1.79 to 1.05-1.41 s and `all GL2(13)` from 2.41
+# to 1.88 s, at the same wall time.  Only the thread count changes, not a
+# product's value: the float64 tier is exact in any summation order.  This
+# is the process's thread policy, so it lives in the tool, not in the package
+# that a host program imports.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .chartable import CharacterTable, _packed_context, table_of, twisted_fs_indicators
 from .groups import (
@@ -48,11 +62,18 @@ _EXACT_OP_BUDGET = 2 * 10**9  # int64 operation budget for the exact table check
 def _group_for(spec_text: str, budget: int, cache: TableCache | None):
     group = cached_group(spec_text, budget)
     if cache is not None:
-        payload = cache.get_or_compute(
-            "character-table", str(group.spec), lambda: table_of(group).to_json()
-        )
+        kind, spec = "character-table", str(group.spec)
+
+        def produce():
+            return table_of(group).to_json()
+
+        payload = cache.get_or_compute(kind, spec, produce)
         if group._table is None:
-            group._table = CharacterTable.from_json(group, payload)
+            try:
+                group._table = CharacterTable.from_json(group, payload)
+            except ValueError as exc:  # an entry the reader refuses is recomputed
+                cache.discard(kind, spec, exc)
+                cache.get_or_compute(kind, spec, produce)
     else:
         table_of(group)
     return group

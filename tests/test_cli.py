@@ -243,7 +243,7 @@ def test_cold_and_warm_cache_runs_print_the_same_report(tmp_path, check, spec, e
 
 
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 
 def loaded():
     return sorted(m for m in sys.modules if m == "redchar" or m.startswith("redchar."))
@@ -254,22 +254,30 @@ import redchar.cli
 cli = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = redchar.cli.main(json.loads(sys.argv[1]))
-print(json.dumps([package, cli, loaded(), code, redchar.rootdatum.__name__]))
+blas = os.environ.get("OPENBLAS_NUM_THREADS")
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([package, cli, loaded(), code, redchar.rootdatum.__name__, blas, threads]))
 """
 
 
-def _import_probe(argv: list[str]):
+def _import_probe(argv: list[str], blas_threads: str | None = None):
     """Modules loaded by `import redchar`, then `import redchar.cli`, then
-    `main(argv)`, in a fresh process; with main's exit status."""
+    `main(argv)`, in a fresh process; with main's exit status, the process's
+    OPENBLAS_NUM_THREADS and its thread count (None without /proc/self/task).
+    The process inherits OPENBLAS_NUM_THREADS only as `blas_threads`."""
+    env = _subprocess_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
-        env=_subprocess_env(), capture_output=True, check=True,
+        env=env, capture_output=True, check=True,
     )
     return json.loads(out.stdout)
 
 
 def test_a_table_job_loads_only_the_table_path(tmp_path):
-    package, cli, table_job, code, submodule = _import_probe(
+    package, cli, table_job, code, submodule, blas, threads = _import_probe(
         ["table", "--group", "GL2(5)", "--cache-dir", str(tmp_path), "--format", "json"]
     )
     assert package == ["redchar"]
@@ -278,13 +286,24 @@ def test_a_table_job_loads_only_the_table_path(tmp_path):
     assert table_job == sorted(cli + ["redchar.cache"])
     assert code == 0
     assert submodule == "redchar.rootdatum"  # loaded on first access
+    # the tool runs BLAS on one thread, so numpy starts no worker thread
+    assert blas == "1"
+    if threads is not None:
+        assert threads == 1
+
+
+def test_the_tool_keeps_a_blas_thread_count_the_caller_set():
+    *_, code, _submodule, blas, _threads = _import_probe(["table", "--group", "GL2(3)"], "2")
+    assert code == 0 and blas == "2"
 
 
 @pytest.mark.parametrize("check", ["fs-indicator", "center-h1"])
 def test_spec_level_checks_load_neither_dl_nor_jordan(check):
     # both read the 2H^1 predicate from the root datum of the spec, and
     # fs-indicator twists by the duality involution
-    _package, cli, job, code, _submodule = _import_probe([check, "--group", "GL2(5)"])
+    _package, cli, job, code, _submodule, _blas, _threads = _import_probe(
+        [check, "--group", "GL2(5)"]
+    )
     assert code == 0
     twist = ["redchar.automorphisms"] if check == "fs-indicator" else []
     assert job == sorted(cli + twist + ["redchar.intlinalg", "redchar.rootdatum"])
@@ -322,17 +341,34 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def _with_a_float_entry(whole: bytes) -> bytes:
+    """The entry with the degree 1 of its first row written as 1.0 and its
+    digest recomputed: a hit that only `CharacterTable.from_json` refuses."""
+    entry = json.loads(whole)
+    entry["payload"]["rows"][0][0] = 1.0
+    entry["sha256"] = hashlib.sha256(_canonical_bytes(entry["payload"])).hexdigest()
+    return _canonical_bytes(entry)
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    ["[]", "null", '{"payload": [], "sha256": "x"}', '{"payload": {"x": 2}, "sha256": 5}', "truncated"],
+    ["[]", "null", '{"payload": [], "sha256": "x"}', '{"payload": {"x": 2}, "sha256": 5}',
+     "truncated", "float-entry"],
 )
-def test_cli_discards_a_malformed_cache_entry(tmp_path, capsys, corrupt):
+def test_cli_discards_a_malformed_cache_entry(tmp_path, monkeypatch, capsys, corrupt):
     argv = ["table", "--group", "GL2(3)", "--cache-dir", str(tmp_path), "--format", "json"]
     assert main(argv) == 0
     cold = capsys.readouterr().out
     (path,) = tmp_path.iterdir()
     whole = path.read_bytes()
-    path.write_bytes(whole[: len(whole) // 2] if corrupt == "truncated" else corrupt.encode())
+    if corrupt == "truncated":
+        path.write_bytes(whole[: len(whole) // 2])
+    elif corrupt == "float-entry":
+        path.write_bytes(_with_a_float_entry(whole))
+    else:
+        path.write_bytes(corrupt.encode())
+    # as in a fresh process, the table is not in memory, so a hit is decoded
+    monkeypatch.setattr(cached_group("GL2(3)"), "_table", None)
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert out == cold and "corrupt" in err
