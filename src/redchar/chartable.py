@@ -81,7 +81,7 @@ from .cyclotomic import (
     prime_factors,
 )
 from .finitefield import poly_roots
-from .groups import GroupRealization, _bmm
+from .groups import GroupRealization
 
 if TYPE_CHECKING:  # the automorphisms module stays off the `table` path
     from .automorphisms import GroupAutomorphism
@@ -485,7 +485,9 @@ def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]
     """`twisted_fs_indicator` of every class function in `fs`.
 
     The classes of g * iota(g) depend only on iota, so they are counted in
-    one product pass over the group and each f is summed against the counts.
+    one pass of `GroupRealization.products` over the group (dot-table
+    lookups, one chunk of pairs at a time) and each f is summed against the
+    counts.
     """
     if not iota.is_involution():
         raise ValueError("twisted indicator needs an involutive automorphism")
@@ -493,8 +495,7 @@ def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]
     if any(f.group is not g for f in fs):
         raise ValueError("automorphism of a different group")
     data = g.conjugacy()
-    prods = _bmm(g.tables, g.elements, g.elements[iota.perm])
-    counts = np.bincount(data.cls[g.lookup(prods)], minlength=data.n_classes)
+    counts = np.bincount(data.cls[g.products(np.arange(g.order), iota.perm)], minlength=data.n_classes)
     return [_order_sum(parts, f.den * g.order) for f, parts in zip(fs, _weighted_sums(fs, counts))]
 
 
@@ -759,9 +760,11 @@ class CharacterTable:
     def from_json(group: GroupRealization, data: dict) -> "CharacterTable":
         """Rebuild a table from its serialized form and re-certify it exactly.
 
-        A ValueError unless the class data are the group's and the rows are
-        one flat list per class of integers that fit in int64, so that no
-        entry is cast."""
+        A ValueError unless every key that `to_json` writes is present, the
+        class data are the group's and the rows are one flat list per class
+        of integers that fit in int64, so that no entry is cast."""
+        if {"group", "exponent", "ell", "zeta_mod", "class_sizes", "class_orders", "degrees", "rows"} - data.keys():
+            raise ValueError("a serialized table lacks a key")
         if data["group"] != str(group.spec):
             raise ValueError("table serialized for a different group")
         conj, ctx = group.conjugacy(), _packed_context(group)

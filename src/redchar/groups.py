@@ -24,18 +24,20 @@ with _start[p] the index of the prefix's first element and _rank the rank
 of y among the completions of c (-|G| off them, so the sum is negative off
 the group).  These tables have q^(n(n-1)) and q^(2n) entries, and nothing
 has q^(n^2).  The n x n matrices of the elements are made from their row
-codes when read: `matrices` for a few, `elements` for the whole group.
+codes when read (`matrices`), only for the few elements asked for.
 
 Multiplying many elements by one fixed matrix h is the group's bulk
-primitive: the row table T_h[c] = code(row c * h) has q^n entries, so x h for
-every x is n gathers into T_h and one index lookup.  Row i of m y is
-sum_j m_ij (row j of y), read through a scale table and a row-sum table, so
-conjugation x -> m x m^-1 is T_{m^-1} and then row operations for m, and the
-generation proof runs on right multiplications: no product or conjugation
-forms a transpose.  Only products of two element arrays still multiply
-matrices entry by entry.  Every whole-group map runs _CHUNK elements at a
-time into int32 indices, so its temporaries do not grow with |G|.  Row
-codes are held in np.min_scalar_type(q^n - 1) and class labels in
+primitive: the row table T_h[c] = code(row c * h) has q^n entries, and entry
+k of row c * h is D[c, code of column k of h], so T_h is one gather into D
+and x h for every x is n gathers into T_h and one index lookup.  Row i of
+m y is sum_j m_ij (row j of y), read through a scale table and a row-sum
+table, so conjugation x -> m x m^-1 is T_{m^-1} and then row operations for
+m, and the generation proof runs on right multiplications.  Products of two
+element arrays read D as well: entry (i, k) of x y is D[row i of x, column k
+of y], so `products` takes the column codes of the right factors and n^2
+lookups into D per product.  Every whole-group map runs _CHUNK elements (or
+pairs) at a time into int32 indices, so its temporaries do not grow with
+|G|.  Row codes are held in np.min_scalar_type(q^n - 1) and class labels in
 np.min_scalar_type(r - 1), one byte each up to q^n = 256 and r = 256, and
 positions computed from codes are formed in int32, where they cannot wrap.
 
@@ -60,7 +62,7 @@ from .cyclotomic import prime_factors
 from .finitefield import FiniteField, finite_field
 
 DEFAULT_BUDGET = 10**6
-_CHUNK = 1 << 16  # elements per chunk of a whole-group map (`GroupRealization._images`)
+_CHUNK = 1 << 16  # elements per chunk of a whole-group map (`GroupRealization._images`, `products`)
 
 _SPEC_RE = re.compile(r"^(GL|SL)([123])\((\d+)\)$")
 
@@ -144,16 +146,6 @@ class _Tables:
 
     def sub(self, a, b):
         return self.add[a, self.neg[b]]
-
-
-def _bmm(tab: _Tables, a, b):
-    """Batched matrix multiply of code arrays with shapes (..., n, n)."""
-    n = a.shape[-1]
-    acc = None
-    for j in range(n):
-        term = tab.mul[a[..., :, j][..., :, None], b[..., j, :][..., None, :]]
-        acc = term if acc is None else tab.add[acc, term]
-    return acc
 
 
 def _horner(digits: np.ndarray, base: int, dtype=np.int64) -> np.ndarray:
@@ -279,8 +271,8 @@ class GroupRealization:
 
     The elements are written prefix by prefix from the completion table of
     the module docstring, not found by testing candidate matrices; `_rows`
-    and `elements` are in key order, and `_find` maps row codes to indices
-    through the prefix and rank tables.
+    is in key order, and `_find` maps row codes to indices through the
+    prefix and rank tables.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -337,13 +329,6 @@ class GroupRealization:
             rows[:, n - 1] = completions[cofactors.take(which), k]
         ident = np.eye(n, dtype=np.uint8)
         self.identity_idx = int(self.lookup(ident[None])[0])
-
-    @cached_property
-    def elements(self) -> np.ndarray:
-        """Every element as an n x n code matrix, in key order, built on first
-        read.  Whole-group readers (the twisted indicator's products, tests)
-        use it; a `table` job reads only `matrices`."""
-        return self._row_vectors.take(self._rows, axis=0)
 
     def matrices(self, idx) -> np.ndarray:
         """The code matrices of the elements at `idx` (an index or an index
@@ -445,10 +430,22 @@ class GroupRealization:
 
     def _row_table(self, h: np.ndarray) -> np.ndarray:
         """T[..., c] = code of (row c) h for every row code c, for code
-        matrices h of shape (..., n, n), in the group or not."""
-        vectors = self._row_vectors[:, None, :]
-        prod = _bmm(self.tables, vectors, h[..., None, :, :])[..., 0, :]
-        return _horner(prod, self.q, self._codes)
+        matrices h of shape (..., n, n), in the group or not: entry k of
+        (row c) h is D[c, code of column k of h], one dot-table gather."""
+        columns = _horner(np.swapaxes(h, -1, -2), self.q, np.int32)
+        return _horner(np.moveaxis(self._dot.take(columns, axis=1), 0, -2), self.q, self._codes)
+
+    def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Indices (int32) of x y for the elements x at `a` and y at `b`,
+        index arrays of equal length, _CHUNK pairs at a time: entry (i, k)
+        of x y is D[row i of x, column k of y], so each product is n^2
+        dot-table lookups on the row codes of x and the column codes of y."""
+        parts = []
+        for start in range(0, max(len(a), 1), _CHUNK):  # one chunk when empty
+            rows = self._rows.take(a[start : start + _CHUNK], axis=0)
+            columns = self._transposed_rows(self._rows.take(b[start : start + _CHUNK], axis=0))
+            parts.append(self.lookup(self._dot[rows[:, :, None], columns[:, None, :]]))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def right_mul(self, h: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Indices of x h for the elements x at `idx` (default: all).
@@ -593,16 +590,14 @@ class GroupRealization:
     def _powers(self, reps: np.ndarray, cls: np.ndarray) -> tuple[list, np.ndarray]:
         """The order of each element at `reps` and the classes of its powers,
         [i, t] = cls(reps[i]^t) for t < max order, as int64: one batched
-        power loop."""
-        base = self.matrices(reps)
+        power loop on indices."""
         orders = np.zeros(len(reps), dtype=np.int64)
         columns = [np.full(len(reps), cls[self.identity_idx])]
-        power, t = base, 1
+        power, t = reps, 1
         while not orders.all():
-            idx = self.lookup(power)
-            orders[(orders == 0) & (idx == self.identity_idx)] = t
-            columns.append(cls[idx])
-            power, t = _bmm(self.tables, power, base), t + 1
+            orders[(orders == 0) & (power == self.identity_idx)] = t
+            columns.append(cls[power])
+            power, t = self.products(power, reps), t + 1
         return orders.tolist(), np.stack(columns[:-1], axis=1).astype(np.int64)
 
     def __repr__(self) -> str:

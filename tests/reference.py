@@ -10,7 +10,6 @@ import numpy as np
 
 from redchar.cyclotomic import CyclotomicNumber, zeta
 from redchar.dl import SemisimpleClassLabel, lusztig_series
-from redchar.groups import _bmm
 
 
 def galois(x: CyclotomicNumber, k: int) -> CyclotomicNumber:
@@ -27,9 +26,20 @@ def conjugate(x: CyclotomicNumber) -> CyclotomicNumber:
     return galois(x, -1)
 
 
+def bmm(tab, a, b):
+    """Batched matrix multiply of code arrays with shapes (..., n, n), entry
+    by entry through the field's multiplication and addition tables."""
+    n = a.shape[-1]
+    acc = None
+    for j in range(n):
+        term = tab.mul[a[..., :, j][..., :, None], b[..., j, :][..., None, :]]
+        acc = term if acc is None else tab.add[acc, term]
+    return acc
+
+
 def mul_idx(group, i: int, j: int) -> int:
     """The index of the product of elements i and j, from their matrices."""
-    prod = _bmm(group.tables, group.matrices(i)[None], group.matrices(j)[None])
+    prod = bmm(group.tables, group.matrices(i)[None], group.matrices(j)[None])
     return int(group.lookup(prod)[0])
 
 
@@ -45,7 +55,7 @@ def element_order(group, i: int) -> int:
 def borel_indices(group) -> np.ndarray:
     """The indices of the upper triangular elements, read off their matrices."""
     below = np.tril(np.ones((group.n, group.n), dtype=bool), -1)
-    return np.flatnonzero(~group.elements[:, below].any(axis=1))
+    return np.flatnonzero(~group.matrices(np.arange(group.order))[:, below].any(axis=1))
 
 
 def is_central(label: SemisimpleClassLabel) -> bool:

@@ -598,7 +598,7 @@ def _class_matrix_through_the_inverse_map(g, i):
     """M_i with every column, from x^-1 = inv_perm[x] over the members x of C_i."""
     data = g.conjugacy()
     x_inv = g.inv_perm[data.members(i)]
-    classes = data.cls[g.right_mul(g.elements[data.reps], x_inv)]  # (classes k, x)
+    classes = data.cls[g.right_mul(g.matrices(data.reps), x_inv)]  # (classes k, x)
     return np.stack([np.bincount(row, minlength=data.n_classes) for row in classes], axis=1)
 
 

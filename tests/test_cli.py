@@ -341,11 +341,15 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
-def _with_a_float_entry(whole: bytes) -> bytes:
-    """The entry with the degree 1 of its first row written as 1.0 and its
-    digest recomputed: a hit that only `CharacterTable.from_json` refuses."""
+def _with_an_edited_payload(whole: bytes, corrupt: str) -> bytes:
+    """The entry with its payload edited and its digest recomputed, a hit
+    that only `CharacterTable.from_json` refuses: "float-entry" writes the
+    degree 1 of the first row as 1.0, "missing-rows" deletes the rows."""
     entry = json.loads(whole)
-    entry["payload"]["rows"][0][0] = 1.0
+    if corrupt == "float-entry":
+        entry["payload"]["rows"][0][0] = 1.0
+    else:
+        del entry["payload"]["rows"]
     entry["sha256"] = hashlib.sha256(_canonical_bytes(entry["payload"])).hexdigest()
     return _canonical_bytes(entry)
 
@@ -353,7 +357,7 @@ def _with_a_float_entry(whole: bytes) -> bytes:
 @pytest.mark.parametrize(
     "corrupt",
     ["[]", "null", '{"payload": [], "sha256": "x"}', '{"payload": {"x": 2}, "sha256": 5}',
-     "truncated", "float-entry"],
+     "truncated", "float-entry", "missing-rows"],
 )
 def test_cli_discards_a_malformed_cache_entry(tmp_path, monkeypatch, capsys, corrupt):
     argv = ["table", "--group", "GL2(3)", "--cache-dir", str(tmp_path), "--format", "json"]
@@ -363,8 +367,8 @@ def test_cli_discards_a_malformed_cache_entry(tmp_path, monkeypatch, capsys, cor
     whole = path.read_bytes()
     if corrupt == "truncated":
         path.write_bytes(whole[: len(whole) // 2])
-    elif corrupt == "float-entry":
-        path.write_bytes(_with_a_float_entry(whole))
+    elif corrupt in ("float-entry", "missing-rows"):
+        path.write_bytes(_with_an_edited_payload(whole, corrupt))
     else:
         path.write_bytes(corrupt.encode())
     # as in a fresh process, the table is not in memory, so a hit is decoded
@@ -459,6 +463,10 @@ REPORT_DIGESTS = {
     ("dl-orthogonality", "GL2(5)"): "b00e53fb8df33fc813106974413304cb1f196bf853057de19b65614ad92caf89",
     ("torus-lemma", "GL3(2)"): "fe1474b0ab73cc47e0c4ab696bdde003048dc62e05e1f30bc3a30c285d7232b1",
     ("fs-indicator", "GL3(3)"): "6cef36f7ad7256c8d93708adb3a9cdb1f2b3f0aea0a48396986e829bfd8522e9",
+    # SL3(4): a pinning-dependent scope and a nontrivial adjoint action;
+    # SL3(5): 372,000 products, six chunks of `GroupRealization.products`
+    ("fs-indicator", "SL3(4)"): "ff066786f51250116862abd7e2deea8dd662f4b9da41aaf9216dac68abb1ead4",
+    ("fs-indicator", "SL3(5)"): "e85948c8543b613df2f402b4ce5475ff5b4b9fe54c6f83f98a599a78345ae89f",
     # recorded while class labels still came from characteristic polynomials
     ("series-partition", "GL2(9)"): "40a449b7abe6b5e8e6ba46f162489d6bb67371ad2460a79899cdcc917b103e36",
     ("jordan-dual", "GL2(9)"): "fff2da794b906ca5c83e908630f3b90e1ba7ae5982135fcd3db14e6ddb7182c0",
@@ -536,11 +544,19 @@ def test_optimized_interpreter_keeps_the_checks_and_the_report():
     assert plain.stdout and optimized.stdout == plain.stdout
 
 
-def test_the_benchmark_trace_hooks_find_every_name_they_wrap():
+def test_the_benchmark_trace_hooks_find_every_name_they_wrap(tmp_path):
     # perfbench/tracejob.py wraps package functions and methods by name, so
-    # deleting or renaming one must fail here and not only in a benchmark run
+    # deleting or renaming one must fail here and not only in a benchmark run;
+    # a traced job then calls the wrappers, so a changed signature fails too
     perfbench = Path(SRC).parent / "perfbench"
     install = "import tracejob; tracejob.install(tracejob.Tracer())"
     env = dict(_subprocess_env(), PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
     result = subprocess.run([sys.executable, "-c", install], cwd=perfbench, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    spans = tmp_path / "spans.json"
+    job = ["table", "--group", "GL2(3)", "--format", "json", "--cache-dir", str(tmp_path / "cache")]
+    result = subprocess.run(
+        [sys.executable, str(perfbench / "tracejob.py"), str(spans), *job], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(spans.read_text())["metrics"]["cache.misses"] == 1

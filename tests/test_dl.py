@@ -582,7 +582,7 @@ def test_split_torus_dl_equals_borel_induction():
         borel = borel_indices(g)
         for exps in itertools.product(range(q - 1), repeat=n):
             theta_of_borel = [
-                step * sum(c * g.field.log[int(g.elements[idx][i, i])] for i, c in enumerate(exps))
+                step * sum(c * g.field.log[int(g.matrices(idx)[i, i])] for i, c in enumerate(exps))
                 for idx in borel
             ]
             induced = induce_from_subgroup(g, borel, theta_of_borel)

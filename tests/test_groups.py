@@ -16,12 +16,11 @@ from redchar.groups import (
     BudgetExceeded,
     GroupRealization,
     GroupSpec,
-    _bmm,
     cached_group,
 )
 from redchar.jordan import dual_centralizer
 
-from reference import borel_indices, element_order, mul_idx
+from reference import bmm, borel_indices, element_order, mul_idx
 
 
 def _bdet(tab, a):
@@ -270,13 +269,13 @@ def test_root_subgroup_torus_relations():
         g = cached_group(name)
         fld = g.field
         for t_idx in g.torus_indices:
-            t_mat = g.elements[t_idx]
+            t_mat = g.matrices(t_idx)
             diag = [int(t_mat[i, i]) for i in range(g.n)]
             for i in range(g.n - 1):
                 alpha_t = fld.mul_codes(diag[i], fld.inv_code(diag[i + 1]))
                 for c in range(1, g.q):
                     x = g.root_subgroup_element(i, c)
-                    lhs = g.conjugation_perm(g.elements[t_idx])[x]
+                    lhs = g.conjugation_perm(g.matrices(t_idx))[x]
                     rhs = g.root_subgroup_element(i, fld.mul_codes(alpha_t, c))
                     assert int(lhs) == rhs
 
@@ -285,13 +284,13 @@ def test_root_subgroup_torus_relations():
 
 
 def _reference_conjugation(group, m):
-    m = m[None]
-    return group.lookup(_bmm(group.tables, _bmm(group.tables, m, group.elements), _binv(group.tables, m)))
+    m, elements = m[None], group.matrices(np.arange(group.order))
+    return group.lookup(bmm(group.tables, bmm(group.tables, m, elements), _binv(group.tables, m)))
 
 
 def _left_multiplication(group, h):
     """x -> h x by row operations on the rows of x (`_left_rows`)."""
-    return group._images(lambda rows: group._left_rows(group.elements[h], rows))
+    return group._images(lambda rows: group._left_rows(group.matrices(h), rows))
 
 
 def _kernel_multipliers(group):
@@ -312,17 +311,24 @@ _CODE_EDGES = ["GL2(16)", "GL2(17)"]
 
 
 @pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(2)", "SL3(3)"] + _CODE_EDGES)
-def test_row_table_products_match_matrix_products(name):
+def test_row_table_products_match_matrix_products(name, monkeypatch):
     g = cached_group(name)
-    tab, elems = g.tables, g.elements
+    tab, elems = g.tables, g.matrices(np.arange(g.order))
     for h in _kernel_multipliers(g):
         hm = elems[h][None]
-        assert np.array_equal(g.right_mul(elems[h]), g.lookup(_bmm(tab, elems, hm)))
-        assert np.array_equal(_left_multiplication(g, h), g.lookup(_bmm(tab, hm, elems)))
+        assert np.array_equal(g.right_mul(elems[h]), g.lookup(bmm(tab, elems, hm)))
+        assert np.array_equal(_left_multiplication(g, h), g.lookup(bmm(tab, hm, elems)))
         assert np.array_equal(g.conjugation_perm(elems[h]), _reference_conjugation(g, elems[h]))
     subset = np.arange(0, g.order, 7)
     h = g.generators()[0]
     assert np.array_equal(g.right_mul(elems[h], subset), g.right_mul(elems[h])[subset])
+    # products of two element arrays, in one chunk and in several
+    a, b = np.random.default_rng(0).integers(0, g.order, size=(2, 2000))
+    expected = g.lookup(bmm(tab, elems[a], elems[b]))
+    assert g.products(a, b).dtype == np.int32 and np.array_equal(g.products(a, b), expected)
+    monkeypatch.setattr(groups, "_CHUNK", 300)  # the last chunk short
+    assert np.array_equal(g.products(a, b), expected)
+    assert g.products(a[:0], b[:0]).shape == (0,)
 
 
 def test_ad_by_matrix_off_the_group_matches_matrix_products():
@@ -402,13 +408,13 @@ def test_class_matrices_match_a_direct_count(name, monkeypatch):
     g = cached_group(name)
     data = g.conjugacy()
     r = data.n_classes
-    reps = g.elements[data.reps]
+    reps = g.matrices(data.reps)
     for i in range(r):
-        members = g.elements[data.members(i)]
+        members = g.matrices(data.members(i))
         expected = np.zeros((r, r), dtype=np.int64)
         if g.order <= 200:
             # all pairs (x, y) in C_i x G, keeping those with x y a representative
-            prods = g.lookup(_bmm(g.tables, members[:, None], g.elements[None]))
+            prods = g.lookup(bmm(g.tables, members[:, None], g.matrices(np.arange(g.order))[None]))
             for k, rep in enumerate(data.reps):
                 _, y_idx = np.nonzero(prods == rep)
                 np.add.at(expected[:, k], data.cls[y_idx], 1)
@@ -416,7 +422,7 @@ def test_class_matrices_match_a_direct_count(name, monkeypatch):
             # y = x^-1 g_k is the one partner of x, with x^-1 from the adjugate
             x_inv = _binv(g.tables, members)
             for k in range(r):
-                ys = g.lookup(_bmm(g.tables, x_inv, reps[k][None]))
+                ys = g.lookup(bmm(g.tables, x_inv, reps[k][None]))
                 expected[:, k] = np.bincount(data.cls[ys], minlength=r)
         cols = np.arange(r)[1::3][::-1]  # a subset, out of order
         assert np.array_equal(chartable._class_matrix(g, i, np.arange(r)), expected), i
@@ -516,7 +522,6 @@ _SWEEP_SPECS = [
 def test_row_code_construction_matches_the_candidate_sweep(name):
     g = cached_group(name)
     elements, index = _candidate_sweep(g)
-    assert np.array_equal(g.elements, elements)
     assert np.array_equal(g.matrices(np.arange(g.order)), elements)
     weights = g.q ** np.arange(g.n - 1, -1, -1)
     assert np.array_equal(g._rows, (elements.astype(np.int64) * weights).sum(axis=2))
@@ -547,10 +552,10 @@ def test_batched_powers_match_element_order(name):
     g = cached_group(name)
     data = g.conjugacy()
     assert data.orders == [element_order(g, int(x)) for x in data.reps]
-    power = np.broadcast_to(g.elements[g.identity_idx], (data.n_classes, g.n, g.n))
+    power = np.broadcast_to(g.matrices(g.identity_idx), (data.n_classes, g.n, g.n))
     for t in range(data.power_classes.shape[1]):
         assert np.array_equal(data.power_classes[:, t], data.cls[g.lookup(power)])
-        power = _bmm(g.tables, power, g.elements[data.reps])
+        power = bmm(g.tables, power, g.matrices(data.reps))
     assert data.power_classes.shape[1] == max(data.orders)
 
 
@@ -596,7 +601,7 @@ def _label_orbit(perms, labels, start, label):
 def _bfs_conjugacy(g):
     """The per-class search: one breadth-first search from each least
     unlabelled element, by the conjugation permutations of the generators."""
-    perms = [g.conjugation_perm(g.elements[h]) for h in g.generators()]
+    perms = [g.conjugation_perm(g.matrices(h)) for h in g.generators()]
     cls = np.full(g.order, -1, dtype=np.int64)
     reps = []
     for start in range(g.order):
@@ -645,10 +650,10 @@ def test_left_multiplication_after_inverse_is_conjugation(name):
     # row operations for h; both steps against entry-by-entry products
     g = cached_group(name)
     for h in g.generators():
-        conj = g.conjugation_perm(g.elements[h])
-        assert np.array_equal(conj, _reference_conjugation(g, g.elements[h]))
+        conj = g.conjugation_perm(g.matrices(h))
+        assert np.array_equal(conj, _reference_conjugation(g, g.matrices(h)))
         left = _left_multiplication(g, h)
-        assert np.array_equal(conj, left[g.right_mul(g.elements[g.inv_perm[h]])])
+        assert np.array_equal(conj, left[g.right_mul(g.matrices(g.inv_perm[h]))])
 
 
 @pytest.mark.parametrize("name", ["GL2(4)", "SL2(5)", "GL3(3)", "SL3(3)", "SL3(5)"])

@@ -22,6 +22,9 @@
   internal check raises explicitly.
 - Polynomial arithmetic over F_p has one home: a function named `_poly*` or
   `poly_*` is defined only in `finitefield.py`.
+- Matrices over F_q have one home: only `groups.py` uses an attribute named
+  `tables` (the field's lookup tables), so no other module multiplies group
+  elements entry by entry.
 """
 
 import ast
@@ -396,3 +399,14 @@ def test_polynomial_toolkit_lives_only_in_finitefield():
         and node.name.startswith(("_poly", "poly_"))
     ]
     assert offenders == [], f"F_p polynomial helpers outside finitefield: {offenders}"
+
+
+def test_matrix_arithmetic_lives_only_in_groups():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "groups.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "tables"
+    ]
+    assert offenders == [], f"F_q lookup tables read outside groups: {offenders}"
