@@ -473,6 +473,17 @@ REPORT_DIGESTS = {
     ("series-partition", "GL3(4)"): "e5ae1f789d0971248997eca9e956b30c48c300fb0ed162aa7922e0521ce355dc",
     ("jordan-dual", "GL3(4)"): "0037343aadd58068ac7b59440824795219d82bf2d903cce4fa26dfd0fa45290a",
     ("disconnected-jordan", "SL2(9)"): "a9184c689c0285df886bf140317988b203f2aede57d6898448aea670e9b83c6d",
+    # recorded while irreducibles were looked up one function at a time
+    ("jordan-auto", "GL2(9)"): "2c604cef1ea0937e8178e474683ecf87292b745f865c59d6eb1a55ff788d4262",
+    ("jordan-auto", "GL3(3)"): "5c5d6e855b51110ebd348ab99313ad2ed31a7c4774ceb170bc8f4808984a46bf",
+    ("dualizing", "GL2(9)"): "35ea3e94c9f8ad6db5d9f7cb98ba59576b29dfe1d56b5b08337920bfdf1f9781",
+    ("dualizing", "SL2(9)"): "4670abf3fecdfa5ee7b38cec63689ff0712b03121a2f0a757b5528f20b200eab",
+    ("generic", "GL2(9)"): "cef222c0204cbcb6c8322562eb17229494b77a61c5758ac11f2416da57c9da6c",
+    ("generic", "SL2(9)"): "69e2416d0b3a4b5cbd0db0f600638c64c0bec22b997c8ebba39df4d8e482025e",
+    ("generic", "SL3(4)"): "eb1d2082675c43d8f8418c0dc9133288e02c4aadef435f0896c47c6bb121a98c",
+    ("jordan-dual", "SL2(9)"): "af21b194a6661a311540290ed6459ae15ac0445609db542ca1698933e82f9974",
+    ("jordan-dual", "SL3(4)"): "22ae3c70ec192dfa0813e6aab5c7c62562bda758cf06bf0af141f0f43dac9b68",
+    ("series-partition", "SL2(9)"): "6ecf4fd04fd9ad7634928fd729a17992f290d18464c9516f1b2ef6738fba4232",
 }
 
 
