@@ -59,6 +59,12 @@ their exclusion-theorem counts.  A square table needs no column Gram:
 X S X* = |G| I makes X invertible, with X* X = |G| S^-1.  The one float64
 kernel, a tier of `_exact_matmul`, runs only while every partial sum is an
 integer below 2^53, which float64 holds exactly.
+
+A table is one read-only integer matrix `rows`, row i the flat array of
+chi_i.  Irr is linearly independent (Isaacs, ch. 2), so integer class
+functions F, one per row, have one integer C with C rows = F: one product
+mod ell finds C, and C rows = F is checked exactly on C's nonzero entries.
+A lookup is a decomposition: F's row is chi_j iff its row of C is e_j.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ if TYPE_CHECKING:  # the automorphisms module stays off the `table` path
 
 _CLASS_MATRIX_PAIRS = 1 << 18  # products per block of a class matrix (~13 MB of temporaries)
 _FLOAT_MATMUL_MIN = 1 << 20  # multiply-adds from which an exact matmul runs in float64
-_GALOIS_ENTRIES = 1 << 20  # flat entries a Gram certificate stacks at a time (~8 MB)
+_STACK_ENTRIES = 1 << 17  # flat entries a stacked computation reads at a time (~1 MB)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,6 +148,7 @@ class _PackedContext:
         phis = [pw.shape[1] for pw in self.pows]
         self.bounds = np.cumsum([0] + [len(c) * phi for c, phi in zip(self.block_classes, phis)]).tolist()
         self.size = self.bounds[-1]
+        self.chunk = max(1, _STACK_ENTRIES // max(self.size, 1))  # stacked functions read at a time
         # the rows in flat order: their classes, lengths and starts
         self.flat_classes = np.concatenate(self.block_classes)
         self.flat_lens = np.repeat(phis, [len(c) for c in self.block_classes])
@@ -194,39 +201,6 @@ def _packed_context(group: GroupRealization) -> _PackedContext:
     return group._packed_ctx
 
 
-@lru_cache(maxsize=None)
-def _descent(e: int, c: int) -> np.ndarray:
-    """The (phi(e), phi(c)) matrix taking coordinates over zeta_e of an
-    element of Q(zeta_c), c | e, to its coordinates over zeta_c.
-
-    With e = e0 t, t the part of e prime to c, and u t + v e0 = 1:
-    zeta_e^k = zeta_e0^(k u) zeta_t^(k v), the products zeta_e0^a zeta_t^b
-    are a basis in which Q(zeta_e0) has only b = 0 terms, and zeta_c^i
-    is zeta_e0^(i e0 / c) in the power basis of zeta_e0 (same primes).
-    """
-    e0 = gcd(e, c ** e.bit_length())
-    t = e // e0
-    u = pow(t, -1, e0)
-    k = np.arange(euler_phi(e))
-    low = power_matrix(e0)[k * u % e0][:, :: e0 // c]
-    high = power_matrix(t)[k * ((1 - u * t) // e0) % t, 0]
-    out = low * high[:, None]
-    out.flags.writeable = False
-    return out
-
-
-def _coordinates(v: CyclotomicNumber, m: int) -> list[int]:
-    """v's numerator over the power basis of zeta_m; a ValueError when v does
-    not lie in Q(zeta_m)."""
-    if m % v.conductor == 0:
-        return list(v.lift(m).num)
-    big = lcm(m, v.conductor)
-    num = (np.array([v.lift(big).num], dtype=object) @ _descent(big, m))[0].tolist()
-    if CyclotomicNumber(m, num, v.den) != v:
-        raise ValueError(f"the value {v} does not lie in Q(zeta_{m})")
-    return num
-
-
 class ClassFunction:
     """An exact class function in the per-order layout of the module
     docstring: block b holds, at the row of a class of order m = orders[b],
@@ -236,33 +210,11 @@ class ClassFunction:
     (flat, den) is reduced, gcd(den, flat) = 1, and `flat` is int64 while its
     entries are below 2^62 (object beyond), so (den, flat.tobytes()) names
     the function.  Gathers, sums and products act on the integers;
-    CyclotomicNumbers appear only in the values constructor, `values` (each
-    at its class order) and `degree`.
+    CyclotomicNumbers appear only in `degree`.
     """
 
-    def __init__(self, group: GroupRealization, values):
-        """From values (CyclotomicNumbers or rationals), one per class; the
-        value at a class of order m must lie in Q(zeta_m) (ValueError)."""
-        ctx = _packed_context(group)
-        if len(values) != ctx.n_classes:
-            raise ValueError("one value per conjugacy class required")
-        values = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v) for v in values]
-        den = lcm(*(v.den for v in values))
-        orders = ctx.class_orders.tolist()
-        flat = [
-            c * (den // values[k].den)
-            for k in ctx.flat_classes.tolist()
-            for c in _coordinates(values[k], orders[k])
-        ]
-        self._assign(group, np.array(flat, dtype=object), den)
-
-    @classmethod
-    def from_flat(cls, group, flat: np.ndarray, den: int = 1) -> "ClassFunction":
-        out = cls.__new__(cls)
-        out._assign(group, flat, den)
-        return out
-
-    def _assign(self, group, flat, den) -> None:
+    def __init__(self, group: GroupRealization, flat: np.ndarray, den: int = 1):
+        """Keeps `flat` (a view stays a view) unless it is reduced or recast."""
         if den != 1:
             g = gcd(den, *flat.tolist())
             flat, den = flat // g, den // g
@@ -271,22 +223,9 @@ class ClassFunction:
         flat.flags.writeable = False
         self.group, self.flat, self.den = group, flat, den
 
-    @cached_property
-    def blocks(self) -> list[np.ndarray]:
-        return _packed_context(self.group).blocks(self.flat)
-
     @property
     def degree(self) -> CyclotomicNumber:
         return CyclotomicNumber.from_rational(Fraction(int(self.flat[0]), self.den))
-
-    @cached_property
-    def values(self) -> list[CyclotomicNumber]:
-        ctx = _packed_context(self.group)
-        flat = self.flat.tolist()
-        return [
-            CyclotomicNumber(m, flat[a : a + n], self.den)
-            for m, a, n in zip(ctx.class_orders.tolist(), ctx.row_start.tolist(), ctx.row_len.tolist())
-        ]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if other.group is not self.group:
@@ -294,7 +233,7 @@ class ClassFunction:
         den = lcm(self.den, other.den)
         # each term is below 2^62, so the int64 sum cannot wrap
         terms = [_exact_mul(f.flat, np.asarray(den // f.den)) for f in (self, other)]
-        return ClassFunction.from_flat(self.group, terms[0] + terms[1], den)
+        return ClassFunction(self.group, terms[0] + terms[1], den)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         return self + other * -1
@@ -305,7 +244,7 @@ class ClassFunction:
             return self._pointwise(other)
         s = Fraction(other)
         flat = _exact_mul(self.flat, np.asarray(s.numerator))
-        return ClassFunction.from_flat(self.group, flat, self.den * s.denominator)
+        return ClassFunction(self.group, flat, self.den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -313,8 +252,8 @@ class ClassFunction:
         """Per class, the convolution of the rows, reduced through zeta_m^t."""
         if other.group is not self.group:
             raise ValueError("class functions on different groups")
-        products = []
-        for a, b, pw in zip(self.blocks, other.blocks, _packed_context(self.group).pows):
+        products, ctx = [], _packed_context(self.group)
+        for a, b, pw in zip(ctx.blocks(self.flat), ctx.blocks(other.flat), ctx.pows):
             phi = a.shape[1]
             if _absmax(a) * _absmax(b) * phi >= _INT64_GUARD or object in (a.dtype, b.dtype):
                 a, b = a.astype(object), b.astype(object)
@@ -322,7 +261,7 @@ class ClassFunction:
             for i in range(phi):
                 conv[:, i : i + phi] += a[:, i : i + 1] * b
             products.append(_exact_matmul(conv, pw[: 2 * phi - 1]).ravel())
-        return ClassFunction.from_flat(self.group, np.concatenate(products), self.den * other.den)
+        return ClassFunction(self.group, np.concatenate(products), self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -334,18 +273,13 @@ class ClassFunction:
 
     def galois(self, u: int) -> "ClassFunction":
         """Image under zeta_e -> zeta_e^u, u prime to e, value by value."""
-        return ClassFunction.from_flat(self.group, _packed_context(self.group).galois(self.flat, u), self.den)
+        return ClassFunction(self.group, _packed_context(self.group).galois(self.flat, u), self.den)
 
     def conjugate(self) -> "ClassFunction":
         return self.galois(-1)
 
     def __repr__(self) -> str:
         return f"ClassFunction({self.group.spec}, deg={self.degree})"
-
-
-def _stacked_blocks(fs: list[ClassFunction]) -> list[np.ndarray]:
-    """Per block, the functions' blocks stacked: (functions, classes, phi(m))."""
-    return _packed_context(fs[0].group).blocks(np.stack([f.flat for f in fs]))
 
 
 def _segments(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +320,7 @@ def root_sum_function(group: GroupRealization, classes, exponents=0, weights=1, 
         terms = terms.astype(object)
     flat = np.zeros(ctx.size, dtype=terms.dtype)
     np.add.at(flat, ctx.row_start[cls][term] + offset, terms)
-    return ClassFunction.from_flat(group, flat, den)
+    return ClassFunction(group, flat, den)
 
 
 def trivial_character(group: GroupRealization) -> ClassFunction:
@@ -405,13 +339,14 @@ def _order_sum(parts, den: int) -> CyclotomicNumber:
     return total + Fraction(rational, den)
 
 
-def _weighted_sums(fs: list[ClassFunction], weights: np.ndarray) -> list[list]:
-    """Per function, the parts (m, sum over the classes k of order m of
-    weights[k] times the value at k, over zeta_m) for `_order_sum`."""
-    ctx = _packed_context(fs[0].group)
+def _weighted_sums(group: GroupRealization, flat: np.ndarray, weights: np.ndarray) -> list[list]:
+    """Per row of flat (functions, size), the parts (m, sum over the classes
+    k of order m of weights[k] times the value at k, over zeta_m) for
+    `_order_sum`."""
+    ctx = _packed_context(group)
     per_block = [
         _exact_matmul(weights[classes][None, None, :], stacked)[:, 0].tolist()
-        for classes, stacked in zip(ctx.block_classes, _stacked_blocks(fs))
+        for classes, stacked in zip(ctx.block_classes, ctx.blocks(flat))
     ]
     return [list(zip(ctx.orders, sums)) for sums in zip(*per_block)]
 
@@ -422,7 +357,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> CyclotomicNumber:
     if f.group is not g.group:
         raise ValueError("class functions on different groups")
     product = f * g.conjugate()
-    parts = _weighted_sums([product], _packed_context(f.group).sizes)[0]
+    parts = _weighted_sums(f.group, product.flat[None], _packed_context(f.group).sizes)[0]
     return _order_sum(parts, product.den * f.group.order)
 
 
@@ -431,7 +366,18 @@ def _gather(f: ClassFunction, group: GroupRealization, source) -> ClassFunction:
     class source[k]; the two classes have one order, so each row of a block
     is read from f's block of that order (`_PackedContext.gather_index`)."""
     index = _packed_context(group).gather_index(_packed_context(f.group), source)
-    return ClassFunction.from_flat(group, f.flat[index], f.den)
+    return ClassFunction(group, f.flat[index], f.den)
+
+
+def twist_classes(sigma: GroupAutomorphism) -> np.ndarray:
+    """The class map of f -> f o sigma^(-1): sigma's inverse class permutation."""
+    return np.argsort(sigma.class_permutation())
+
+
+def restriction_gather(subgroup: GroupRealization, group: GroupRealization) -> np.ndarray:
+    """The flat index that restricts class functions of `group` to `subgroup`
+    (same field): a gather through the class fusion, which keeps orders."""
+    return _packed_context(subgroup).gather_index(_packed_context(group), class_fusion(subgroup, group))
 
 
 def dual_character(f: ClassFunction) -> ClassFunction:
@@ -443,7 +389,7 @@ def twist_by_automorphism(f: ClassFunction, sigma: GroupAutomorphism) -> ClassFu
     """f o sigma^(-1), a gather through sigma's inverse class permutation."""
     if sigma.group is not f.group:
         raise ValueError("automorphism of a different group")
-    return _gather(f, f.group, np.argsort(sigma.class_permutation()))
+    return _gather(f, f.group, twist_classes(sigma))
 
 
 def induce_from_subgroup(group: GroupRealization, member_indices, exponents=0) -> ClassFunction:
@@ -454,14 +400,6 @@ def induce_from_subgroup(group: GroupRealization, member_indices, exponents=0) -
     classes = data.cls[np.asarray(member_indices)]
     centralizers = group.order // data.sizes.astype(np.int64)
     return root_sum_function(group, classes, exponents, centralizers[classes], len(classes))
-
-
-def restrict_between_groups(
-    f: ClassFunction, subgroup: GroupRealization
-) -> ClassFunction:
-    """Restriction along an inclusion of realized matrix groups (same field):
-    a gather through the class fusion, which keeps element orders."""
-    return _gather(f, subgroup, class_fusion(subgroup, f.group))
 
 
 def class_fusion(small: GroupRealization, big: GroupRealization) -> np.ndarray:
@@ -496,7 +434,8 @@ def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]
         raise ValueError("automorphism of a different group")
     data = g.conjugacy()
     counts = np.bincount(data.cls[g.products(np.arange(g.order), iota.perm)], minlength=data.n_classes)
-    return [_order_sum(parts, f.den * g.order) for f, parts in zip(fs, _weighted_sums(fs, counts))]
+    sums = _weighted_sums(g, np.stack([f.flat for f in fs]), counts)
+    return [_order_sum(parts, f.den * g.order) for f, parts in zip(fs, sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +514,26 @@ class ModularContext:
             for m, classes in zip(ctx.orders, ctx.block_classes)
         ])
 
-    def reduce_class_function(self, f: ClassFunction) -> np.ndarray:
-        """f's values mod ell, with zeta_e mapped to zeta_mod: products of
-        residues below ell < 2^30, summed per row."""
-        ctx = _packed_context(f.group)
-        residues = (f.flat % self.ell).astype(np.int64) * self._powers % self.ell
-        values = np.add.reduceat(residues, ctx.flat_starts)[ctx.unblock] % self.ell
-        if f.den == 1:
-            return values
-        return values * pow(f.den, -1, self.ell) % self.ell
+    def reduce(self, flat: np.ndarray) -> np.ndarray:
+        """The values mod ell, zeta_e -> zeta_mod, of the integer class
+        functions in the rows of flat (functions, size), a chunk at a time."""
+        ctx = _packed_context(self.group)
+        out = np.empty((len(flat), ctx.n_classes), dtype=np.int64)
+        for start in range(0, len(flat), ctx.chunk):
+            part = flat[start : start + ctx.chunk]
+            if _absmax(part) >= _INT64_GUARD // self.ell:
+                part = part % self.ell  # so that the products below stay in int64
+            residues = part * self._powers
+            residues %= self.ell  # in place: one chunk-sized temporary
+            out[start : start + ctx.chunk] = np.add.reduceat(residues, ctx.flat_starts, axis=1)[:, ctx.unblock]
+            del part, residues  # before the next chunk's
+        return out % self.ell
 
-    def rows(self, fs) -> tuple[np.ndarray, np.ndarray]:
-        """The rows f_i(g_k) mod ell of the class functions fs, and the right
-        factor s_k f_i(g_k^-1) mod ell of their Gram (ell < 2^30: int64)."""
+    def rows(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`reduce(flat)`, rows f_i(g_k) mod ell, and the right factor
+        s_k f_i(g_k^-1) mod ell of their Gram (ell < 2^30: int64)."""
         data = self.group.conjugacy()
-        x = np.stack([self.reduce_class_function(f) for f in fs])
+        x = self.reduce(flat)
         return x, x[:, data.inverse_class] * (data.sizes.astype(np.int64) % self.ell) % self.ell
 
 
@@ -608,25 +552,23 @@ def _galois_equivariant(group: GroupRealization, flat: np.ndarray) -> np.ndarray
     return ok
 
 
-def gram_certificate(group: GroupRealization, functions, target):
-    """Verdicts of sum_k s_k X_i(g_k) conj(X_j(g_k)) = target[i, j] for
-    integer-valued class functions X_i, by the module docstring's argument:
-    (i, j) is True iff X_i and X_j are Galois-equivariant and the Gram
-    X S X(g^-1)^T equals `target` at (i, j) and (j, i) modulo primes
-    p = 1 (mod e), one embedding each, whose product exceeds
-    B + max|target|.  Returns (verdict, primes).
+def gram_certificate(group: GroupRealization, flat: np.ndarray, target):
+    """Verdicts of sum_k s_k X_i(g_k) conj(X_j(g_k)) = target[i, j] for the
+    integer class functions X_i in the rows of flat (functions, size), by the
+    module docstring's argument: (i, j) is True iff X_i and X_j are
+    Galois-equivariant and the Gram X S X(g^-1)^T equals `target` at (i, j)
+    and (j, i) modulo primes p = 1 (mod e), one embedding each, whose
+    product exceeds B + max|target|.  The rows are read a chunk at a time.
+    Returns (verdict, primes).
     """
-    if any(f.den != 1 for f in functions):
-        raise ValueError("the Gram certificate needs integer-valued class functions")
     ctx = _packed_context(group)
-    chunk = max(1, _GALOIS_ENTRIES // max(ctx.size, 1))  # functions stacked at a time
     equivariant, norms = [], []
-    for start in range(0, len(functions), chunk):
-        flat = np.stack([f.flat for f in functions[start : start + chunk]])
-        equivariant.append(_galois_equivariant(group, flat))
-        if _absmax(flat) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
-            flat = flat.astype(object)  # so that no l1 norm of a value wraps
-        norms.append(np.add.reduceat(np.abs(flat), ctx.flat_starts, axis=1)[:, ctx.unblock])
+    for start in range(0, len(flat), ctx.chunk):
+        part = flat[start : start + ctx.chunk]
+        equivariant.append(_galois_equivariant(group, part))
+        if _absmax(part) * int(ctx.flat_lens.max()) >= _INT64_GUARD:
+            part = part.astype(object)  # so that no l1 norm of a value wraps
+        norms.append(np.add.reduceat(np.abs(part), ctx.flat_starts, axis=1)[:, ctx.unblock])
     equivariant = np.concatenate(equivariant)
     norm = np.concatenate(norms)  # |X_i(g_k)|_1
     bound = _absmax(_exact_matmul(_exact_mul(norm, ctx.sizes), norm.T))
@@ -634,7 +576,7 @@ def gram_certificate(group: GroupRealization, functions, target):
     verdict = equivariant[:, None] & equivariant[None, :]
     for p in primes:
         modular = ModularContext(group, p, _primitive_root_of_unity(p, ctx.e))
-        x, dual = modular.rows(functions)
+        x, dual = modular.rows(flat)
         gram = _exact_matmul(x, dual.T) % p
         residue = np.asarray(target % p, dtype=np.int64)
         verdict &= (gram == residue) & (gram.T == residue.T)
@@ -647,38 +589,17 @@ def gram_certificate(group: GroupRealization, functions, target):
 
 
 class CharacterTable:
-    def __init__(self, group: GroupRealization, irreducibles, modular: ModularContext):
-        self.group = group
-        self.irreducibles: list[ClassFunction] = irreducibles
-        self.exponent = group.conjugacy().exponent
-        self.modular = modular
-        self.degrees = [chi.degree.as_int() for chi in irreducibles]
+    """Irr(G) as one read-only matrix `rows`, whose rows `irreducibles` view."""
+
+    def __init__(self, group: GroupRealization, rows: np.ndarray, modular: ModularContext):
+        rows.flags.writeable = False
+        self.group, self.rows, self.modular = group, rows, modular
+        self.irreducibles = [ClassFunction(group, row) for row in rows]
+        self.degrees = rows[:, 0].tolist()
+        self._permutations: dict[bytes, list[int]] = {}  # `permutation`'s memo
 
     def __len__(self) -> int:
-        return len(self.irreducibles)
-
-    @staticmethod
-    def _fingerprint(f: ClassFunction) -> tuple:
-        """(denominator, per-class coefficient sums): cheap to hash, but not
-        injective, so `index_of` confirms a match on the whole function."""
-        return f.den, np.add.reduceat(f.flat, _packed_context(f.group).flat_starts).tobytes()
-
-    @cached_property
-    def _row_index(self) -> dict:
-        """Fingerprint -> indices of the irreducibles that have it."""
-        index: dict[tuple, list[int]] = {}
-        for i, chi in enumerate(self.irreducibles):
-            index.setdefault(self._fingerprint(chi), []).append(i)
-        return index
-
-    def index_of(self, f: ClassFunction) -> int:
-        """Index of the irreducible equal to f: a dict lookup on its
-        fingerprint, confirmed by comparing the blocks."""
-        if f.flat.dtype != object:
-            for i in self._row_index.get(self._fingerprint(f), ()):
-                if self.irreducibles[i] == f:
-                    return i
-        raise KeyError("class function is not an irreducible of this table")
+        return len(self.rows)
 
     def verify_degree_sum(self) -> None:
         if sum(d * d for d in self.degrees) != self.group.order:
@@ -692,12 +613,10 @@ class CharacterTable:
         is a proof), and for a square table it implies the columns'.
         Returns the primes used.
         """
-        if any(chi.den != 1 for chi in self.irreducibles):
-            raise AssertionError("a table value is not a cyclotomic integer")
-        if len(self.irreducibles) != self.group.conjugacy().n_classes:
+        if len(self.rows) != self.group.conjugacy().n_classes:
             raise AssertionError("the table is not square")
-        target = self.group.order * np.eye(len(self.irreducibles), dtype=np.int64)
-        ok, primes = gram_certificate(self.group, self.irreducibles, target)
+        target = self.group.order * np.eye(len(self.rows), dtype=np.int64)
+        ok, primes = gram_certificate(self.group, self.rows, target)
         bad = np.argwhere(~ok)
         if len(bad):
             i, j = (int(x) for x in bad[0])
@@ -706,54 +625,65 @@ class CharacterTable:
 
     def verify_modular_orthogonality(self) -> None:
         """Orthogonality of the mod-ell shadow (fast sanity for big tables)."""
-        x, dual = self.modular.rows(self.irreducibles)
-        expected = (self.group.order % self.modular.ell) * np.eye(len(self.irreducibles), dtype=np.int64)
+        x, dual = self.modular.rows(self.rows)
+        expected = (self.group.order % self.modular.ell) * np.eye(len(self.rows), dtype=np.int64)
         if not np.array_equal(_exact_matmul(x, dual.T) % self.modular.ell, expected):
             raise AssertionError("modular orthogonality failed")
 
     @cached_property
     def _dual_rows_mod(self) -> np.ndarray:
         """Row i holds s_k * chi_i(g_k^-1) mod ell, the right factor of the Gram."""
-        return self.modular.rows(self.irreducibles)[1]
+        return self.modular.rows(self.rows)[1]
 
-    def decompose_integers(self, f: ClassFunction) -> list[int]:
-        """Multiplicities of f over Irr, found mod ell and verified exactly.
+    def decompose_integers(self, flat: np.ndarray) -> np.ndarray:
+        """The integer matrix C with C rows = flat: the multiplicities over
+        Irr of the integer class functions in the rows of flat, from one
+        product with `_dual_rows_mod` mod ell, read in (-ell/2, ell/2), and
+        certified row by row on their nonzero entries (an AssertionError if
+        a function is not an integer combination of Irr)."""
+        ell, chunk = self.modular.ell, _packed_context(self.group).chunk
+        gram = _exact_matmul(self.modular.reduce(flat), self._dual_rows_mod.T) % ell
+        coeffs = (gram * pow(self.group.order % ell, -1, ell) % ell).astype(np.int64)
+        coeffs[coeffs > ell // 2] -= ell
+        for c, f in zip(coeffs, flat):
+            support = np.flatnonzero(c)
+            parts = np.split(support, range(chunk, len(support), chunk))
+            if not np.array_equal(sum((_exact_matmul(c[p], self.rows[p]) for p in parts), np.zeros_like(f)), f):
+                raise AssertionError("modular decomposition failed exact verification")
+        return coeffs
 
-        The candidate vector is computed by modular inner products, then the
-        identity f = sum(a_i chi_i) is checked with exact integer arithmetic;
-        together with linear independence of irreducible characters this
-        proves the a_i are exactly the multiplicities.
-        """
-        ell = self.modular.ell
-        fv = self.modular.reduce_class_function(f)
-        inv_order = pow(self.group.order % ell, -1, ell)
-        out = []
-        for x in _exact_matmul(self._dual_rows_mod, fv) % ell:
-            a = int(x) * inv_order % ell
-            out.append(a - ell if a > ell // 2 else a)
-        self._verify_integer_combination(f, out)
-        return out
+    def identify(self, flat: np.ndarray) -> list[int]:
+        """The index of the irreducible in each row of flat (functions, size):
+        a row is chi_j exactly when its decomposition is the unit vector e_j,
+        and an AssertionError says that some row is not an irreducible."""
+        coeffs = self.decompose_integers(flat)
+        if not ((coeffs == 1).sum(axis=1) == 1).all() or np.count_nonzero(coeffs) != len(coeffs):
+            raise AssertionError("a class function is not an irreducible of this table")
+        return coeffs.argmax(axis=1).tolist()
 
-    def _verify_integer_combination(self, f: ClassFunction, coeffs: list[int]) -> None:
-        if f.den != 1:
-            raise AssertionError("virtual characters must have integral values")
-        if any(chi.den != 1 for chi in self.irreducibles):
-            raise AssertionError("an irreducible's values have a denominator")
-        acc = sum((a * chi.flat for a, chi in zip(coeffs, self.irreducibles) if a), np.zeros_like(f.flat))
-        if not np.array_equal(acc, f.flat):
-            raise AssertionError("modular decomposition failed exact verification")
+    def permutation(self, source) -> list[int]:
+        """The map chi_i -> chi_j, chi_j(g_k) = chi_i(g_source[k]), of a class
+        map that sends Irr to Irr (the inverse classes, `twist_classes`): the
+        gathered table looked up a chunk at a time, memoized per class map."""
+        key = np.asarray(source).tobytes()
+        if key not in self._permutations:
+            ctx = _packed_context(self.group)
+            index = ctx.gather_index(ctx, source)
+            blocks = (self.rows[start : start + ctx.chunk] for start in range(0, len(self), ctx.chunk))
+            self._permutations[key] = [j for block in blocks for j in self.identify(block[:, index])]
+        return self._permutations[key]
 
     def to_json(self) -> dict:
         data = self.group.conjugacy()
         return {
             "group": str(self.group.spec),
-            "exponent": self.exponent,
+            "exponent": data.exponent,
             "ell": self.modular.ell,
             "zeta_mod": self.modular.zeta_mod,
             "class_sizes": [int(s) for s in data.sizes],
             "class_orders": list(data.orders),
             "degrees": self.degrees,
-            "rows": [chi.flat.tolist() for chi in self.irreducibles],
+            "rows": self.rows.tolist(),
         }
 
     @staticmethod
@@ -762,7 +692,9 @@ class CharacterTable:
 
         A ValueError unless every key that `to_json` writes is present, the
         class data are the group's and the rows are one flat list per class
-        of integers that fit in int64, so that no entry is cast."""
+        of integers that fit in int64, so that no entry is cast.  The rows are
+        taken out of `data`, so the parsed lists are freed before the
+        certificate runs."""
         if {"group", "exponent", "ell", "zeta_mod", "class_sizes", "class_orders", "degrees", "rows"} - data.keys():
             raise ValueError("a serialized table lacks a key")
         if data["group"] != str(group.spec):
@@ -772,30 +704,26 @@ class CharacterTable:
             conj.exponent, [int(s) for s in conj.sizes], list(conj.orders)
         ):
             raise ValueError("serialized table does not match the class data")
-        rows = data["rows"]
-        if not (isinstance(rows, list) and len(rows) == conj.n_classes):
-            raise ValueError("a serialized table needs one row per class")
         if not {type(data["ell"]), type(data["zeta_mod"])} <= {int}:
             raise ValueError("the serialized table prime and root are not integers")
-        irreducibles = [ClassFunction.from_flat(group, _int64_row(row, ctx.size)) for row in rows]
-        modular = ModularContext(group, data["ell"], data["zeta_mod"])
-        table = CharacterTable(group, irreducibles, modular)
+        rows = data.pop("rows")
+        if not (isinstance(rows, list) and len(rows) == conj.n_classes):
+            raise ValueError("a serialized table needs one row per class")
+        flat = np.empty((len(rows), ctx.size), dtype=np.int64)
+        for i, row in enumerate(rows):  # no bool, float or string, which numpy would cast
+            if not (isinstance(row, list) and len(row) == ctx.size and set(map(type, row)) <= {int}):
+                raise ValueError(f"a serialized row is not a list of {ctx.size} integers")
+            try:
+                flat[i] = row
+            except OverflowError:
+                raise ValueError("a serialized row holds an integer beyond int64") from None
+        del rows  # the parsed lists go before the certificate
+        table = CharacterTable(group, flat, ModularContext(group, data["ell"], data["zeta_mod"]))
         if table.degrees != data["degrees"]:
             raise ValueError("serialized degrees disagree with the values")
         table.verify_degree_sum()
         table.verify_orthogonality()
         return table
-
-
-def _int64_row(row, size: int) -> np.ndarray:
-    """A serialized row as int64: a ValueError unless it is a list of `size`
-    ints (no bool, float or string) that fit in int64."""
-    if not (isinstance(row, list) and len(row) == size and set(map(type, row)) <= {int}):
-        raise ValueError(f"a serialized row is not a list of {size} integers")
-    try:
-        return np.array(row, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("a serialized row holds an integer beyond int64") from None
 
 
 def table_of(group: GroupRealization) -> CharacterTable:
@@ -813,32 +741,30 @@ def character_table(group: GroupRealization) -> CharacterTable:
     zeta_mod = _primitive_root_of_unity(ell, e)
     modular = ModularContext(group, ell, zeta_mod)
     if r == 1:
-        table = CharacterTable(group, [trivial_character(group)], modular)
+        table = CharacterTable(group, trivial_character(group).flat[None], modular)
         table.verify_degree_sum()
         return table
 
     omegas = _central_characters_mod(group, ell)
     chi_mod, degrees = _character_values_mod(group, omegas, ell)
-    irreducibles = _sort_characters(_lift_table(group, chi_mod, degrees, ell, zeta_mod))
-    table = CharacterTable(group, irreducibles, modular)
+    table = CharacterTable(group, _sort_characters(group, _lift_table(group, chi_mod, degrees, ell, zeta_mod)), modular)
     table.verify_degree_sum()
     table.verify_modular_orthogonality()
     return table
 
 
-def _degree(chi: ClassFunction) -> int:
-    return chi.degree.as_int()
-
-
-def _sort_characters(rows: list[ClassFunction]) -> list[ClassFunction]:
-    """The rows in table order: by degree, then by the coefficients of their
-    values over the power basis of Z[zeta_e], class by class in index order.
+def _sort_characters(group: GroupRealization, flat: np.ndarray) -> np.ndarray:
+    """flat (characters, size) with its rows put in table order, in place: by
+    degree, then by the coefficients of their values over the power basis of
+    Z[zeta_e], class by class in index order.
 
     Stable sorts refine the runs of rows that still tie, one class at a time,
     and only the tied rows' values at that class are written over zeta_e,
-    through the rows x^(i e/m) mod Phi_e for the class order m."""
-    ctx = _packed_context(rows[0].group)
-    runs = [list(run) for _, run in groupby(sorted(rows, key=_degree), key=_degree)]
+    through the rows x^(i e/m) mod Phi_e for the class order m.  The rows
+    move a permutation cycle at a time through one spare row."""
+    ctx = _packed_context(group)
+    degree = flat[:, 0].tolist()
+    runs = [list(run) for _, run in groupby(sorted(range(len(flat)), key=degree.__getitem__), key=degree.__getitem__)]
     lifts = {}
     for k in range(ctx.n_classes):
         if all(len(run) == 1 for run in runs):
@@ -852,11 +778,19 @@ def _sort_characters(rows: list[ClassFunction]) -> list[ClassFunction]:
             if len(run) == 1:
                 refined.append(run)
                 continue
-            coords = _exact_matmul(np.stack([chi.flat[start:stop] for chi in run]), lifts[step]).tolist()
+            coords = _exact_matmul(flat[run, start:stop], lifts[step]).tolist()
             order = sorted(range(len(run)), key=coords.__getitem__)
             refined += [[run[i] for i in tie] for _, tie in groupby(order, key=coords.__getitem__)]
         runs = refined
-    return [chi for run in runs for chi in run]
+    source = [i for run in runs for i in run]  # row i of the result is row source[i]
+    for start in range(len(source)):
+        if source[start] == start:
+            continue
+        spare, i = flat[start].copy(), start
+        while source[i] != start:
+            flat[i], source[i], i = flat[source[i]], i, source[i]
+        flat[i], source[i] = spare, i
+    return flat
 
 
 # -- modular linear algebra --------------------------------------------------
@@ -1047,7 +981,8 @@ def _character_values_mod(group: GroupRealization, omegas: np.ndarray, ell: int)
 
 
 def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
-    """Lift mod-ell character values to exact cyclotomics via DFT sums.
+    """Lift mod-ell character values to exact cyclotomics via DFT sums: the
+    int64 matrix (characters, size) of their flat arrays.
 
     The Fourier sums of the module docstring are one Vandermonde matmul mod
     ell per class, for all rows at once; the multiplicities of a class of
@@ -1073,9 +1008,7 @@ def _lift_table(group, chi_mod, degrees, ell, zeta_mod):
             raise RuntimeError("root-of-unity multiplicity fails to lift")
         # sum_j c_j zeta_m^j over the power basis of Q(zeta_m)
         values = _exact_matmul(mults, ctx.pows[ctx.orders.index(m)][:m])
-        if values.dtype == object:
-            flat = flat.astype(object)
         flat[:, ctx.row_start[i] : ctx.row_start[i] + values.shape[1]] = values
     if not np.array_equal(flat[:, 0], degrees):
         raise RuntimeError("lifted degree mismatch")
-    return [ClassFunction.from_flat(group, flat[r]) for r in range(n_rows)]
+    return flat

@@ -34,7 +34,7 @@ from .chartable import (
     ClassFunction,
     gram_certificate,
     inner_product,
-    restrict_between_groups,
+    restriction_gather,
     root_sum_function,
     table_of,
 )
@@ -348,8 +348,10 @@ class DLContext:
         self._jordan = None
         self._disconnected = None
         # (parts, exps) with exps reduced mod q^d - 1 -> its DLCharacter; the
-        # first request for a torus type fills in every theta of the type
+        # first request fills in every pair, and `dl_rows` holds their flat
+        # arrays in `enumerate_all_pairs` order, the class functions' rows
         self._dl_characters: dict[tuple[tuple, tuple], DLCharacter] = {}
+        self.dl_rows: np.ndarray | None = None
 
 
 def dl_context(spec: GroupSpec | str, budget: int = DEFAULT_BUDGET) -> DLContext:
@@ -412,36 +414,56 @@ def dl_character(ctx: DLContext, parts, exps: tuple = None) -> DLCharacter:
 
     Accepts either a TorusCharacter or the pair (cycle type, exponents).
     Exponents are reduced mod q^d - 1 and equal pairs return the same object:
-    the first request for a torus type builds every theta of it at once
-    (`_build_torus_type`).
+    the first request builds every pair at once (`_build_dl_characters`).
     """
     if isinstance(parts, TorusCharacter):
         parts, exps = parts.parts, parts.exps
     parts = tuple(parts)
     exps = tuple(c % (ctx.q ** d - 1) for d, c in zip(parts, exps))
-    if sum(parts) != ctx.n:
-        raise ValueError("torus type must be a partition of n")
-    key = (parts, exps)
-    if key not in ctx._dl_characters:
-        _build_torus_type(ctx, parts)
-    return ctx._dl_characters[key]
+    if sum(parts) != ctx.n or list(parts) != sorted(parts, reverse=True):
+        raise ValueError("torus type must be a partition of n, parts descending")
+    if ctx.dl_rows is None:
+        _build_dl_characters(ctx)
+    return ctx._dl_characters[(parts, exps)]
 
 
-def _build_torus_type(ctx: DLContext, parts: tuple) -> None:
-    """R_{T_w}(theta) for every theta of the type `parts`, into the memo.
+def _build_dl_characters(ctx: DLContext) -> None:
+    """R_{T_w}(theta) for every pair (w, theta), into the memo: the rows of
+    one matrix in `enumerate_all_pairs` order, the exponents of a torus
+    type's thetas from one product with its `_torus_type_terms`, decomposed
+    over Irr(G) by one call and checked against the degree identity
+    R(1) = eps_G eps_T |G|_p' / |T_w^F|."""
+    q, e = ctx.q, ctx.e
+    pairs = enumerate_all_pairs(ctx)
+    flat = np.zeros((len(pairs), ctx.table.rows.shape[1]), dtype=np.int64)
+    row = 0
+    for parts in partitions_of(ctx.n):
+        classes, points, weights = _torus_type_terms(ctx, parts)
+        thetas = np.array(list(itertools.product(*(range(q**d - 1) for d in parts))), dtype=np.int64)
+        for exponents in thetas @ points.T % e:
+            flat[row] = root_sum_function(ctx.group, classes, exponents, weights).flat
+            row += 1
+    flat.flags.writeable = False
+    order = prod(q**i - 1 for i in range(1, ctx.n + 1))
+    for (parts, exps), f, decomposition in zip(pairs, flat, ctx.table.decompose_integers(flat).tolist()):
+        r = DLCharacter(parts, exps, classify_pair(ctx, parts, exps), ClassFunction(ctx.group, f), decomposition)
+        if r.degree() != (-1) ** (ctx.n - len(parts)) * order // prod(q**d - 1 for d in parts):
+            raise AssertionError(f"degree identity fails for R_{parts}({exps}): {r.degree()}")
+        ctx._dl_characters[(parts, exps)] = r
+    ctx.dl_rows = flat
 
-    The term table has one row per point t of T_w^F = prod F_{q^{d_i}}^x
-    conjugate to the semisimple part of a class: that class, the Green weight
-    prod_j Q^{GL_{m_j}(q^{d_j})}(u) and the exponent vector A(t), with
-    theta_c(t) = zeta_e^(A(t) . c).  Factor i lands in an eigenvalue orbit of
+
+def _torus_type_terms(ctx: DLContext, parts: tuple):
+    """The term table of the torus type `parts`: (classes, points, weights).
+
+    It has one row per point t of T_w^F = prod F_{q^{d_i}}^x conjugate to
+    the semisimple part of a class: that class, the exponent vector A(t),
+    with theta_c(t) = zeta_e^(A(t) . c), and the Green weight
+    prod_j Q^{GL_{m_j}(q^{d_j})}(u).  Factor i lands in an eigenvalue orbit of
     degree d_j dividing d_i and takes d_i / d_j of its multiplicity m_j; an
     assignment that fills every multiplicity exactly gives C(s)'s torus type,
     and each factor then runs over the d_j orbit points embedded in
-    F_{q^{d_i}}, with the step e / (q^{d_i} - 1) folded in.  The exponents of
-    all thetas are one product A C mod e (a column of C per theta); each
-    column is summed per class by `root_sum_function`, decomposed exactly
-    over Irr(G) and checked against the degree identity
-    R(1) = eps_G eps_T |G|_p' / |T_w^F|.
+    F_{q^{d_i}}, with the step e / (q^{d_i} - 1) folded in.
     """
     q, e, tower = ctx.q, ctx.e, ctx.tower
     classes, points, weights = [], [], []
@@ -469,17 +491,7 @@ def _build_torus_type(ctx: DLContext, parts: tuple) -> None:
                 classes.append(ci)
                 points.append(point)
                 weights.append(weight)
-    classes, weights = np.array(classes), np.array(weights)
-    thetas = list(itertools.product(*(range(q**d - 1) for d in parts)))
-    exponents = np.array(points, dtype=np.int64) @ np.array(thetas, dtype=np.int64).T % e
-    degree = (-1) ** (ctx.n - len(parts)) * prod(q**i - 1 for i in range(1, ctx.n + 1))
-    degree //= prod(q**d - 1 for d in parts)
-    for exps, column in zip(thetas, exponents.T):
-        cf = root_sum_function(ctx.group, classes, column, weights)
-        r = DLCharacter(parts, exps, classify_pair(ctx, parts, exps), cf, ctx.table.decompose_integers(cf))
-        if r.degree() != degree:
-            raise AssertionError(f"degree identity fails for R_{parts}({exps}): {r.degree()}")
-        ctx._dl_characters[(parts, exps)] = r
+    return np.array(classes), np.array(points, dtype=np.int64), np.array(weights)
 
 
 def epsilon_group(family: str, n: int) -> int:
@@ -627,6 +639,11 @@ def restrict_series(ctx: DLContext, sl_group: GroupRealization) -> list[SLSeries
     sl_table = table_of(sl_group)
     gl_series = lusztig_series(ctx)
     by_label = {s.label: s for s in gl_series}
+    # every GL irreducible restricted: one gather of the table, one decomposition
+    coeffs = sl_table.decompose_integers(ctx.table.rows[:, restriction_gather(sl_group, ctx.group)])
+    if ((coeffs != 0) & (coeffs != 1)).any():
+        raise AssertionError("restriction is not multiplicity free")
+    support = [tuple(np.flatnonzero(c).tolist()) for c in coeffs]
     grouped: dict[SemisimpleClassLabel, list[SemisimpleClassLabel]] = {}
     for s in gl_series:
         grouped.setdefault(pgl_label(ctx, s.label), []).append(s.label)
@@ -634,20 +651,8 @@ def restrict_series(ctx: DLContext, sl_group: GroupRealization) -> list[SLSeries
     covered: set[int] = set()
     for bar_label in sorted(grouped, key=lambda s: s.orbits):
         lifts = sorted(grouped[bar_label], key=lambda s: s.orbits)
-        member_sets = []
-        restriction_map = {}
-        for lift_no, lift in enumerate(lifts):
-            members: set[int] = set()
-            for i in by_label[lift].members:
-                res = restrict_between_groups(ctx.table.irreducibles[i], sl_group)
-                coeffs = sl_table.decompose_integers(res)
-                if any(c not in (0, 1) for c in coeffs):
-                    raise AssertionError("restriction is not multiplicity free")
-                support = {j for j, c in enumerate(coeffs) if c}
-                members |= support
-                if lift_no == 0:
-                    restriction_map[i] = tuple(sorted(support))
-            member_sets.append(members)
+        member_sets = [{j for i in by_label[lift].members for j in support[i]} for lift in lifts]
+        restriction_map = {i: support[i] for i in by_label[lifts[0]].members}
         if any(ms != member_sets[0] for ms in member_sets[1:]):
             raise AssertionError("different lifts produce different SL series")
         members = tuple(sorted(member_sets[0]))
@@ -724,8 +729,8 @@ def verify_dl_invariants(ctx: DLContext) -> list[dict]:
         for name, r in zip(names, chars)
     ]
     counts = twisted_identifications(ctx.q, pairs)
-    functions = [r.class_function for r in chars]
-    verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0].tolist()
+    functions = [r.class_function for r in chars]  # the rows of ctx.dl_rows
+    verdict = gram_certificate(ctx.group, ctx.dl_rows, ctx.group.order * counts)[0].tolist()
     counts = counts.tolist()
     for i, j in itertools.combinations_with_replacement(range(len(pairs)), 2):
         expected, ok = counts[i][j], verdict[i][j]

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .automorphisms import GroupAutomorphism, adjoint_action_representatives, duality_involution
-from .chartable import (
-    table_of,
-    dual_character,
-    restrict_between_groups,
-    twist_by_automorphism,
-)
+from .chartable import restriction_gather, table_of, twist_classes
 from .cyclotomic import CyclotomicNumber
 from .dl import (
     DLContext,
@@ -184,10 +181,6 @@ def transport_tuple(ctx, label_from, label_to, lam_tuple, mapping_key):
 # ---------------------------------------------------------------------------
 
 
-def _dual_index(ctx: DLContext, i: int) -> int:
-    return ctx.table.index_of(dual_character(ctx.table.irreducibles[i]))
-
-
 def verify_dual_equivariance(ctx: DLContext, label) -> list[dict]:
     """J_{s^-1}(rho^vee) = J_s(rho)^vee for every member of E(G, s).
 
@@ -198,9 +191,10 @@ def verify_dual_equivariance(ctx: DLContext, label) -> list[dict]:
     data = jd[label]
     inv_label = label.inverse(ctx.tower)
     target = jd[inv_label]
+    dual = ctx.table.permutation(ctx.group.conjugacy().inverse_class)
     rows = []
     for member, wit in data.witnesses.items():
-        dual_member = _dual_index(ctx, member)
+        dual_member = dual[member]
         got = target.witnesses[dual_member].unipotent
         expected = transport_tuple(
             ctx, label, inv_label, wit.unipotent, ctx.tower.invert_key
@@ -237,11 +231,10 @@ def verify_automorphism_equivariance(
     else:
         raise ValueError(f"unknown label action {label_action!r}")
     target = jd[target_label]
-    irr = ctx.table.irreducibles
+    twist = ctx.table.permutation(twist_classes(sigma))
     rows = []
     for member, wit in data.witnesses.items():
-        twisted = twist_by_automorphism(irr[member], sigma)
-        match = ctx.table.index_of(twisted)
+        match = twist[member]
         got = target.witnesses[match].unipotent
         expected = transport_tuple(ctx, label, target_label, wit.unipotent, key_map)
         rows.append(
@@ -373,15 +366,15 @@ def disconnected_jordan(
 
 
 def _adjoint_orbits(sl_table, members, adjoint_reps) -> set:
-    irr = sl_table.irreducibles
+    """The orbits of the members under the twists by `adjoint_reps`, read
+    off the maps of Irr that the twists induce."""
+    twists = [sl_table.permutation(twist_classes(auto)) for auto in adjoint_reps]
     orbits = set()
     seen = set()
     for m in members:
         if m in seen:
             continue
-        orbit = set()
-        for auto in adjoint_reps:
-            orbit.add(sl_table.index_of(twist_by_automorphism(irr[m], auto)))
+        orbit = {twist[m] for twist in twists}
         if not orbit <= set(members):
             raise RuntimeError("adjoint action leaves the series")
         orbits.add(tuple(sorted(orbit)))
@@ -395,10 +388,10 @@ def _verify_sum_identity(ctx, sl_group, sl_table, s, lift, fibers) -> list[dict]
     rows = []
     gl_series = next(x for x in lusztig_series(ctx) if x.label == lift)
     sign = epsilon_group("SL", ctx.n) * (-1) ** (sum(m for _k, m in lift.orbits) - 1)
-    for td in gl_series.torus_data:
-        r_gl = dl_character(ctx, td.parts, td.exps)
-        res = restrict_between_groups(r_gl.class_function, sl_group)
-        coeffs = sl_table.decompose_integers(res)
+    # the restrictions of the torus types' characters, one decomposition
+    gl_rows = np.stack([dl_character(ctx, td.parts, td.exps).class_function.flat for td in gl_series.torus_data])
+    decompositions = sl_table.decompose_integers(gl_rows[:, restriction_gather(sl_group, ctx.group)]).tolist()
+    for td, coeffs in zip(gl_series.torus_data, decompositions):
         for orb, members in fibers.items():
             predicted = sign * sum(
                 uch_multiplicity(lift, td.pi_tuple, lam) for lam in orb
@@ -421,22 +414,15 @@ def _verify_sum_identity(ctx, sl_group, sl_table, s, lift, fibers) -> list[dict]
 
 
 def verify_dualizing(group: GroupRealization) -> list[dict]:
-    """rho o iota = rho^vee for every irreducible character."""
+    """rho o iota = rho^vee for every irreducible character: the maps of Irr
+    that the twist and the dual induce agree at rho."""
     table = table_of(group)
-    iota = duality_involution(group)
-    rows = []
-    for i, chi in enumerate(table.irreducibles):
-        twisted = twist_by_automorphism(chi, iota)
-        dual = dual_character(chi)
-        rows.append(
-            {
-                "member": i,
-                "degree": table.degrees[i],
-                "ok": bool(twisted == dual),
-                "detail": "rho o iota == rho^vee",
-            }
-        )
-    return rows
+    twist = table.permutation(twist_classes(duality_involution(group)))
+    dual = table.permutation(group.conjugacy().inverse_class)
+    return [
+        {"member": i, "degree": degree, "ok": twist[i] == dual[i], "detail": "rho o iota == rho^vee"}
+        for i, degree in enumerate(table.degrees)
+    ]
 
 
 def verify_duality_biconditional(group: GroupRealization, ctx: DLContext | None = None) -> list[dict]:
@@ -478,6 +464,7 @@ def verify_dual_equivariance_sl(ctx: DLContext, sl_group: GroupRealization) -> l
     transport of the fiber orbit of rho."""
     dj = disconnected_jordan(ctx, sl_group)
     sl_table = table_of(sl_group)
+    dual_of = sl_table.permutation(sl_group.conjugacy().inverse_class)
     tower = ctx.tower
     from .dl import pgl_label
 
@@ -499,7 +486,7 @@ def verify_dual_equivariance_sl(ctx: DLContext, sl_group: GroupRealization) -> l
             )
 
         for m, orb in dmap.member_to_orbit.items():
-            dual_m = sl_table.index_of(dual_character(sl_table.irreducibles[m]))
+            dual_m = dual_of[m]
             expected = frozenset(carry(t) for t in orb)
             got = target.member_to_orbit[dual_m]
             rows.append(

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from redchar.chartable import induce_from_subgroup, root_sum_function
 from redchar.dl import SYM_CHARS, DLCharacter, classify_pair, dl_context, partitions_of
-from reference import borel_indices
+from reference import borel_indices, values
 
 
 def unipotent_degree(partition: tuple, q: int) -> int:
@@ -35,7 +35,7 @@ def unipotent_degree(partition: tuple, q: int) -> int:
 def unipotent_characters(ctx) -> dict:
     """partition of n -> index of the unipotent irreducible in the table."""
     g = ctx.group
-    coeffs = ctx.table.decompose_integers(induce_from_subgroup(g, borel_indices(g)))
+    coeffs = ctx.table.decompose_integers(induce_from_subgroup(g, borel_indices(g)).flat[None])[0].tolist()
     out = {}
     for lam in partitions_of(ctx.n):
         expected = (SYM_CHARS[ctx.n][lam][(1,) * ctx.n], unipotent_degree(lam, ctx.q))
@@ -72,7 +72,7 @@ def green_table(ctx) -> dict:
     for w_parts in partitions_of(ctx.n):
         r_w = dl_character_unipotent(ctx, w_parts)
         for lam in partitions_of(ctx.n):
-            out[(w_parts, lam)] = r_w.values[unipotent_class_index(ctx, lam)].as_int()
+            out[(w_parts, lam)] = values(r_w)[unipotent_class_index(ctx, lam)].as_int()
     return out
 
 
@@ -115,7 +115,7 @@ def build_dl_character(ctx, parts: tuple, exps: tuple) -> DLCharacter:
         exps=exps,
         label=classify_pair(ctx, parts, exps),
         class_function=cf,
-        decomposition=ctx.table.decompose_integers(cf),
+        decomposition=ctx.table.decompose_integers(cf.flat[None])[0].tolist(),
     )
 
 

@@ -1,14 +1,18 @@
 """Reference forms of what the package computes with tables and arrays,
 worked out one value or one element at a time, for the tests to compare
-against.  No check of `verify` runs them, so they live with the tests.
+against, and the CyclotomicNumber forms of class functions (built from
+values, read back as values).  No check of `verify` runs them, so they live
+with the tests.
 """
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
-from redchar.cyclotomic import CyclotomicNumber, zeta
+from redchar.chartable import ClassFunction, _packed_context, restriction_gather
+from redchar.cyclotomic import CyclotomicNumber, euler_phi, power_matrix, zeta
 from redchar.dl import SemisimpleClassLabel, lusztig_series
 
 
@@ -67,3 +71,69 @@ def unipotent_series(ctx):
     """The Lusztig series of the identity: eigenvalue 1 with multiplicity n."""
     ident = SemisimpleClassLabel(ctx.q, ((ctx.tower.orbit_key(1, 0), ctx.n),))
     return next(s for s in lusztig_series(ctx) if s.label == ident)
+
+
+@lru_cache(maxsize=None)
+def descent(e: int, c: int) -> np.ndarray:
+    """The (phi(e), phi(c)) matrix taking coordinates over zeta_e of an
+    element of Q(zeta_c), c | e, to its coordinates over zeta_c.
+
+    With e = e0 t, t the part of e prime to c, and u t + v e0 = 1:
+    zeta_e^k = zeta_e0^(k u) zeta_t^(k v), the products zeta_e0^a zeta_t^b
+    are a basis in which Q(zeta_e0) has only b = 0 terms, and zeta_c^i
+    is zeta_e0^(i e0 / c) in the power basis of zeta_e0 (same primes).
+    """
+    e0 = gcd(e, c ** e.bit_length())
+    t = e // e0
+    u = pow(t, -1, e0)
+    k = np.arange(euler_phi(e))
+    low = power_matrix(e0)[k * u % e0][:, :: e0 // c]
+    high = power_matrix(t)[k * ((1 - u * t) // e0) % t, 0]
+    out = low * high[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def coordinates(v: CyclotomicNumber, m: int) -> list[int]:
+    """v's numerator over the power basis of zeta_m; a ValueError when v does
+    not lie in Q(zeta_m)."""
+    if m % v.conductor == 0:
+        return list(v.lift(m).num)
+    big = lcm(m, v.conductor)
+    num = (np.array([v.lift(big).num], dtype=object) @ descent(big, m))[0].tolist()
+    if CyclotomicNumber(m, num, v.den) != v:
+        raise ValueError(f"the value {v} does not lie in Q(zeta_{m})")
+    return num
+
+
+def class_function(group, values) -> ClassFunction:
+    """The class function with these values (CyclotomicNumbers or
+    rationals), one per class; the value at a class of order m must lie in
+    Q(zeta_m) (ValueError)."""
+    ctx = _packed_context(group)
+    if len(values) != ctx.n_classes:
+        raise ValueError("one value per conjugacy class required")
+    values = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v) for v in values]
+    den = lcm(*(v.den for v in values))
+    orders = ctx.class_orders.tolist()
+    flat = [
+        c * (den // values[k].den)
+        for k in ctx.flat_classes.tolist()
+        for c in coordinates(values[k], orders[k])
+    ]
+    return ClassFunction(group, np.array(flat, dtype=object), den)
+
+
+def values(f: ClassFunction) -> list[CyclotomicNumber]:
+    """f's value at each class, a CyclotomicNumber at the class's order."""
+    ctx = _packed_context(f.group)
+    flat = f.flat.tolist()
+    return [
+        CyclotomicNumber(m, flat[a : a + n], f.den)
+        for m, a, n in zip(ctx.class_orders.tolist(), ctx.row_start.tolist(), ctx.row_len.tolist())
+    ]
+
+
+def restrict_between_groups(f: ClassFunction, subgroup) -> ClassFunction:
+    """Restriction of one class function to a subgroup (same field)."""
+    return ClassFunction(subgroup, f.flat[restriction_gather(subgroup, f.group)], f.den)

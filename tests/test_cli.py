@@ -571,3 +571,12 @@ def test_the_benchmark_trace_hooks_find_every_name_they_wrap(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(spans.read_text())["metrics"]["cache.misses"] == 1
+    # the whole suite on an SL group calls the decomposition, DL, Jordan and
+    # Gelfand-Graev wrappers too
+    job = ["all", "--group", "SL2(3)", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, str(perfbench / "tracejob.py"), str(spans), *job], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(spans.read_text())["metrics"]
+    assert metrics["chartable.decompositions"] > 0 and metrics["dl.characters"] > 0

@@ -33,7 +33,7 @@ from redchar.dl import (
 from redchar.groups import cached_group
 
 from dl_oracle import build_dl_character, dl_character_unipotent, green_table, unipotent_characters
-from reference import borel_indices, is_central, unipotent_series
+from reference import borel_indices, is_central, unipotent_series, values
 
 
 def all_pairs(ctx):
@@ -167,6 +167,10 @@ def _dl_gram(name):
     return ctx, chars, functions, counts
 
 
+def _stacked(functions):
+    return np.stack([f.flat for f in functions])
+
+
 def _pairwise_verdicts(chars, target):
     return np.array(
         [
@@ -184,7 +188,7 @@ def _pairwise_verdicts(chars, target):
 def test_dl_gram_certificate_matches_pairwise_inner_products(name):
     ctx, chars, functions, counts = _dl_gram(name)
     order = ctx.group.order
-    verdict, primes = gram_certificate(ctx.group, functions, order * counts)
+    verdict, primes = gram_certificate(ctx.group, _stacked(functions), order * counts)
     assert primes
     assert verdict.all()
     assert (verdict == _pairwise_verdicts(chars, counts)).all()
@@ -193,7 +197,7 @@ def test_dl_gram_certificate_matches_pairwise_inner_products(name):
     for i, j in [(0, 0), (1, 5), (3, 2)]:
         wrong[i, j] += 1
         wrong[j, i] = wrong[i, j]
-    verdict = gram_certificate(ctx.group, functions, order * wrong)[0]
+    verdict = gram_certificate(ctx.group, _stacked(functions), order * wrong)[0]
     assert (verdict == _pairwise_verdicts(chars, wrong)).all()
     assert set(map(tuple, np.argwhere(~verdict).tolist())) == {
         (0, 0), (1, 5), (5, 1), (2, 3), (3, 2)
@@ -204,7 +208,7 @@ def test_dl_gram_certificate_flags_a_perturbed_target_entry():
     ctx, _chars, functions, counts = _dl_gram("GL2(3)")
     target = ctx.group.order * counts
     target[2, 7] += 1  # one entry, not its transpose
-    verdict = gram_certificate(ctx.group, functions, target)[0]
+    verdict = gram_certificate(ctx.group, _stacked(functions), target)[0]
     assert set(map(tuple, np.argwhere(~verdict).tolist())) == {(2, 7), (7, 2)}
 
 
@@ -214,7 +218,7 @@ def test_dl_gram_certificate_flags_a_perturbed_character():
     i = 5
     # R_i(1) + 1: every R_j(1) is a nonzero degree, so every pair with i moves
     functions[i] = functions[i] + root_sum_function(ctx.group, [ident])
-    verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
+    verdict = gram_certificate(ctx.group, _stacked(functions), ctx.group.order * counts)[0]
     bad = np.zeros_like(verdict)
     bad[i, :] = bad[:, i] = True
     assert (verdict == ~bad).all()
@@ -225,14 +229,14 @@ def test_dl_gram_certificate_flags_a_character_broken_at_one_irrational_coordina
     i, k = next(
         (i, k)
         for i, f in enumerate(functions)
-        for k, v in enumerate(f.values)
+        for k, v in enumerate(values(f))
         if not v.is_rational()
     )
     pc = _packed_context(ctx.group)
     flat = functions[i].flat.copy()
     flat[pc.row_start[k] + 1] += 1  # the coefficient of zeta_m in the value at class k
-    functions[i] = ClassFunction.from_flat(ctx.group, flat)
-    verdict = gram_certificate(ctx.group, functions, ctx.group.order * counts)[0]
+    functions[i] = ClassFunction(ctx.group, flat)
+    verdict = gram_certificate(ctx.group, _stacked(functions), ctx.group.order * counts)[0]
     bad = np.zeros_like(verdict)
     bad[i, :] = bad[:, i] = True
     assert (verdict == ~bad).all()
@@ -289,20 +293,30 @@ def test_dl_character_is_built_once_per_context():
 
 
 def test_each_torus_type_is_built_once(monkeypatch):
+    # the first request fills the rows of one matrix, a function per pair,
+    # and one decomposition call covers them all
     ctx = dl.DLContext(cached_group("GL3(2)"))  # fresh memo
-    build = dl._build_torus_type
-    built = []
+    summed, decompose = dl.root_sum_function, type(ctx.table).decompose_integers
+    built, decomposed = [], []
 
-    def counting(ctx, parts):
-        built.append(parts)
-        build(ctx, parts)
+    def counting_sum(group, classes, exponents, weights):
+        built.append(len(classes))
+        return summed(group, classes, exponents, weights)
 
-    monkeypatch.setattr(dl, "_build_torus_type", counting)
+    def counting_decompose(table, flat):
+        decomposed.append(len(flat))
+        return decompose(table, flat)
+
+    monkeypatch.setattr(dl, "root_sum_function", counting_sum)
+    monkeypatch.setattr(type(ctx.table), "decompose_integers", counting_decompose)
     pairs = enumerate_all_pairs(ctx)
     for pair in pairs[::-1]:
         dl_character(ctx, *pair)
-    assert built == [(1, 1, 1), (2, 1), (3,)]
-    assert len(ctx._dl_characters) == len(pairs)
+    assert len(built) == len(pairs) and decomposed == [len(pairs)]
+    assert len(ctx._dl_characters) == len(pairs) == len(ctx.dl_rows)
+    for pair, row in zip(pairs, ctx.dl_rows):
+        flat = dl_character(ctx, *pair).class_function.flat
+        assert flat.base is ctx.dl_rows and np.array_equal(flat, row)
 
 
 @pytest.mark.parametrize("name", ["GL2(4)", "GL2(8)", "GL3(3)", "GL3(4)"])

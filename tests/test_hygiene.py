@@ -7,14 +7,16 @@
   re-exports, and the tests are not roots, so code that only the tests call
   is flagged, and so are dead definitions that only call each other.  A
   definition reached reaches every name it references; a class reached
-  reaches its body, bases, decorators and dunder methods, but each other
-  method of it only through a reference.  Functions are matched by name.
+  reaches its body, bases, decorators and dunder methods other than
+  `__init__`, but each other method of it only through a reference, and its
+  `__init__` only where the class is called.  Functions are matched by name.
   Methods are matched by (class, name): an attribute reference counts for
   class C when its receiver resolves to C (`self`, the class itself, a
   variable whose last binding is annotated C or holds a C, a call or field
   whose annotation names C), or, unresolved, when C is the only class that
-  binds that name.  So a dead method is not hidden by another class's
-  attribute of the same name.
+  binds that name and the reference is not a call of C's property.  So a
+  dead method is not hidden by another class's attribute of the same name,
+  nor a dead property by a call such as `dict.values()`.
 - Memos are declared attributes, not string-named ones: no `getattr` or
   `setattr` call in the package names an attribute with a string literal
   that starts with an underscore.
@@ -74,6 +76,16 @@ class _Types:
         self.classes = {n.name for m in modules for n in m.body if isinstance(n, ast.ClassDef)}
         self.binders: dict[str, set] = {}
         self.fields: dict[tuple, object] = {}  # (class, attr) -> type of the field or result
+        self.properties = {  # (class, attr) of the methods read as attributes
+            (cls.name, item.name)
+            for m in modules
+            for cls in m.body
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, FUNCTIONS)
+            and any(getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+                    for d in item.decorator_list)
+        }
         self.returns = {
             n.name: self.annotation(n.returns) for m in modules for n in m.body if isinstance(n, FUNCTIONS)
         }
@@ -205,9 +217,11 @@ def _references(tree: ast.Module, types: _Types) -> dict:
     class.  The place is None for a module-level statement, a module
     function's name or (class, method) for a definition (nested functions
     count for the definition around them), and a class's name for its body
-    outside the methods, its decorators, its bases and its dunder methods,
-    which run whenever the class is used."""
+    outside the methods, its decorators, its bases and its dunder methods
+    but `__init__`, which run whenever the class is used.  A call of a class
+    references its (class, "__init__")."""
     inside: dict = {}
+    called = set()  # id() of the nodes that are the function of a call
 
     def record(key, current):
         inside.setdefault(current, set()).add(key)
@@ -219,11 +233,17 @@ def _references(tree: ast.Module, types: _Types) -> dict:
                 visit(item, scope, own)
             for item in node.body:
                 if isinstance(item, FUNCTIONS):
-                    key = current or (node.name if _is_dunder(item.name) else (node.name, item.name))
+                    own_key = item.name == "__init__" or not _is_dunder(item.name)
+                    key = current or ((node.name, item.name) if own_key else node.name)
                     visit(item, types.scope(item, scope, node.name), key)
                 else:
                     visit(item, scope, own)
             return
+        if isinstance(node, ast.Call):
+            called.add(id(node.func))
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in types.classes:
+                record((name, "__init__"), current)
         if isinstance(node, ast.Name):
             record(node.id, current)
         elif isinstance(node, ast.Attribute):
@@ -232,6 +252,8 @@ def _references(tree: ast.Module, types: _Types) -> dict:
             if not isinstance(kind, str):
                 binders = types.binders.get(node.attr, ())
                 kind = next(iter(binders)) if len(binders) == 1 else None
+                if (kind, node.attr) in types.properties and id(node) in called:
+                    kind = None  # a call of what the receiver holds, not of the property
             if kind is not None:
                 record((kind, node.attr), current)
         for child in ast.iter_child_nodes(node):
@@ -247,14 +269,14 @@ def _references(tree: ast.Module, types: _Types) -> dict:
 
 def _definitions(tree: ast.Module):
     """(key, node) for the module-level functions (keyed by name) and the
-    non-dunder methods and properties of module-level classes (keyed by
-    (class, name))."""
+    `__init__`, the non-dunder methods and the properties of module-level
+    classes (keyed by (class, name))."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, FUNCTIONS) and not _is_dunder(item.name):
+                if isinstance(item, FUNCTIONS) and (item.name == "__init__" or not _is_dunder(item.name)):
                     yield (node.name, item.name), item
 
 
@@ -326,13 +348,13 @@ def test_a_dead_method_sharing_an_attribute_name_is_flagged():
     assert _unreachable({**package, **_MAIN}, []) == ["planted.py:3 Label.n"]
     # a receiver that resolves to Label is a call of Label.n ...
     typed = "def read(label: Label):\n    return label.n\n"
-    assert _unreachable({**package, "reader.py": typed}, ["spec_order", "read"]) == []
+    assert _unreachable({**package, **_MAIN, "reader.py": typed}, ["read"]) == []
     # ... one that does not resolve is not, as two classes bind `n`
     untyped = "def read(label):\n    return label.n\n"
-    assert _unreachable({**package, "reader.py": untyped}, ["spec_order", "read"]) == ["planted.py:3 Label.n"]
+    assert _unreachable({**package, **_MAIN, "reader.py": untyped}, ["read"]) == ["planted.py:3 Label.n"]
     # an unresolved receiver still counts for a name that one class binds
     loose = {"planted.py": _PLANTED.replace("spec: Spec", "spec").replace("class Label:\n    def n", "class Label:\n    def m")}
-    assert _unreachable({**loose, "main.py": "spec_order\nLabel().m\n"}, []) == []
+    assert _unreachable({**loose, "main.py": "spec_order(Spec(1))\nLabel().m\n"}, []) == []
     # and a reference from inside the definition itself does not count
     recursive = _PLANTED.replace("return 1", "return self.n()")
     assert _unreachable({"planted.py": recursive, **_MAIN}, []) == ["planted.py:3 Label.n"]
@@ -340,9 +362,10 @@ def test_a_dead_method_sharing_an_attribute_name_is_flagged():
 
 def test_code_that_only_tests_or_dead_code_reach_is_flagged():
     # an exported class is a root, but each of its methods counts only if
-    # something reaches it
+    # something reaches it, and its __init__ only if something calls it
     assert _unreachable({"planted.py": _PLANTED}, ["Spec"]) == [
-        "planted.py:3 Label.n", "planted.py:12 Spec.order", "planted.py:16 spec_order",
+        "planted.py:3 Label.n", "planted.py:8 Spec.__init__", "planted.py:12 Spec.order",
+        "planted.py:16 spec_order",
     ]
     # a helper that only a test would call: nothing in the package reaches
     # it, and the tests are not a root
@@ -356,6 +379,37 @@ def test_code_that_only_tests_or_dead_code_reach_is_flagged():
     assert _unreachable({**_MAIN, "planted.py": _PLANTED, "pair.py": pair}, []) == [
         "planted.py:3 Label.n", "pair.py:1 ping", "pair.py:5 pong",
     ]
+
+
+_CONSTRUCTED = """
+class Table:
+    def __init__(self, rows):
+        self.rows = rows
+
+    @property
+    def values(self):
+        return self.rows
+
+
+def size(table) -> int:
+    return len(table.rows) if isinstance(table, Table) else 0
+"""
+
+
+def test_a_constructor_and_a_property_count_only_where_they_run():
+    # naming the class is not calling it: its __init__ stays unreached until
+    # some code constructs the class
+    package = {"planted.py": _CONSTRUCTED, "main.py": "size\n"}
+    assert _unreachable(package, []) == ["planted.py:3 Table.__init__", "planted.py:7 Table.values"]
+    assert _unreachable({**package, "main.py": "size(Table([1]))\n"}, []) == ["planted.py:7 Table.values"]
+    # a call of `.values()` on an unresolved receiver is a call of what it
+    # holds (a dict's values), not a read of the only property so named ...
+    called = "def count(d):\n    return len(d.values())\n"
+    package["reader.py"] = called
+    assert "planted.py:7 Table.values" in _unreachable(package, ["count"])
+    # ... while a read of it counts
+    package["reader.py"] = called.replace("d.values()", "d.values")
+    assert "planted.py:7 Table.values" not in _unreachable(package, ["count"])
 
 
 def test_no_string_named_private_attributes():
