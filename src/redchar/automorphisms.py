@@ -5,8 +5,9 @@ transpose and inverse maps).  The Chevalley involution is checked to fix
 the standard pinning and to square to the identity, the duality involution
 to square to the identity, and before either is returned
 `GroupAutomorphism.verify_homomorphism` proves it a homomorphism from the
-generators; both are built and proved once per group.  The character table
-never needs an automorphism, so a `table` job does not import this module.
+generators (proven by the class sizes, `GroupRealization.generators`); both
+are built and proved once per group.  The character table never needs an
+automorphism, so a `table` job does not import this module.
 """
 
 from __future__ import annotations

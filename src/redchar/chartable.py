@@ -416,26 +416,27 @@ def twisted_fs_indicator(f: ClassFunction, iota: GroupAutomorphism) -> Cyclotomi
 
     Zero iff f o iota is not the dual of f; otherwise +-1 for irreducible f.
     """
-    return twisted_fs_indicators([f], iota)[0]
+    if f.group is not iota.group:
+        raise ValueError("automorphism of a different group")
+    return twisted_fs_indicators(f.flat[None], f.den, iota)[0]
 
 
-def twisted_fs_indicators(fs, iota: GroupAutomorphism) -> list[CyclotomicNumber]:
-    """`twisted_fs_indicator` of every class function in `fs`.
+def twisted_fs_indicators(flat: np.ndarray, den: int, iota: GroupAutomorphism) -> list[CyclotomicNumber]:
+    """`twisted_fs_indicator` of the class functions on iota's group whose
+    flats are the rows of `flat`, all over `den` (a table's `rows` and 1).
 
     The classes of g * iota(g) depend only on iota, so they are counted in
     one pass of `GroupRealization.products` over the group (dot-table
-    lookups, one chunk of pairs at a time) and each f is summed against the
-    counts.
+    lookups, one chunk of pairs at a time) and each row is summed against
+    the counts.
     """
     if not iota.is_involution():
         raise ValueError("twisted indicator needs an involutive automorphism")
     g = iota.group
-    if any(f.group is not g for f in fs):
-        raise ValueError("automorphism of a different group")
     data = g.conjugacy()
     counts = np.bincount(data.cls[g.products(np.arange(g.order), iota.perm)], minlength=data.n_classes)
-    sums = _weighted_sums(g, np.stack([f.flat for f in fs]), counts)
-    return [_order_sum(parts, f.den * g.order) for f, parts in zip(fs, sums)]
+    sums = _weighted_sums(g, flat, counts)
+    return [_order_sum(parts, den * g.order) for parts in sums]
 
 
 # ---------------------------------------------------------------------------

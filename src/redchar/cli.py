@@ -242,7 +242,7 @@ def check_fs_indicator(group, ctx):
     # indicator is legitimately 0, so only membership in {-1, 0, 1} is checked
     dualizing_scope = two_h1_predicate(group.spec)
     rows = []
-    for i, eps in enumerate(twisted_fs_indicators(table.irreducibles, iota)):
+    for i, eps in enumerate(twisted_fs_indicators(table.rows, 1, iota)):
         value = eps.as_int() if eps.is_rational() else None
         allowed = (1, -1) if dualizing_scope else (1, -1, 0)
         rows.append(

@@ -44,12 +44,24 @@ from .groups import (
     GroupRealization,
     GroupSpec,
     cached_group,
-    partitions_of,
 )
 
 # ---------------------------------------------------------------------------
 # symmetric group characters and Green functions (n <= 3)
 # ---------------------------------------------------------------------------
+
+
+def partitions_of(n: int):
+    """The partitions of n, parts descending, in reverse lexicographic order:
+    the cycle types of W = S_n, which index the torus types."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in partitions_of(n - first):
+            if not rest or first >= rest[0]:
+                yield (first,) + rest
+
 
 # character tables of S_n indexed [partition][cycle type]
 SYM_CHARS = {

@@ -32,7 +32,7 @@ k of row c * h is D[c, code of column k of h], so T_h is one gather into D
 and x h for every x is n gathers into T_h and one index lookup.  Row i of
 m y is sum_j m_ij (row j of y), read through a scale table and a row-sum
 table, so conjugation x -> m x m^-1 is T_{m^-1} and then row operations for
-m, and the generation proof runs on right multiplications.  Products of two
+m; the classes are its orbits, certified by their sizes.  Products of two
 element arrays read D as well: entry (i, k) of x y is D[row i of x, column k
 of y], so `products` takes the column codes of the right factors and n^2
 lookups into D per product.  Every whole-group map runs _CHUNK elements (or
@@ -54,7 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -113,6 +113,11 @@ class GroupSpec:
         if self.family == "SL":
             out //= q - 1
         return out
+
+    @property
+    def scalars(self) -> int:
+        """m, the number of scalar matrices in the group."""
+        return self.q - 1 if self.family == "GL" else gcd(self.n, self.q - 1)
 
     def __str__(self) -> str:
         return f"{self.family}{self.n}({self.q})"
@@ -498,30 +503,27 @@ class GroupRealization:
         return [self.root_subgroup_element(i, 1) for i in range(self.n - 1)]
 
     def generators(self) -> list[int]:
-        """A small generating set, proven to generate on the first call."""
+        """A small generating set, proven by the class sizes (`conjugacy`)."""
+        self.conjugacy()
         return list(self._generators)
 
     @cached_property
     def _generators(self) -> tuple[int, ...]:
-        """The generators, with the proof that they generate: the orbits of
-        the right multiplications x -> x g are the cosets x H of the subgroup
-        H they generate, so one orbit means H = G.  The permutations are
-        dropped once the proof is done."""
-        n, fld = self.n, self.field
-        # x_{+-alpha_i}(c) for c in an F_p-basis of F_q, then diag(nu, 1, ...) on GL
+        """S: x_{+-alpha_i}(c), c in an F_p-basis of F_q, and diag(nu, 1, ...) on
+        GL; then z I, z = nu^((q-1)/m), if m = `GroupSpec.scalars` > 1 (in G, as
+        `lookup` finds it)."""
+        n, fld, m = self.n, self.field, self.spec.scalars
         entries = [(pos, fld.p**k) for i in range(n - 1) for k in range(fld.k)
                    for pos in ((i, i + 1), (i + 1, i))]
         if self.spec.family == "GL" and self.q > 2:
             entries.append(((0, 0), fld.generator_code))
         # with no entries (GL1(2), SL1(q)) the identity alone generates
-        mats = np.repeat(np.eye(n, dtype=np.uint8)[None], max(len(entries), 1), axis=0)
+        mats = np.repeat(np.eye(n, dtype=np.uint8)[None], max(len(entries), 1) + (m > 1), axis=0)
         for mat, (pos, c) in zip(mats, entries):
             mat[pos] = c
-        gens = self.lookup(mats)
-        rights = [self.right_mul(self.matrices(g)) for g in gens]
-        if (_orbit_minima(rights, self.order) != 0).any():
-            raise RuntimeError("generating set failed to generate the group")
-        return tuple(gens.tolist())
+        if m > 1:
+            np.fill_diagonal(mats[-1], fld.pow_code(fld.generator_code, (self.q - 1) // m))
+        return tuple(self.lookup(mats).tolist())
 
     def conjugation_perm(self, m: np.ndarray) -> np.ndarray:
         """The permutation x -> m x m^-1 for an invertible code matrix m.
@@ -543,12 +545,12 @@ class GroupRealization:
         return self._conjugacy
 
     def _compute_conjugacy(self) -> ConjugacyData:
-        """Classes are the orbits of conjugation by the generators.
+        """Classes are the orbits of conjugation by S (`_generators`).
 
-        Conjugation by a generator g is `conjugation_perm`: the row table
-        of g^-1, then row operations for g, on the row codes of each chunk
-        of elements.  The int32 permutations are dropped once the orbits
-        are known.
+        Conjugation by g in S is `conjugation_perm`: the row table of g^-1,
+        then row operations for g, on the row codes of each chunk of
+        elements (z I is central).  The int32 permutations are dropped once
+        the orbits are known.
 
         The orbits come from min-label propagation (`_orbit_minima`): with
         labels = arange, set labels = min(labels, labels[pi]) for every
@@ -556,12 +558,20 @@ class GroupRealization:
         changes.  Each step keeps labels[x] <= x and inside the class of x.
         At the fixed point labels[x] <= labels[pi(x)] for every pi, and going
         once round a cycle of pi returns to x, so labels are constant on
-        each class; its least member m has labels[m] <= m, so the label is
-        m.  The representatives are these least members, and a class's index
+        each class; its least member y has labels[y] <= y, so the label is
+        y.  The representatives are these least members, and a class's index
         is the rank of its representative, so classes are ordered by their
         least elements.
+
+        With Z' = <z I> (m scalars), each orbit size divides |<S>Z(G)/Z(G)|
+        <= |G/Z(G)| <= |G/Z'| = |G|/m, so lcm(sizes) = |G|/m, else a
+        RuntimeError, proves <S>Z(G) = G and Z(G) = Z': the orbits are the
+        classes and S, z I generate G.  On GL_n(q) and SL_n(q) it holds, as
+        regular unipotent centralizers have order m q^(n-1) and Singer-cycle
+        ones order prime to p.
         """
-        perms = [self.conjugation_perm(self.matrices(g)) for g in self.generators()]
+        gens, m = self._generators, self.spec.scalars
+        perms = [self.conjugation_perm(self.matrices(g)) for g in gens[: len(gens) - (m > 1)]]
         minima = _orbit_minima(perms, self.order)
         del perms
         is_rep = minima == np.arange(self.order, dtype=np.int32)
@@ -571,11 +581,10 @@ class GroupRealization:
         cls = rank.take(minima).astype(np.min_scalar_type(len(reps) - 1))
         del minima, rank
         sizes = np.bincount(cls, minlength=len(reps))
+        if lcm(*sizes.tolist()) != self.order // m:
+            raise RuntimeError(f"{self.spec}: the class sizes do not certify the classes")
         orders, power_classes = self._powers(reps, cls)
         inverse_class = cls[self.inverses(reps)].astype(np.int64)
-        exponent = 1
-        for o in orders:
-            exponent = exponent * o // gcd(exponent, o)
         return ConjugacyData(
             n_classes=len(reps),
             cls=cls,
@@ -584,7 +593,7 @@ class GroupRealization:
             orders=orders,
             power_classes=power_classes,
             inverse_class=inverse_class,
-            exponent=exponent,
+            exponent=lcm(*orders),
         )
 
     def _powers(self, reps: np.ndarray, cls: np.ndarray) -> tuple[list, np.ndarray]:
@@ -623,19 +632,3 @@ def _realization(spec: GroupSpec) -> GroupRealization:
     """The ungated memo behind `cached_group`, for groups that fit inside one
     already admitted (the centralizers GL_m(q^d) of a GL_n(q))."""
     return GroupRealization(spec)
-
-
-# ---------------------------------------------------------------------------
-# torus types: the cycle types of W = S_n
-# ---------------------------------------------------------------------------
-
-
-def partitions_of(n: int):
-    """The partitions of n, parts descending, in reverse lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in partitions_of(n - first):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest

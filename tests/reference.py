@@ -14,6 +14,7 @@ import numpy as np
 from redchar.chartable import ClassFunction, _packed_context, restriction_gather
 from redchar.cyclotomic import CyclotomicNumber, euler_phi, power_matrix, zeta
 from redchar.dl import SemisimpleClassLabel, lusztig_series
+from redchar.groups import _orbit_minima
 
 
 def galois(x: CyclotomicNumber, k: int) -> CyclotomicNumber:
@@ -54,6 +55,14 @@ def element_order(group, i: int) -> int:
         out = mul_idx(group, out, i)
         m += 1
     return m
+
+
+def generates(group, gens) -> bool:
+    """Whether the elements `gens` generate the group: the orbits of the
+    right multiplications x -> x g are the cosets x H of the subgroup H they
+    generate, so one orbit means H = G."""
+    rights = [group.right_mul(group.matrices(g)) for g in gens]
+    return not _orbit_minima(rights, group.order).any()
 
 
 def borel_indices(group) -> np.ndarray:

@@ -176,7 +176,7 @@ def test_batched_fs_indicators_match_one_by_one(name):
     cls = g.conjugacy().cls
     # independent reference: the class of g * iota(g), one element at a time
     square_classes = [int(cls[mul_idx(g, x, iota.apply(x))]) for x in range(g.order)]
-    batched = twisted_fs_indicators(t.irreducibles, iota)
+    batched = twisted_fs_indicators(t.rows, 1, iota)
     assert len(batched) == len(t)
     for chi, eps in zip(t.irreducibles, batched):
         total = CyclotomicNumber.zero()

@@ -1,3 +1,7 @@
+import re
+from math import gcd, lcm
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from redchar.groups import (
 )
 from redchar.jordan import dual_centralizer
 
-from reference import bmm, borel_indices, element_order, mul_idx
+from reference import bmm, borel_indices, element_order, generates, mul_idx
 
 
 def _bdet(tab, a):
@@ -683,12 +687,43 @@ def test_orbit_minima_label_each_orbit_by_its_least_point():
     assert np.array_equal(groups._orbit_minima(cycles, size), np.arange(size) // 10 * 10)
 
 
-def test_generating_set_refuses_a_proper_subgroup(monkeypatch):
-    # the proof runs on right multiplications; planted identities generate {1}
-    g = GroupRealization(GroupSpec.parse("GL2(3)"))
-    monkeypatch.setattr(g, "right_mul", lambda h, idx=None: np.arange(g.order))
-    with pytest.raises(RuntimeError, match="failed to generate"):
-        g.generators()
+def _named_groups():
+    """Every group spec named in the tests that is valid and within the
+    default budget, in order of size."""
+    names = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        names.update(re.findall(r"[GS]L[123]\(\d+\)", path.read_text()))
+    specs = []
+    for name in names:
+        try:
+            specs.append(GroupSpec.parse(name))
+        except groups.InvalidSpec:
+            continue  # the refusal tests name GL2(6) and others on purpose
+    return [str(s) for s in sorted(specs, key=lambda s: s.order) if s.order <= groups.DEFAULT_BUDGET]
+
+
+@pytest.mark.parametrize("name", _named_groups())
+def test_generators_generate_and_class_sizes_certify(name):
+    # the right-multiplication oracle, and lcm(class sizes) = |G| / m with m
+    # the number of scalar matrices of the group
+    g = cached_group(name)
+    assert generates(g, g.generators())
+    m = g.q - 1 if g.spec.family == "GL" else gcd(g.n, g.q - 1)
+    assert lcm(*g.conjugacy().sizes.tolist()) == g.order // m
+
+
+@pytest.mark.parametrize("name", ["GL2(3)", "SL3(3)"])
+def test_conjugators_of_a_proper_subgroup_are_refused(name):
+    # plant the upper simple root elements alone (and, on GL2(3), the scalar
+    # -I after them): they generate the unitriangular group U (times the
+    # scalars), whose orbits are too small for the class-size certificate
+    g = GroupRealization(GroupSpec.parse(name))
+    upper = [g.root_subgroup_element(i, 1) for i in range(g.n - 1)]
+    scalar = [int(g.lookup(2 * np.eye(2, dtype=np.uint8)[None])[0])] if name == "GL2(3)" else []
+    g._generators = tuple(upper + scalar)
+    assert not generates(g, g._generators)
+    with pytest.raises(RuntimeError, match="class sizes do not certify"):
+        g.conjugacy()
 
 
 def test_generators_are_proven_once(monkeypatch):
@@ -699,6 +734,14 @@ def test_generators_are_proven_once(monkeypatch):
     monkeypatch.setattr(groups, "_orbit_minima", lambda *args: calls.append(args))
     assert g.generators() == first
     assert calls == []
+
+
+def test_table_runs_one_orbit_computation(monkeypatch):
+    calls = []
+    orbit_minima = groups._orbit_minima
+    monkeypatch.setattr(groups, "_orbit_minima", lambda *args: calls.append(args) or orbit_minima(*args))
+    chartable.table_of(GroupRealization(GroupSpec.parse("GL2(5)")))
+    assert len(calls) == 1
 
 
 def test_table_builds_no_transpose_or_inverse_map():
