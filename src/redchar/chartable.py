@@ -342,12 +342,14 @@ def _order_sum(parts, den: int) -> CyclotomicNumber:
 def _weighted_sums(group: GroupRealization, flat: np.ndarray, weights: np.ndarray) -> list[list]:
     """Per row of flat (functions, size), the parts (m, sum over the classes
     k of order m of weights[k] times the value at k, over zeta_m) for
-    `_order_sum`."""
+    `_order_sum`.  A block whose sums stay inside int64 is contracted in
+    int64 where it lies, so no float64 copy of it is made."""
     ctx = _packed_context(group)
-    per_block = [
-        _exact_matmul(weights[classes][None, None, :], stacked)[:, 0].tolist()
-        for classes, stacked in zip(ctx.block_classes, ctx.blocks(flat))
-    ]
+    per_block = []
+    for classes, stacked in zip(ctx.block_classes, ctx.blocks(flat)):
+        w = weights[classes][None, None, :]
+        exact = stacked.dtype != object and _absmax(w) * _absmax(stacked) * len(classes) < _INT64_GUARD
+        per_block.append((w @ stacked if exact else _exact_matmul(w, stacked))[:, 0].tolist())
     return [list(zip(ctx.orders, sums)) for sums in zip(*per_block)]
 
 
@@ -673,58 +675,6 @@ class CharacterTable:
             blocks = (self.rows[start : start + ctx.chunk] for start in range(0, len(self), ctx.chunk))
             self._permutations[key] = [j for block in blocks for j in self.identify(block[:, index])]
         return self._permutations[key]
-
-    def to_json(self) -> dict:
-        data = self.group.conjugacy()
-        return {
-            "group": str(self.group.spec),
-            "exponent": data.exponent,
-            "ell": self.modular.ell,
-            "zeta_mod": self.modular.zeta_mod,
-            "class_sizes": [int(s) for s in data.sizes],
-            "class_orders": list(data.orders),
-            "degrees": self.degrees,
-            "rows": self.rows.tolist(),
-        }
-
-    @staticmethod
-    def from_json(group: GroupRealization, data: dict) -> "CharacterTable":
-        """Rebuild a table from its serialized form and re-certify it exactly.
-
-        A ValueError unless every key that `to_json` writes is present, the
-        class data are the group's and the rows are one flat list per class
-        of integers that fit in int64, so that no entry is cast.  The rows are
-        taken out of `data`, so the parsed lists are freed before the
-        certificate runs."""
-        if {"group", "exponent", "ell", "zeta_mod", "class_sizes", "class_orders", "degrees", "rows"} - data.keys():
-            raise ValueError("a serialized table lacks a key")
-        if data["group"] != str(group.spec):
-            raise ValueError("table serialized for a different group")
-        conj, ctx = group.conjugacy(), _packed_context(group)
-        if (data["exponent"], data["class_sizes"], data["class_orders"]) != (
-            conj.exponent, [int(s) for s in conj.sizes], list(conj.orders)
-        ):
-            raise ValueError("serialized table does not match the class data")
-        if not {type(data["ell"]), type(data["zeta_mod"])} <= {int}:
-            raise ValueError("the serialized table prime and root are not integers")
-        rows = data.pop("rows")
-        if not (isinstance(rows, list) and len(rows) == conj.n_classes):
-            raise ValueError("a serialized table needs one row per class")
-        flat = np.empty((len(rows), ctx.size), dtype=np.int64)
-        for i, row in enumerate(rows):  # no bool, float or string, which numpy would cast
-            if not (isinstance(row, list) and len(row) == ctx.size and set(map(type, row)) <= {int}):
-                raise ValueError(f"a serialized row is not a list of {ctx.size} integers")
-            try:
-                flat[i] = row
-            except OverflowError:
-                raise ValueError("a serialized row holds an integer beyond int64") from None
-        del rows  # the parsed lists go before the certificate
-        table = CharacterTable(group, flat, ModularContext(group, data["ell"], data["zeta_mod"]))
-        if table.degrees != data["degrees"]:
-            raise ValueError("serialized degrees disagree with the values")
-        table.verify_degree_sum()
-        table.verify_orthogonality()
-        return table
 
 
 def table_of(group: GroupRealization) -> CharacterTable:

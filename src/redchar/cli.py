@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 # that a host program imports.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .chartable import CharacterTable, _packed_context, table_of, twisted_fs_indicators
+from .chartable import _packed_context, table_of, twisted_fs_indicators
 from .groups import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -62,15 +62,17 @@ _EXACT_OP_BUDGET = 2 * 10**9  # int64 operation budget for the exact table check
 def _group_for(spec_text: str, budget: int, cache: TableCache | None):
     group = cached_group(spec_text, budget)
     if cache is not None:
+        from .cache import table_entry, table_from_entry
+
         kind, spec = "character-table", str(group.spec)
 
         def produce():
-            return table_of(group).to_json()
+            return table_entry(table_of(group))
 
-        payload = cache.get_or_compute(kind, spec, produce)
+        entry = cache.get_or_compute(kind, spec, produce)
         if group._table is None:
             try:
-                group._table = CharacterTable.from_json(group, payload)
+                group._table = table_from_entry(group, *entry)
             except ValueError as exc:  # an entry the reader refuses is recomputed
                 cache.discard(kind, spec, exc)
                 cache.get_or_compute(kind, spec, produce)

@@ -44,24 +44,35 @@ def _poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
     return quotient, _poly_trim(a[:db], p)
 
 
-def _poly_mul(a, b, p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out, p)
-
-
 def poly_powmod(base, n: int, f, p: int) -> list[int]:
-    """base^n mod f over F_p, by repeated squaring."""
+    """base^n mod f over F_p, by repeated squaring.  A product is summed
+    unreduced and then reduced once, from the top, by x^d = low(x) mod f
+    (d = deg f, low(x) = x^d - f(x) / lead(f))."""
+    f = _poly_trim(f, p)
+    d = len(f) - 1
+    inv_lead = pow(f[-1], -1, p)
+    low = [-c * inv_lead % p for c in f[:d]]
+
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(len(out) - 1, d - 1, -1):
+            c = out[k] % p
+            if c:
+                for i, y in enumerate(low, k - d):
+                    out[i] += c * y
+        return _poly_trim(out[:d], p)
+
     result, base = [1], _poly_divmod(base, f, p)[1]
     while n:
         if n & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), f, p)[1]
+            result = mulmod(result, base)
         n >>= 1
         if n:
-            base = _poly_divmod(_poly_mul(base, base, p), f, p)[1]
+            base = mulmod(base, base)
     return result
 
 

@@ -2,9 +2,12 @@
 worked out one value or one element at a time, for the tests to compare
 against, and the CyclotomicNumber forms of class functions (built from
 values, read back as values).  No check of `verify` runs them, so they live
-with the tests.
+with the tests.  The cache entry format is also written out here on its own,
+with the faults that its reader must refuse.
 """
 
+import json
+import zlib
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -146,3 +149,115 @@ def values(f: ClassFunction) -> list[CyclotomicNumber]:
 def restrict_between_groups(f: ClassFunction, subgroup) -> ClassFunction:
     """Restriction of one class function to a subgroup (same field)."""
     return ClassFunction(subgroup, f.flat[restriction_gather(subgroup, f.group)], f.den)
+
+
+def table_json(table) -> dict:
+    """The JSON form in which the cache once stored a table (the flat rows as
+    lists of ints), kept so that the recorded table digests stay comparable."""
+    data = table.group.conjugacy()
+    return {
+        "group": str(table.group.spec),
+        "exponent": data.exponent,
+        "ell": table.modular.ell,
+        "zeta_mod": table.modular.zeta_mod,
+        "class_sizes": [int(s) for s in data.sizes],
+        "class_orders": list(data.orders),
+        "degrees": table.degrees,
+        "rows": table.rows.tolist(),
+    }
+
+
+# ---------------------------------------------------------------------------
+# cache entries: a header line, a raw block and the CRC-32 of the two
+# ---------------------------------------------------------------------------
+
+
+def entry_parts(raw: bytes) -> tuple[dict, bytes]:
+    """The header and the block bytes of a cache entry, its CRC dropped."""
+    end = raw.index(b"\n")
+    return json.loads(raw[:end]), raw[end + 1 : -4]
+
+
+def entry_bytes(header: dict, block: bytes, separators=(",", ":")) -> bytes:
+    """The cache entry of this header and block, with their CRC-32."""
+    body = json.dumps(header, sort_keys=True, separators=separators).encode() + b"\n" + block
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _edited(edit):
+    """A fault that edits the header and the block and recomputes the CRC."""
+
+    def fault(raw: bytes) -> bytes:
+        header, block = entry_parts(raw)
+        return entry_bytes(*edit(header, block))
+
+    return fault
+
+
+def _field(key, change):
+    def edit(header, block):
+        header[key] = change(header[key])
+        return header, block
+
+    return _edited(edit)
+
+
+def _stored_as(dtype):
+    """The block's values stored in another type, with a matching length."""
+
+    def edit(header, block):
+        values = np.frombuffer(block, header["dtype"])
+        header["dtype"] = np.dtype(dtype).str
+        return header, values.astype(dtype).tobytes()
+
+    return _edited(edit)
+
+
+def _reshaped(rows: int, cols: int):
+    """The block cut or zero-padded by rows and columns, its shape to match."""
+
+    def edit(header, block):
+        r, c = header["shape"]
+        old = np.frombuffer(block, header["dtype"]).reshape(r, c)
+        new = np.zeros((r + rows, c + cols), old.dtype)
+        new[: min(r, r + rows), : min(c, c + cols)] = old[: r + rows, : c + cols]
+        header["shape"] = list(new.shape)
+        return header, new.tobytes()
+
+    return _edited(edit)
+
+
+def _flipped(raw: bytes) -> bytes:
+    """One byte in the middle of the block flipped, the CRC left as it was."""
+    i = (raw.index(b"\n") + len(raw)) // 2
+    return raw[:i] + bytes([raw[i] ^ 0x40]) + raw[i + 1 :]
+
+
+def _second_changed(change):
+    return lambda values: values[:1] + [change(values[1])] + values[2:]
+
+
+# fault id -> (entry bytes -> corrupt entry bytes, what the refusal says)
+ENTRY_FAULTS = {
+    "truncated-block": (_edited(lambda h, b: (h, b[:-1])), "length disagrees"),
+    "extra-byte": (_edited(lambda h, b: (h, b + b"\0")), "length disagrees"),
+    "flipped-byte": (_flipped, "CRC-32"),
+    "float": (_stored_as(np.float64), "unknown block dtype"),
+    "bool": (_stored_as(np.bool_), "unknown block dtype"),
+    "unsigned": (_stored_as(np.uint64), "unknown block dtype"),
+    "long-row": (_reshaped(0, 1), "table layout"),
+    "short-row": (_reshaped(0, -1), "table layout"),
+    "missing-row": (_reshaped(-1, 0), "table layout"),
+    "nested-entry": (_field("shape", lambda s: [s[0], [s[1]]]), "not two sizes"),
+    "nested-row": (_field("shape", lambda s: [s]), "not two sizes"),
+    "other-group": (_field("key", lambda k: {**k, "spec": "GL2(4)"}), "not this entry's"),
+    "other-version": (_field("key", lambda k: {**k, "version": "2"}), "not this entry's"),
+    "class-orders": (_field("class_orders", _second_changed(lambda m: m + 1)), "class_orders"),
+    "class-sizes": (_field("class_sizes", _second_changed(lambda s: s + 1)), "class_sizes"),
+    "float-prime": (_field("ell", float), "ell"),
+    "above-int64": (_field("ell", lambda ell: ell + (1 << 63)), "ell"),
+    "below-int64": (_field("class_sizes", _second_changed(lambda s: s - (1 << 63) - 1)), "class_sizes"),
+    "string": (_field("ell", str), "ell"),
+    "float-equal-to-an-int": (_field("degrees", lambda d: [float(d[0])] + d[1:]), "degrees"),
+    "degrees": (_field("degrees", _second_changed(lambda d: d + 1)), "degrees"),
+}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from redchar.automorphisms import adjoint_action_representatives, duality_involution, identity_automorphism
+from redchar.cache import ALGORITHM_VERSION, TableCache, _read_entry, cache_key, table_entry, table_from_entry
 from redchar.chartable import (
     CharacterTable,
     _central_characters_mod,
@@ -37,7 +38,18 @@ from redchar.cyclotomic import CyclotomicNumber, euler_phi
 from redchar.finitefield import poly_roots
 from redchar.groups import GroupRealization, GroupSpec, cached_group
 
-from reference import borel_indices, class_function, conjugate, mul_idx, restrict_between_groups, values
+from reference import (
+    ENTRY_FAULTS,
+    borel_indices,
+    class_function,
+    conjugate,
+    entry_bytes,
+    entry_parts,
+    mul_idx,
+    restrict_between_groups,
+    table_json,
+    values,
+)
 
 
 
@@ -311,8 +323,8 @@ def test_frobenius_reciprocity_random_pairs():
 def test_table_json_deterministic_across_builds():
     import json
 
-    a = character_table(GroupRealization(GroupSpec.parse("GL2(3)"))).to_json()
-    b = character_table(GroupRealization(GroupSpec.parse("GL2(3)"))).to_json()
+    a = table_json(character_table(GroupRealization(GroupSpec.parse("GL2(3)"))))
+    b = table_json(character_table(GroupRealization(GroupSpec.parse("GL2(3)"))))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -324,7 +336,7 @@ def test_table_prime_bound_refusal():
         find_table_prime(24, 48, bound=96)
 
 
-# SHA-256 of json.dumps(table.to_json(), sort_keys=True), recorded when the
+# SHA-256 of json.dumps(table_json(table), sort_keys=True), recorded when the
 # form became the flat per-order rows; the stacked int64 rows of every table
 # here were equal to those of the cyclotomic-value form that this replaced
 TABLE_DIGESTS = {
@@ -348,7 +360,7 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
 def test_table_json_digest_unchanged(name):
-    payload = json.dumps(table(name).to_json(), sort_keys=True).encode()
+    payload = json.dumps(table_json(table(name)), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == TABLE_DIGESTS[name]
 
 
@@ -475,56 +487,47 @@ def test_a_power_map_that_moves_class_sizes_is_refused(monkeypatch):
         t.verify_orthogonality()
 
 
-def test_a_cache_hit_is_certified_exactly():
-    # one coordinate of a non-identity class shifted by the table prime:
-    # the mod-ell shadow cannot see it, the exact certificate refuses it
+def _written_entry(directory, spec: str):
+    """The path of the cache entry of spec's table, written into directory."""
+    cache, group = TableCache(directory), cached_group(spec)
+    cache.get_or_compute("character-table", spec, lambda: table_entry(table_of(group)))
+    return cache._path(cache_key("character-table", spec))
+
+
+def _read_back(group, path):
+    header, rows = _read_entry(path, {"kind": "character-table", "spec": str(group.spec), "version": ALGORITHM_VERSION})
+    return table_from_entry(group, header, rows)
+
+
+def test_a_cache_hit_is_certified_exactly(tmp_path):
+    # one coordinate of a non-identity class shifted by the table prime, the
+    # CRC recomputed: the mod-ell shadow cannot see it, the exact
+    # certificate refuses it
     group = cached_group("GL2(3)")
-    payload = json.loads(json.dumps(table_of(group).to_json()))
+    path = _written_entry(tmp_path, "GL2(3)")
+    header, block = entry_parts(path.read_bytes())
     ctx = _packed_context(group)
     ident = int(group.conjugacy().cls[group.identity_idx])
     k = next(k for k in range(ctx.n_classes) if k != ident)
-    payload["rows"][1][int(ctx.row_start[k])] += payload["ell"]
-    CharacterTable(group, np.array(payload["rows"]), table_of(group).modular).verify_modular_orthogonality()
+    rows = np.frombuffer(block, header["dtype"]).reshape(header["shape"]).astype(np.int64)
+    rows[1, int(ctx.row_start[k])] += header["ell"]
+    CharacterTable(group, rows.copy(), table_of(group).modular).verify_modular_orthogonality()
+    header["dtype"] = "<i8"  # so that the shifted entry fits
+    path.write_bytes(entry_bytes(header, rows.astype("<i8").tobytes()))
     with pytest.raises(AssertionError, match="orthogonality fails"):
-        CharacterTable.from_json(group, payload)
+        _read_back(group, path)
 
 
-@pytest.mark.parametrize(
-    "path, change, message",
-    [
-        (("rows", 1), lambda row: row + [0], "is not a list of"),
-        (("rows", 1), lambda row: row[:-1], "is not a list of"),
-        (("rows", 0, 0), float, "is not a list of"),  # the degree 1 as 1.0
-        (("rows", 1, 1), lambda v: v + 0.5, "is not a list of"),
-        (("rows", 0, 0), str, "is not a list of"),
-        (("rows", 0, 0), bool, "is not a list of"),
-        (("rows", 1, 0), lambda v: [v], "is not a list of"),
-        (("rows", 1), lambda row: [row], "is not a list of"),
-        (("rows", 1, 1), lambda v: 1 << 63, "beyond int64"),
-        (("rows", 1, 1), lambda v: -(1 << 63) - 1, "beyond int64"),
-        (("rows",), lambda rows: rows[:-1], "one row per class"),
-        (("class_orders", 1), lambda m: m + 1, "class data"),
-        (("class_sizes", 1), lambda s: s + 1, "class data"),
-        (("ell",), float, "not integers"),
-    ],
-    ids=[
-        "long-row", "short-row", "float-equal-to-an-int", "float", "string", "bool",
-        "nested-entry", "nested-row", "above-int64", "below-int64", "missing-row",
-        "class-orders", "class-sizes", "float-prime",
-    ],
-)
-def test_a_malformed_table_form_is_refused(path, change, message):
-    # each entry's type is checked: numpy would cast 1.5 to 1, "7" to 7 and
-    # True to 1, and turn an integer beyond int64 into a float
+@pytest.mark.parametrize("fault", sorted(ENTRY_FAULTS))
+def test_a_malformed_table_form_is_refused(tmp_path, fault):
+    # a typed block holds no float, string or nested entry, so the faults
+    # are in the header, the block's length, type and shape, and the CRC
     group = cached_group("GL2(3)")
-    payload = json.loads(json.dumps(table_of(group).to_json()))
-    *parents, last = path
-    target = payload
-    for key in parents:
-        target = target[key]
-    target[last] = change(target[last])
+    path = _written_entry(tmp_path, "GL2(3)")
+    corrupt, message = ENTRY_FAULTS[fault]
+    path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
-        CharacterTable.from_json(group, payload)
+        _read_back(group, path)
 
 
 @pytest.mark.parametrize("e", [30, 120, 168, 240, 312, 336, 420, 510, 1260, 2184, 3720])

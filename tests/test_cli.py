@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from redchar.cache import ALGORITHM_VERSION, TableCache, _canonical_bytes, _canonical_pieces, cache_key
+from redchar.cache import ALGORITHM_VERSION, TableCache, _canonical_bytes, _read_entry, cache_key, table_entry, table_from_entry
 from redchar.chartable import CharacterTable, table_of
 from redchar.cli import (
     EXIT_BUDGET,
@@ -20,6 +21,8 @@ from redchar.cli import (
 )
 from redchar.groups import cached_group
 from redchar.reports import CheckReport, emit_report, write_report
+
+from reference import ENTRY_FAULTS, entry_bytes, entry_parts, table_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -126,19 +129,27 @@ def test_dualizing_report_row_count_sl2_5():
     assert md.count("| pass |") == 9
 
 
+def _table_producer(spec: str, calls: list | None = None):
+    group = cached_group(spec)
+
+    def producer():
+        if calls is not None:
+            calls.append(1)
+        return table_entry(table_of(group))
+
+    return producer
+
+
 def test_cache_roundtrip(tmp_path):
     cache = TableCache(tmp_path)
     group = cached_group("SL2(3)")
     produced = []
-
-    def producer():
-        produced.append(1)
-        return table_of(group).to_json()
-
+    producer = _table_producer("SL2(3)", produced)
     cold = cache.get_or_compute("character-table", "SL2(3)", producer)
     warm = cache.get_or_compute("character-table", "SL2(3)", producer)
     assert produced == [1]  # second call hit the cache
-    assert cold == warm
+    assert cold[0] == warm[0] and np.array_equal(cold[1], warm[1])
+    assert cold[1].dtype == np.int8 and warm[1].dtype == np.int64  # widened once, on read
     # cold and warm runs produce identical bytes on disk
     path = cache._path(cache_key("character-table", "SL2(3)"))
     raw1 = path.read_bytes()
@@ -146,78 +157,81 @@ def test_cache_roundtrip(tmp_path):
     cache.get_or_compute("character-table", "SL2(3)", producer)
     raw2 = path.read_bytes()
     assert raw1 == raw2
-    # table reconstruction from the payload round-trips
-    rebuilt = CharacterTable.from_json(group, warm)
+    # table reconstruction from the entry round-trips
+    rebuilt = table_from_entry(group, *warm)
     assert rebuilt.degrees == table_of(group).degrees
-    assert all(
-        a == b
-        for a, b in zip(rebuilt.irreducibles, table_of(group).irreducibles)
-    )
+    assert np.array_equal(rebuilt.rows, table_of(group).rows)
 
 
-def test_cache_reads_an_indented_entry_as_a_hit(tmp_path):
-    # entries were once written with indent=1; the digest covers the payload
-    # only, so they stay hits under the compact layout
+@pytest.mark.parametrize(
+    "bound, dtype", [(127, "|i1"), (128, "<i2"), (32767, "<i2"), (32768, "<i4"), ((1 << 31) - 1, "<i4"), (1 << 31, "<i8")]
+)
+def test_an_entry_holds_the_rows_in_the_narrowest_type(tmp_path, bound, dtype):
+    # the largest |entry| picks the type; a hit widens the block to int64
+    table = table_of(cached_group("GL2(3)"))
+    rows = table.rows.copy()
+    rows[1, 1] = -bound
     cache = TableCache(tmp_path)
-    payload = table_of(cached_group("SL2(3)")).to_json()
-    entry = {
-        "key": {"kind": "character-table", "spec": "SL2(3)", "version": ALGORITHM_VERSION},
-        "sha256": hashlib.sha256(_canonical_bytes(payload)).hexdigest(),
-        "payload": payload,
-    }
+    written = cache.get_or_compute(
+        "character-table", "GL2(3)", lambda: table_entry(CharacterTable(table.group, rows, table.modular))
+    )
+    header, read = cache.get_or_compute("character-table", "GL2(3)", lambda: 1 / 0)
+    assert written[0]["dtype"] == header["dtype"] == dtype
+    assert read.dtype == np.int64 and np.array_equal(read, rows)
+
+
+def test_cache_reads_a_header_with_spaces_as_a_hit(tmp_path):
+    # the CRC covers the bytes as read and the header is parsed, never
+    # encoded again, so a header in another JSON layout is still a hit
+    cache = TableCache(tmp_path)
     path = cache._path(cache_key("character-table", "SL2(3)"))
-    path.write_text(json.dumps(entry, sort_keys=True, indent=1) + "\n")
+    cold = cache.get_or_compute("character-table", "SL2(3)", _table_producer("SL2(3)"))
+    header, block = entry_parts(path.read_bytes())
+    path.write_bytes(entry_bytes(header, block, separators=(", ", ": ")))
 
     def producer():
         raise AssertionError("a hit must not recompute")
 
-    assert cache.get_or_compute("character-table", "SL2(3)", producer) == payload
+    warm = cache.get_or_compute("character-table", "SL2(3)", producer)
+    assert warm[0] == cold[0] and np.array_equal(warm[1], cold[1])
 
 
 def test_cache_entry_bytes_are_the_canonical_entry(tmp_path):
-    # the entry is assembled around the payload bytes encoded for its digest
+    # the header is compact canonical JSON of the table's class data, then
+    # come the rows in int8 and the CRC-32 of both
     cache = TableCache(tmp_path)
-    payload = table_of(cached_group("GL2(3)")).to_json()
-    cache.get_or_compute("character-table", "GL2(3)", lambda: payload)
-    entry = {
-        "key": {"kind": "character-table", "spec": "GL2(3)", "version": ALGORITHM_VERSION},
-        "payload": payload,
-        "sha256": hashlib.sha256(_canonical_bytes(payload)).hexdigest(),
-    }
+    table = table_of(cached_group("GL2(3)"))
+    cache.get_or_compute("character-table", "GL2(3)", _table_producer("GL2(3)"))
+    header = table_json(table)
+    del header["rows"]
+    header.update(
+        key={"kind": "character-table", "spec": "GL2(3)", "version": ALGORITHM_VERSION},
+        dtype="|i1",
+        shape=list(table.rows.shape),
+    )
     path = cache._path(cache_key("character-table", "GL2(3)"))
-    assert path.read_bytes() == _canonical_bytes(entry) + b"\n"
+    assert path.name == f"character-table-GL2(3)-v{ALGORITHM_VERSION}.entry"
+    assert path.read_bytes() == entry_bytes(header, table.rows.astype(np.int8).tobytes())
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"b": [1, {"z": None, "a": [2.5, "\u00e9\n"]}], "a": {}, "c": []},
-        [[], [1, [2, [3]]], {"k": True}],
-        "text",
-        7,
-    ],
-)
-def test_canonical_pieces_join_to_the_canonical_bytes(obj):
-    assert b"".join(_canonical_pieces(obj)) == _canonical_bytes(obj)
-
-
-# payload digests recorded when the rows became the flat per-order integers
+# SHA-256 of the whole entry, recorded when it became a header line, the rows
+# in the narrowest integer type and a CRC-32
 PAYLOAD_DIGESTS = {
-    "GL2(4)": "feee40c087b9f29cac3361f445234b718f546b3cc1faa7a32b5427a4c174586b",
-    "GL2(5)": "4eb7c428707499f9657003c7440310d1c6b24b8ee69f625bc8925701e021f74b",
-    "GL2(7)": "5bfd7295ab1858bb6f82c45c405c9821f0b1e6cade46d25684e5cd37378c4545",
-    "SL2(7)": "d946e521e09cd7d0524b7b359cc40caa7964af58c3483cf1462be110c4c987ec",
+    "GL2(4)": "348c5a15833a95f20ef59d6fa5c63dd05499116025ce7864e47b049a147f88e1",
+    "GL2(5)": "99b0cea235913a0ed5ac9e4c7b8f9ffc08ce865c7a622c135b7504e0efc51d2c",
+    "GL2(7)": "f81e2e265a9735bafbd32d35aa9a8db8934c324e5ad23432bed4e12031ac6d86",
+    "SL2(7)": "4aac44b6face9d891885e6fab22b0b859a191414de41882fbb3cc584304d943b",
 }
 
 
 @pytest.mark.parametrize("spec", sorted(PAYLOAD_DIGESTS))
 def test_cache_entry_is_compact_canonical_json_with_the_recorded_digest(tmp_path, spec):
     cache = TableCache(tmp_path)
-    cache.get_or_compute("character-table", spec, lambda: table_of(cached_group(spec)).to_json())
+    cache.get_or_compute("character-table", spec, _table_producer(spec))
     raw = cache._path(cache_key("character-table", spec)).read_bytes()
-    entry = json.loads(raw)
-    assert raw == _canonical_bytes(entry) + b"\n"
-    assert entry["sha256"] == PAYLOAD_DIGESTS[spec]
+    line = raw[: raw.index(b"\n")]
+    assert line == _canonical_bytes(json.loads(line))
+    assert hashlib.sha256(raw).hexdigest() == PAYLOAD_DIGESTS[spec]
 
 
 @pytest.mark.parametrize(
@@ -232,7 +246,7 @@ def test_cold_and_warm_cache_runs_print_the_same_report(tmp_path, check, spec, e
                "--cache-dir", str(tmp_path), "--format", "json"]
 
     def entries_on_disk():
-        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in tmp_path.glob("*.json")}
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in tmp_path.glob("*.entry")}
 
     cold = subprocess.run(command, env=_subprocess_env(), capture_output=True, check=True)
     written = entries_on_disk()
@@ -256,14 +270,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = redchar.cli.main(json.loads(sys.argv[1]))
 blas = os.environ.get("OPENBLAS_NUM_THREADS")
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([package, cli, loaded(), code, redchar.rootdatum.__name__, blas, threads]))
+hashing = sorted({"hashlib", "_hashlib"} & sys.modules.keys())
+print(json.dumps([package, cli, loaded(), code, redchar.rootdatum.__name__, blas, threads, hashing]))
 """
 
 
 def _import_probe(argv: list[str], blas_threads: str | None = None):
     """Modules loaded by `import redchar`, then `import redchar.cli`, then
     `main(argv)`, in a fresh process; with main's exit status, the process's
-    OPENBLAS_NUM_THREADS and its thread count (None without /proc/self/task).
+    OPENBLAS_NUM_THREADS, its thread count (None without /proc/self/task)
+    and which of hashlib and _hashlib (OpenSSL's digests) it loaded.
     The process inherits OPENBLAS_NUM_THREADS only as `blas_threads`."""
     env = _subprocess_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -277,7 +293,7 @@ def _import_probe(argv: list[str], blas_threads: str | None = None):
 
 
 def test_a_table_job_loads_only_the_table_path(tmp_path):
-    package, cli, table_job, code, submodule, blas, threads = _import_probe(
+    package, cli, table_job, code, submodule, blas, threads, hashing = _import_probe(
         ["table", "--group", "GL2(5)", "--cache-dir", str(tmp_path), "--format", "json"]
     )
     assert package == ["redchar"]
@@ -290,10 +306,12 @@ def test_a_table_job_loads_only_the_table_path(tmp_path):
     assert blas == "1"
     if threads is not None:
         assert threads == 1
+    # the cache checks its entries by CRC-32, so it loads no OpenSSL
+    assert hashing == []
 
 
 def test_the_tool_keeps_a_blas_thread_count_the_caller_set():
-    *_, code, _submodule, blas, _threads = _import_probe(["table", "--group", "GL2(3)"], "2")
+    *_, code, _submodule, blas, _threads, _hashing = _import_probe(["table", "--group", "GL2(3)"], "2")
     assert code == 0 and blas == "2"
 
 
@@ -301,7 +319,7 @@ def test_the_tool_keeps_a_blas_thread_count_the_caller_set():
 def test_spec_level_checks_load_neither_dl_nor_jordan(check):
     # both read the 2H^1 predicate from the root datum of the spec, and
     # fs-indicator twists by the duality involution
-    _package, cli, job, code, _submodule, _blas, _threads = _import_probe(
+    _package, cli, job, code, _submodule, _blas, _threads, _hashing = _import_probe(
         [check, "--group", "GL2(5)"]
     )
     assert code == 0
@@ -325,52 +343,53 @@ def test_package_exports_resolve_to_their_defining_modules():
         redchar.no_such_name
 
 
+def _block_producer(calls: list, value: int):
+    def producer():
+        calls.append(1)
+        return {"x": value}, np.zeros((1, 2), dtype=np.int8)
+
+    return producer
+
+
 def test_cache_corruption_recovers(tmp_path, capsys):
     cache = TableCache(tmp_path)
     calls = []
-
-    def producer():
-        calls.append(1)
-        return {"x": 1}
-
-    cache.get_or_compute("character-table", "GL1(2)", producer)
+    cache.get_or_compute("character-table", "GL1(2)", _block_producer(calls, 1))
     path = cache._path(cache_key("character-table", "GL1(2)"))
     path.write_text('{"payload": {"x": 2}, "sha256": "bad"}')
-    out = cache.get_or_compute("character-table", "GL1(2)", producer)
-    assert out == {"x": 1} and len(calls) == 2
+    header, block = cache.get_or_compute("character-table", "GL1(2)", _block_producer(calls, 1))
+    assert header["x"] == 1 and block.tolist() == [[0, 0]] and len(calls) == 2
     assert "corrupt" in capsys.readouterr().err
 
 
-def _with_an_edited_payload(whole: bytes, corrupt: str) -> bytes:
-    """The entry with its payload edited and its digest recomputed, a hit
-    that only `CharacterTable.from_json` refuses: "float-entry" writes the
-    degree 1 of the first row as 1.0, "missing-rows" deletes the rows."""
-    entry = json.loads(whole)
-    if corrupt == "float-entry":
-        entry["payload"]["rows"][0][0] = 1.0
-    else:
-        del entry["payload"]["rows"]
-    entry["sha256"] = hashlib.sha256(_canonical_bytes(entry["payload"])).hexdigest()
-    return _canonical_bytes(entry)
+def _truncated(raw: bytes) -> bytes:
+    return raw[: len(raw) // 2]
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    ["[]", "null", '{"payload": [], "sha256": "x"}', '{"payload": {"x": 2}, "sha256": 5}',
-     "truncated", "float-entry", "missing-rows"],
-)
+# the faults the CLI test feeds: whole files that are no entry, a cut file,
+# and faults of the entry format, each refused by the reader or by the table
+# check ("float-entry" stores the rows as float64, "missing-rows" drops one)
+_CLI_FAULTS = {
+    **{text: lambda raw, text=text: text.encode()
+       for text in ["[]", "null", '{"payload": [], "sha256": "x"}', '{"payload": {"x": 2}, "sha256": 5}']},
+    "truncated": _truncated,
+    "float-entry": ENTRY_FAULTS["float"][0],
+    "missing-rows": ENTRY_FAULTS["missing-row"][0],
+    **{name: ENTRY_FAULTS[name][0] for name in [
+        "truncated-block", "extra-byte", "flipped-byte", "long-row", "other-group",
+        "other-version", "class-sizes", "float-prime", "degrees",
+    ]},
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_CLI_FAULTS))
 def test_cli_discards_a_malformed_cache_entry(tmp_path, monkeypatch, capsys, corrupt):
     argv = ["table", "--group", "GL2(3)", "--cache-dir", str(tmp_path), "--format", "json"]
     assert main(argv) == 0
     cold = capsys.readouterr().out
     (path,) = tmp_path.iterdir()
     whole = path.read_bytes()
-    if corrupt == "truncated":
-        path.write_bytes(whole[: len(whole) // 2])
-    elif corrupt in ("float-entry", "missing-rows"):
-        path.write_bytes(_with_an_edited_payload(whole, corrupt))
-    else:
-        path.write_bytes(corrupt.encode())
+    path.write_bytes(_CLI_FAULTS[corrupt](whole))
     # as in a fresh process, the table is not in memory, so a hit is decoded
     monkeypatch.setattr(cached_group("GL2(3)"), "_table", None)
     assert main(argv) == 0
@@ -384,17 +403,18 @@ def test_cache_entry_is_renamed_into_place_whole(tmp_path, monkeypatch):
 
     cache = TableCache(tmp_path)
     path = cache._path(cache_key("character-table", "GL1(2)"))
+    key = {"kind": "character-table", "spec": "GL1(2)", "version": ALGORITHM_VERSION}
     real, seen = os.replace, []
 
     def replace(src, dst):
         # before the rename the entry is absent and the file beside it is whole
-        payload = json.loads(Path(src).read_bytes())["payload"]
-        seen.append((Path(src).parent, Path(dst), Path(dst).exists(), payload))
+        header, _block = _read_entry(Path(src), key)
+        seen.append((Path(src).parent, Path(dst), Path(dst).exists(), header["x"]))
         real(src, dst)
 
     monkeypatch.setattr(redchar.cache.os, "replace", replace)
-    cache.get_or_compute("character-table", "GL1(2)", lambda: {"x": 1})
-    assert seen == [(tmp_path, path, False, {"x": 1})]
+    cache.get_or_compute("character-table", "GL1(2)", _block_producer([], 1))
+    assert seen == [(tmp_path, path, False, 1)]
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -403,7 +423,7 @@ def test_cli_with_cache_dir(tmp_path):
         ["table", "--group", "GL2(3)", "--cache-dir", str(tmp_path), "--format", "json"]
     )
     assert code == 0
-    entries = list(tmp_path.glob("*.json"))
+    entries = list(tmp_path.glob("*.entry"))
     assert len(entries) == 1
     code = main(
         ["table", "--group", "GL2(3)", "--cache-dir", str(tmp_path), "--format", "json"]

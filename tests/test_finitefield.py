@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redchar.chartable import find_table_prime
-from redchar.finitefield import _poly_divmod, field_embedding, finite_field, poly_gcd, poly_roots
+from redchar.finitefield import _poly_divmod, field_embedding, finite_field, poly_gcd, poly_powmod, poly_roots
 
 
 def brute_force_log_oracle(p, base):
@@ -127,6 +127,21 @@ def test_poly_divmod_is_division_with_remainder(case):
     assert _plus(_times(quotient, b, p), remainder, p) == _trimmed(a, p)
     assert len(remainder) < len(b)
     assert quotient == _trimmed(quotient, p) and remainder == _trimmed(remainder, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(TABLE_PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), coefficients, nonzero(p, 8), st.integers(0, 40))
+    )
+)
+def test_poly_powmod_matches_repeated_multiplication(case):
+    # the reference reduces after every one of the n products
+    p, base, f, n = case
+    expected = [1]
+    for _ in range(n):
+        expected = _poly_divmod(_times(expected, base, p), f, p)[1]
+    assert poly_powmod(base, n, f, p) == expected
 
 
 @settings(max_examples=150, deadline=None)
